@@ -111,15 +111,13 @@ def main(argv=None) -> int:
         }[args.command]
         with sfft.set_workers(max(1, args.threads)):
             runner()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except VarlapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        # every other library error is raised by a config value
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

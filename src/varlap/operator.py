@@ -8,11 +8,17 @@ everything else).  Two evaluation paths are provided:
   oracle for the fast one.
 * fast: the rank-r Chebyshev decomposition replaces the non-convolution
   kernel by r constant-order Toeplitz applies, each performed as a circular
-  convolution on the minimal (2N)^d embedding via FFT, then weighted by the
-  per-node Lagrange coefficients.  O(r N^d log N) per apply.
+  convolution on an L^d embedding (L >= 2N, FFT-friendly) via FFT, then
+  weighted by the per-node Lagrange coefficients.  O(r N^d log N) per apply.
 
-Kernels and their spectra are cached on the operator, so repeated applies
-(every Krylov iteration) cost r+1 transforms.
+The embedded kernel carries offsets -(N-1)..N-1 only, so it is even and its
+spectrum is real.  The transforms are pruned: the forward one pads each axis
+just before transforming it, and the inverse one cuts each axis back to N
+entries right after transforming it, so no transform runs on a line that is
+all zeros or that the interior block never reads.  Kernel spectra and the
+h^(-alpha_q)-scaled Lagrange coefficients are built once per operator, so
+each repeated apply (every Krylov iteration) costs one forward and r inverse
+transforms.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .grid import DomainMask, GridFunction, OrderField, UniformGrid, sample_orde
 from .lowrank import (
     DEFAULT_RANK,
     ChebyshevPlan,
-    RankCoefficients,
     build_plan,
     estimate_rank,
     rank_coefficients,
@@ -56,15 +61,6 @@ __all__ = [
 ]
 
 
-def _embed_offsets(n: int) -> np.ndarray:
-    """Signed offsets along one axis of the 2N circulant embedding.
-
-    Position i of the length-2N kernel carries offset i for i < N and
-    i - 2N for i > N; position N is never touched by the interior block.
-    """
-    return ((np.arange(2 * n) + n) % (2 * n)) - n
-
-
 def _fast_axis_len(n: int) -> int:
     """Circulant length >= 2N with small prime factors.
 
@@ -75,6 +71,26 @@ def _fast_axis_len(n: int) -> int:
     return sfft.next_fast_len(2 * n, real=True)
 
 
+def _forward(u_nd: np.ndarray, pad_shape: tuple[int, ...]) -> np.ndarray:
+    """Spectrum of ``u_nd`` zero-padded to ``pad_shape`` (rfftn layout)."""
+    spec = sfft.rfft(u_nd, n=pad_shape[-1], axis=-1)
+    for ax in range(u_nd.ndim - 2, -1, -1):
+        spec = sfft.fft(spec, n=pad_shape[ax], axis=ax, overwrite_x=True)
+    return spec
+
+
+def _inverse(spec: np.ndarray, grid_shape: tuple[int, ...],
+             pad_shape: tuple[int, ...]) -> np.ndarray:
+    """Leading ``grid_shape`` block of the inverse of an rfftn-layout spectrum.
+
+    Overwrites ``spec``.
+    """
+    for ax, n in enumerate(grid_shape[:-1]):
+        spec = sfft.ifft(spec, axis=ax, overwrite_x=True)
+        spec = spec[(slice(None),) * ax + (slice(0, n),)]
+    return sfft.irfft(spec, n=pad_shape[-1], axis=-1)[..., :grid_shape[-1]]
+
+
 @dataclass(frozen=True)
 class ConstantOrderKernel:
     """One constant-order stencil on a grid, ready for FFT circular applies."""
@@ -82,27 +98,30 @@ class ConstantOrderKernel:
     alpha: float
     grid_shape: tuple[int, ...]
     h: float
-    spectrum: np.ndarray          # rfftn of the (2N)^d embedded kernel
+    spectrum: np.ndarray          # real rfftn of the even embedded kernel
     pad_shape: tuple[int, ...]
 
     @classmethod
     def from_block(cls, block: np.ndarray, grid_shape: tuple[int, ...],
                    h: float, alpha: float) -> "ConstantOrderKernel":
-        """Build from the nonnegative-offset block a_0..a_N per axis."""
+        """Build from the nonnegative-offset block a_0..a_N per axis.
+
+        Only offsets |k| <= N-1 reach the interior block; the embedding
+        leaves offset -N at zero, which keeps the kernel even.
+        """
         dim = len(grid_shape)
         if block.ndim != dim or any(block.shape[p] < grid_shape[p] + 1
                                     for p in range(dim)):
             raise SizeMismatch(
                 f"weight block {block.shape} too small for grid {grid_shape}"
             )
-        idx = [np.abs(_embed_offsets(n)) for n in grid_shape]
-        minimal = block[np.ix_(*idx)]
         pad_shape = tuple(_fast_axis_len(n) for n in grid_shape)
-        kernel = np.zeros(pad_shape)
-        dst = [np.r_[np.arange(n), np.arange(length - n, length)]
+        src = [np.r_[np.arange(n), np.arange(n - 1, 0, -1)] for n in grid_shape]
+        dst = [np.r_[np.arange(n), np.arange(length - n + 1, length)]
                for n, length in zip(grid_shape, pad_shape)]
-        kernel[np.ix_(*dst)] = minimal
-        spectrum = sfft.rfftn(kernel)
+        kernel = np.zeros(pad_shape)
+        kernel[np.ix_(*dst)] = block[np.ix_(*src)]
+        spectrum = np.ascontiguousarray(sfft.rfftn(kernel).real)
         return cls(alpha=float(alpha), grid_shape=tuple(grid_shape), h=float(h),
                    spectrum=spectrum, pad_shape=pad_shape)
 
@@ -110,14 +129,8 @@ class ConstantOrderKernel:
         """Toeplitz matvec: pad, convolve circularly, truncate, scale."""
         if u_nd.shape != self.grid_shape:
             raise SizeMismatch(f"input {u_nd.shape} != grid {self.grid_shape}")
-        pad = np.zeros(self.pad_shape)
-        pad[tuple(slice(0, n) for n in self.grid_shape)] = u_nd
-        return self.multiply_spectrum(sfft.rfftn(pad))
-
-    def multiply_spectrum(self, u_spectrum: np.ndarray) -> np.ndarray:
-        """Apply to a precomputed padded-input spectrum (shared in rank loops)."""
-        conv = sfft.irfftn(u_spectrum * self.spectrum, s=self.pad_shape)
-        out = conv[tuple(slice(0, n) for n in self.grid_shape)]
+        spec = _forward(u_nd, self.pad_shape) * self.spectrum
+        out = _inverse(spec, self.grid_shape, self.pad_shape)
         return out * self.h ** (-self.alpha)
 
 
@@ -176,7 +189,6 @@ class VariableOrderOperator:
         self.interpolation_error: float | None = None
 
         self.plan: ChebyshevPlan | None = None
-        self.coeffs: RankCoefficients | None = None
         self.kernels: list[ConstantOrderKernel] = []
         if mode == "fast":
             if plan is None:
@@ -187,8 +199,12 @@ class VariableOrderOperator:
                 plan = build_plan(field.alpha_min, field.alpha_max,
                                   rank if rank is not None else DEFAULT_RANK)
             self.plan = plan
-            self.coeffs = rank_coefficients(plan, field, grid)
+            coeffs = rank_coefficients(plan, field, grid).coeffs
             self.kernels = [self._kernel(a) for a in plan.nodes]
+            # Lagrange coefficient maps with h^(-alpha_q) folded in, (r, *shape)
+            maps = np.array(coeffs.T, order="C")
+            maps *= np.array([k.h ** (-k.alpha) for k in self.kernels])[:, None]
+            self._rank_maps = maps.reshape((plan.rank,) + grid.shape)
         self._direct_tables: dict[bytes, WeightTable] = {}
 
     # -- kernel and weight-row construction -------------------------------
@@ -243,17 +259,16 @@ class VariableOrderOperator:
         return out
 
     def _apply_fast_flat(self, values: np.ndarray) -> np.ndarray:
-        if self.plan is None or self.coeffs is None or not self.kernels:
+        if self.plan is None:
             raise PlanMissing("fast apply requested but no rank plan configured")
         vals = self._masked_input(np.asarray(values, dtype=float))
-        u_nd = vals.reshape(self.grid.shape)
-        pad = np.zeros(self.kernels[0].pad_shape)
-        pad[tuple(slice(0, n) for n in self.grid.shape)] = u_nd
-        spectrum = sfft.rfftn(pad)
-        out = np.zeros(self.grid.size)
+        shape, pad_shape = self.grid.shape, self.kernels[0].pad_shape
+        spec = _forward(vals.reshape(shape), pad_shape)
+        out = np.zeros(shape)
         # fixed ascending-q summation keeps results bitwise reproducible
-        for q, kern in enumerate(self.kernels):
-            out += self.coeffs.coeffs[:, q] * kern.multiply_spectrum(spectrum).ravel()
+        for coef, kern in zip(self._rank_maps, self.kernels):
+            out += coef * _inverse(spec * kern.spectrum, shape, pad_shape)
+        out = out.ravel()
         if self.mask is not None:
             out[~self.mask.inside] = 0.0
         return out
@@ -310,10 +325,7 @@ class VariableOrderOperator:
             scale = h ** (-alpha)
             for j in nodes_j:
                 jnd = np.unravel_index(j, shape)
-                if table.quadrant:
-                    idx = [np.abs(axis_range[p] - jnd[p]) for p in range(self.grid.dim)]
-                else:
-                    idx = [(axis_range[p] - jnd[p]) % table.m for p in range(self.grid.dim)]
+                idx = [np.abs(axis_range[p] - jnd[p]) for p in range(self.grid.dim)]
                 win = table.values[np.ix_(*idx)]
                 out[j] = scale * float(np.tensordot(win, u_nd, axes=self.grid.dim))
         return out

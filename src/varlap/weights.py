@@ -11,12 +11,12 @@ integral has a closed form through a ratio of Gamma functions; in any
 dimension the trapezoidal rule on the periodic cell turns the whole table
 into one inverse DFT of the sampled symbol.
 
-The symbol is even in every component of eta, so for large quadrature sizes
-the inverse DFT reduces to a type-I cosine transform on the nonnegative
-quadrant; both paths produce identical values and the cheap one is chosen
-automatically.  Weights are even (a_n = a_-n), have a positive center and
-nonpositive tails, sum to zero over the full periodic table (the symbol
-vanishes at eta = 0), and decay like |n|^(-d-alpha).
+The symbol is even in every component of eta, so the inverse DFT reduces to a
+type-I cosine transform on the nonnegative quadrant, and every table stores
+only that quadrant; the rest follows by evenness.  Weights are even
+(a_n = a_-n), have a positive center and nonpositive tails, sum to zero over
+the full periodic table (the symbol vanishes at eta = 0), and decay like
+|n|^(-d-alpha).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import csv
 import itertools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -43,12 +43,6 @@ __all__ = [
     "default_quadrature_size",
     "clear_weight_cache",
 ]
-
-# full complex inverse FFT up to this many samples; even-symmetry DCT beyond
-_FULL_IFFT_LIMIT = 2**22
-
-_IMAG_TOL = 1e-12
-
 
 def symbol(xi, h: float):
     """Discrete Laplacian multiplier ``sum_p (4/h^2) sin^2(xi_p h / 2)``.
@@ -74,11 +68,10 @@ def _check_alpha(alpha: float) -> float:
 class WeightTable:
     """Stencil weights of one constant order, indexed periodically.
 
-    ``values`` is either the full periodic table of shape (m,)*dim, where the
-    entry at multi-index n (component range 0..m-1) is the weight at signed
-    offset n with -n aliased to m-n, or (for ``quadrant=True``) only the
-    nonnegative quadrant of shape (m//2+1,)*dim, from which the rest follows
-    by evenness.
+    ``values`` is the nonnegative quadrant of shape (m//2+1,)*dim: the entry
+    at multi-index n is the weight at offset n.  The full period-m table
+    follows by evenness, with offset -n equal to offset n and offsets
+    aliased modulo m.
     """
 
     alpha: float
@@ -86,7 +79,6 @@ class WeightTable:
     m: int
     values: np.ndarray
     kind: str = "fft"           # "fft" | "closed-form"
-    quadrant: bool = field(default=False)
 
     @property
     def max_offset(self) -> int:
@@ -98,10 +90,8 @@ class WeightTable:
         n = np.atleast_1d(np.asarray(n, dtype=int))
         if n.size != self.dim:
             raise InvalidDim(f"index has {n.size} components, table has {self.dim}")
-        if self.quadrant:
-            wrapped = (n + self.m // 2) % self.m - self.m // 2
-            return float(self.values[tuple(np.abs(wrapped))])
-        return float(self.values[tuple(n % self.m)])
+        wrapped = (n + self.m // 2) % self.m - self.m // 2
+        return float(self.values[tuple(np.abs(wrapped))])
 
     def block_nonneg(self, kmax: int) -> np.ndarray:
         """Weights at offsets 0..kmax per axis, shape (kmax+1,)*dim."""
@@ -121,16 +111,11 @@ class WeightTable:
             raise QuadratureTooCoarse(
                 f"offset {kmax} exceeds table range {self.max_offset}"
             )
-        if self.quadrant:
-            idx = np.abs(np.arange(-kmax, kmax + 1))
-        else:
-            idx = np.arange(-kmax, kmax + 1) % self.m
+        idx = np.abs(np.arange(-kmax, kmax + 1))
         return self.values[np.ix_(*([idx] * self.dim))]
 
     def total_sum(self) -> float:
         """Sum of all m**dim periodic values."""
-        if not self.quadrant:
-            return float(self.values.sum())
         # multiplicity 2 everywhere except the self-symmetric planes 0 and m/2
         w = np.full(self.m // 2 + 1, 2.0)
         w[0] = w[-1] = 1.0
@@ -160,11 +145,8 @@ def weights_1d_closed_form(alpha: float, n_max: int) -> WeightTable:
     half[0] = math.gamma(alpha + 1.0) / math.gamma(alpha / 2.0 + 1.0) ** 2
     for n in range(n_max + 1):
         half[n + 1] = half[n] * (n - alpha / 2.0) / (n + 1.0 + alpha / 2.0)
-    m = 2 * n_max + 2
-    vals = np.zeros(m)
-    vals[: n_max + 2] = half
-    vals[n_max + 2:] = half[n_max:0:-1]
-    return WeightTable(alpha=alpha, dim=1, m=m, values=vals, kind="closed-form")
+    return WeightTable(alpha=alpha, dim=1, m=2 * n_max + 2, values=half,
+                       kind="closed-form")
 
 
 def closed_form_rows(alphas: np.ndarray, n_max: int) -> np.ndarray:
@@ -241,26 +223,21 @@ def _cache_put(key, table: WeightTable) -> None:
 
 
 def weights_nd_fft(alpha: float, dim: int, m: int,
-                   target_n: int | None = None,
-                   method: str = "auto") -> WeightTable:
+                   target_n: int | None = None) -> WeightTable:
     """Weight table in ``dim`` dimensions by trapezoidal quadrature.
 
-    Samples the symbol at the M^d points ``eta = m_vec * 2*pi/M`` and applies
-    one d-dimensional inverse DFT; the result approximates the true Fourier
-    coefficients with aliasing error O(M^(-d-alpha)).  The inverse transform
-    output is complex in exact arithmetic only through rounding; its imaginary
-    residue is verified to be below 1e-12 and then discarded.
-
-    For large tables the even symmetry of the symbol is used instead: the
-    inverse DFT collapses to a type-I DCT on the nonnegative quadrant and only
-    that quadrant is stored.  ``method`` forces one path ("ifft" or "dct").
+    Samples the symbol at the M^d points ``eta = m_vec * 2*pi/M``; one
+    d-dimensional inverse DFT of the samples approximates the true Fourier
+    coefficients with aliasing error O(M^(-d-alpha)).  Because the symbol is
+    even in every component, that inverse DFT is a type-I DCT of the samples
+    on the nonnegative quadrant, and only that quadrant is computed and
+    stored.
 
     Args:
         alpha: order in (0, 2].
         dim: 1, 2 or 3.
         m: quadrature size per dimension, a power of two >= 4.
         target_n: interior node count the table must serve; enforces m >= 2*N.
-        method: "auto", "ifft", or "dct".
 
     Raises:
         OrderOutOfRange: alpha outside (0, 2].
@@ -276,43 +253,22 @@ def weights_nd_fft(alpha: float, dim: int, m: int,
         raise QuadratureTooCoarse(
             f"quadrature size {m} < 2*N = {2 * int(target_n)}"
         )
-    if method not in ("auto", "ifft", "dct"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "ifft" if m**dim <= _FULL_IFFT_LIMIT else "dct"
 
-    key = (np.float64(alpha).tobytes(), dim, m, method)
+    key = (np.float64(alpha).tobytes(), dim, m)
     hit = _cache_get(key)
     if hit is not None:
         return hit
 
-    if method == "ifft":
-        eta = 2.0 * np.pi * np.arange(m) / m
-        s = 4.0 * np.sin(eta / 2.0) ** 2
-        acc = s
-        for _ in range(dim - 1):
-            acc = acc[..., None] + s
-        phi = acc ** (alpha / 2.0)
-        tbl = sfft.ifftn(phi)
-        resid = float(np.abs(tbl.imag).max())
-        if resid > _IMAG_TOL:
-            raise QuadratureTooCoarse(
-                f"imaginary residue {resid:.2e} exceeds {_IMAG_TOL:.0e}"
-            )
-        table = WeightTable(alpha=alpha, dim=dim, m=m, values=tbl.real.copy(),
-                            kind="fft", quadrant=False)
-    else:
-        q = m // 2 + 1
-        eta = 2.0 * np.pi * np.arange(q) / m
-        s = 4.0 * np.sin(eta / 2.0) ** 2
-        acc = s
-        for _ in range(dim - 1):
-            acc = acc[..., None] + s
-        phi = acc ** (alpha / 2.0)
-        vals = sfft.dctn(phi, type=1) / m**dim
-        table = WeightTable(alpha=alpha, dim=dim, m=m, values=vals,
-                            kind="fft", quadrant=True)
-
+    eta = 2.0 * np.pi * np.arange(m // 2 + 1) / m
+    s = 4.0 * np.sin(eta / 2.0) ** 2
+    acc = s
+    for _ in range(dim - 1):
+        acc = acc[..., None] + s
+    # in place throughout: at m = 8192 in 2D each copy is 134 MB
+    acc **= alpha / 2.0
+    vals = sfft.dctn(acc, type=1, overwrite_x=True)
+    vals /= m**dim
+    table = WeightTable(alpha=alpha, dim=dim, m=m, values=vals, kind="fft")
     _cache_put(key, table)
     return table
 
@@ -347,7 +303,7 @@ def check_decay(table: WeightTable) -> DecayReport:
     if n_hi < 8:
         raise InvalidDim("table too short for a decay check (need n_max >= 16)")
     n = np.arange(4, n_hi + 1)
-    tail = table.values[4: n_hi + 1]   # positive offsets, either storage
+    tail = table.values[4: n_hi + 1]
     scaled = np.abs(tail) * n.astype(float) ** (table.alpha + 1.0)
     center = abs(table.value([0]))
     if scaled.max() < 1e-13 * max(center, 1.0):

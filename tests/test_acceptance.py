@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines; the full suite takes roughly 20-30 minutes on a single desktop core.
+lines; the acceptance module takes about 4.5 minutes on a 2-vCPU Xeon
+(260-275 s; criterion 6 alone 187-214 s).
 Frozen reference values come from the benchmark tables reproduced by this
 package at desk scale.
 """

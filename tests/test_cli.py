@@ -148,3 +148,21 @@ def test_config_validation_direct():
                                   "h_list": [0.25]}, "/tmp")
     with pytest.raises(ConfigError):
         experiments.run_bench({"kind": "cn3d", "order": "alpha1"}, "/tmp")
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("weights", {"alpha": 1.5, "dim": 2, "n_max": 8, "quadrature": 100}),
+    ("weights", {"alpha": 3.0, "dim": 1, "n_max": 8}),
+    ("apply-conv", {"dim": 2, "h_list": [0.25], "order": "alpha1", "rank": 0}),
+    ("elliptic", {"case": 2, "dim": 1, "order": "case2_linear",
+                  "h_list": [0.25], "max_iter": 0}),
+    ("apply-conv", {"dim": 1, "h_list": [0.25], "order": "expr:2.5 + 0*x1"}),
+    ("evolve", {"kind": "single", "dim": 2, "box": [-1, 1],
+                "order": "coexist_high", "h": 0.125, "dt": 0.02,
+                "t_final": 0.04, "ic": "ones", "mask": "x1 > 5"}),
+])
+def test_exit_code_2_on_library_value_errors(tmp_path, command, cfg, capsys):
+    path = write_cfg(tmp_path, "bad.json", cfg)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
