@@ -89,9 +89,30 @@ def _grid_for_h(dim: int, lo: float, hi: float, h: float) -> UniformGrid:
     return build_grid(dim, lo, hi, n)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number(cfg: dict, key: str, default, kind=float):
+    """``cfg[key]`` (or ``default``) as a finite ``kind``; ConfigError otherwise."""
+    val = cfg.get(key, default)
+    try:
+        ok = _is_number(val) and math.isfinite(val) and kind(val) == val
+    except OverflowError:            # an int beyond the float range
+        ok = False
+    if not ok:
+        raise ConfigError(f"{key} must be a finite {kind.__name__}, got {val!r}")
+    return kind(val)
+
+
+def _krylov(cfg: dict) -> KrylovConfig:
+    return KrylovConfig(tol=_number(cfg, "tol", 1e-14),
+                        max_iter=_number(cfg, "max_iter", 5000, int))
+
+
 def _h_list(cfg: dict) -> list[float]:
     hs = cfg.get("h_list")
-    if not hs or not all(isinstance(v, (int, float)) and v > 0 for v in hs):
+    if not hs or not all(_is_number(v) and v > 0 for v in hs):
         raise ConfigError("h_list must be a nonempty list of positive steps")
     hs = [float(v) for v in hs]
     if any(b >= a for a, b in zip(hs, hs[1:])):
@@ -191,8 +212,7 @@ def run_elliptic(cfg: dict, out_dir) -> list[ConvergenceRow]:
     if not spec:
         raise ConfigError("missing order field spec")
     base_field = order_field(spec)
-    krylov = KrylovConfig(tol=float(cfg.get("tol", 1e-14)),
-                          max_iter=int(cfg.get("max_iter", 5000)))
+    krylov = _krylov(cfg)
 
     def solve_on(grid: UniformGrid, f_vals: np.ndarray, reaction: float):
         field = sample_order(base_field, grid)
@@ -203,9 +223,9 @@ def run_elliptic(cfg: dict, out_dir) -> list[ConvergenceRow]:
 
     rows: list[ConvergenceRow] = []
     if case == 1:
-        beta = float(cfg.get("beta", 4.0))
-        reaction = float(cfg.get("reaction", 1.0))
-        h_ref = float(cfg.get("h_ref", 2.0**-9))
+        beta = _number(cfg, "beta", 4.0)
+        reaction = _number(cfg, "reaction", 1.0)
+        h_ref = _number(cfg, "h_ref", 2.0**-9)
         f_ref = _reference_rhs(dim, lo, hi, h_ref, base_field, beta, reaction, cfg)
         errors = []
         for h in hs:
@@ -216,7 +236,7 @@ def run_elliptic(cfg: dict, out_dir) -> list[ConvergenceRow]:
             exact = np.prod(1.0 - pts**2, axis=-1) ** beta
             errors.append(float(np.abs(u_h.values - exact).max()))
     else:
-        reaction = float(cfg.get("reaction", 0.0))
+        reaction = _number(cfg, "reaction", 0.0)
         grids = [_grid_for_h(dim, lo, hi, h) for h in hs + [hs[-1] / 2.0]]
         sols = [solve_on(g, np.ones(g.size), reaction) for g in grids]
         errors = []
@@ -238,11 +258,10 @@ def _stepper_from_cfg(cfg: dict, dt: float) -> TimeStepper:
         return TimeStepper(
             scheme=cfg.get("scheme", "crank_nicolson"),
             dt=dt,
-            t_final=float(cfg.get("t_final", 0.5)),
-            kappa=float(cfg.get("kappa", 0.01)),
-            diffusion=float(cfg.get("diffusion", 1.0)),
-            krylov=KrylovConfig(tol=float(cfg.get("tol", 1e-14)),
-                                max_iter=int(cfg.get("max_iter", 5000))),
+            t_final=_number(cfg, "t_final", 0.5),
+            kappa=_number(cfg, "kappa", 0.01),
+            diffusion=_number(cfg, "diffusion", 1.0),
+            krylov=_krylov(cfg),
         )
     except InvalidRange as exc:
         raise ConfigError(str(exc)) from exc
@@ -276,7 +295,7 @@ def run_evolve(cfg: dict, out_dir):
         if mask is not None:
             u0_vals[~mask.inside] = 0.0
         u0 = GridFunction(grid, u0_vals)
-        frame_every = int(cfg.get("frame_every", 0)) if frames else 0
+        frame_every = _number(cfg, "frame_every", 0, int) if frames else 0
         return evolve(stepper, op, u0, frame_dir=frames, frame_every=frame_every)
 
     if kind == "single":
@@ -284,10 +303,10 @@ def run_evolve(cfg: dict, out_dir):
         if cfg.get("frame_every"):
             frames = out_path / "frames"
             frames.mkdir(exist_ok=True)
-        h = float(cfg.get("h", 0.0)) or None
+        h = _number(cfg, "h", 0.0) or None
         if h is None:
             raise ConfigError("single evolve needs h")
-        record = run_one(h, float(cfg.get("dt", h)), frames=frames)
+        record = run_one(h, _number(cfg, "dt", h), frames=frames)
         write_observer_csv(record, out_path / cfg.get("out", "evolve.csv"))
         return record
 
@@ -366,7 +385,7 @@ def run_bench(cfg: dict, out_dir):
     ns = cfg.get("n_list")
     if not ns:
         raise ConfigError("apply_sweep bench needs n_list")
-    reps = int(cfg.get("reps", 5))
+    reps = _number(cfg, "reps", 5, int)
     rows = []
     for n in ns:
         grid = build_grid(dim, lo, hi, int(n))

@@ -207,7 +207,8 @@ def sample_order(field: OrderField, grid: UniformGrid) -> OrderField:
     identical values.
 
     Raises:
-        OrderOutOfRange: some sampled value is outside (0, 2] or non-finite.
+        OrderOutOfRange: some sampled value is outside (0, 2], outside the
+            declared bounds (up to rounding, 1e-12), or non-finite.
     """
     vals = np.asarray(field.evaluator(grid.points()), dtype=float).ravel()
     if vals.size != grid.size:
@@ -217,6 +218,11 @@ def sample_order(field: OrderField, grid: UniformGrid) -> OrderField:
     lo, hi = float(vals.min()), float(vals.max())
     if lo <= 0.0 or hi > 2.0:
         raise OrderOutOfRange(f"sampled order range [{lo}, {hi}] outside (0, 2]")
+    if lo < field.alpha_min - 1e-12 or hi > field.alpha_max + 1e-12:
+        raise OrderOutOfRange(
+            f"sampled order range [{lo}, {hi}] leaves the declared bounds "
+            f"[{field.alpha_min}, {field.alpha_max}]"
+        )
     return replace(field,
                    alpha_min=max(field.alpha_min, lo),
                    alpha_max=min(field.alpha_max, hi),

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines; the acceptance module takes about 4.5 minutes on a 2-vCPU Xeon
-(260-275 s; criterion 6 alone 187-214 s).
+lines; the acceptance module takes under 2 minutes on a 2-vCPU Xeon
+(the whole suite 115-129 s; criterion 6 alone 38-41 s).
 Frozen reference values come from the benchmark tables reproduced by this
 package at desk scale.
 """

@@ -160,9 +160,26 @@ def test_config_validation_direct():
     ("evolve", {"kind": "single", "dim": 2, "box": [-1, 1],
                 "order": "coexist_high", "h": 0.125, "dt": 0.02,
                 "t_final": 0.04, "ic": "ones", "mask": "x1 > 5"}),
+    # 1 + r/4 reaches 1.875 on [-4, 4], above the declared [1, 1.5]
+    ("apply-conv", {"dim": 1, "box": [-4, 4], "h_list": [0.5],
+                    "order": "case1_linear"}),
 ])
 def test_exit_code_2_on_library_value_errors(tmp_path, command, cfg, capsys):
     path = write_cfg(tmp_path, "bad.json", cfg)
     assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("tol", "abc"), ("tol", True), ("max_iter", "abc"), ("max_iter", 2.5),
+    ("h_list", [True]),
+])
+@pytest.mark.parametrize("command", ["elliptic", "evolve"])
+def test_exit_code_2_on_bad_numbers(tmp_path, command, key, value, capsys):
+    cfg = {"dim": 1, "order": "case2_tanh", "h_list": [0.25], key: value}
+    cfg.update({"case": 2} if command == "elliptic" else {"kind": "richardson"})
+    path = write_cfg(tmp_path, "bad.json", cfg)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err

@@ -79,6 +79,18 @@ def test_sample_order_rejects_bad_range():
         vl.sample_order(base, g)
 
 
+def test_sample_order_rejects_samples_outside_declared_bounds():
+    g = vl.build_grid(1, -4, 4, 15)
+    base = vl.OrderField.from_callable(lambda p: 1.0 + np.abs(p[:, 0]) / 4.0,
+                                       1.0, 1.5)
+    with pytest.raises(OrderOutOfRange) as info:
+        vl.sample_order(base, g)
+    msg = str(info.value)
+    assert "[1.0, 1.5]" in msg and "[1.0, 1.875]" in msg
+    inside = vl.sample_order(base, vl.build_grid(1, -2, 2, 15))
+    assert (inside.alpha_min, inside.alpha_max) == (1.0, 1.4375)
+
+
 def test_make_mask_all_true():
     g = vl.build_grid(1, 0, 1, 6)
     m = vl.make_mask(g, lambda p: np.ones(p.shape[0], dtype=bool))

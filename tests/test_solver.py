@@ -1,7 +1,11 @@
 import numpy as np
+import pytest
 
 import varlap as vl
+from varlap.errors import InvalidRange
+from varlap.presets import order_field
 from varlap.solver import (
+    _pinned_map,
     positive_component_count,
     write_observer_csv,
     write_residual_csv,
@@ -46,6 +50,101 @@ def test_bicgstab_best_iterate_monotone_record():
     assert res.status == "converged"
     best_so_far = np.minimum.accumulate(res.residuals)
     assert best_so_far[-1] <= 1e-13
+
+
+def test_bicgstab_counts_restarts_on_plateau():
+    # tol below reach: the residual floors, and each stagnation window spent
+    # without progress triggers one restart from the best iterate
+    g = vl.build_grid(1, -1.0, 1.0, 63)
+    op = vl.VariableOrderOperator(g, sampled_const(g, 1.5), mode="fast", rank=1)
+    for max_restarts in (0, 3):
+        cfg = vl.KrylovConfig(tol=1e-300, stagnation_window=2,
+                              max_restarts=max_restarts)
+        res = vl.bicgstab(op._apply_flat, np.ones(g.size), cfg)
+        assert res.status == "stagnated"
+        assert res.restarts == max_restarts
+
+
+def _elliptic_case(kind):
+    """(operator, f, b) for the preconditioned-vs-plain comparisons."""
+    rng = np.random.default_rng(7)
+    if kind == "1d_direct":
+        g = vl.build_grid(1, -1.0, 1.0, 48)
+        field = order_field("case1_linear")
+        mode, mask = "direct", None
+    elif kind == "non_cubic":
+        g = vl.build_grid(2, (0.0, 0.0), (1.0, 2.0), (15, 31))
+        field = order_field("case2_tanh")
+        mode, mask = "fast", None
+    else:
+        dim, n = (3, 15) if kind == "3d" else (2, 31)
+        g = vl.build_grid(dim, -1.0, 1.0, n)
+        field = order_field("case2_linear")
+        mode = "fast"
+        mask = (vl.make_mask(g, lambda p: np.sum(p**2, axis=-1) < 0.7)
+                if kind == "2d_mask" else None)
+    op = vl.VariableOrderOperator(g, vl.sample_order(field, g), mode=mode,
+                                  mask=mask)
+    f = rng.uniform(0.5, 1.5, g.size)
+    if mask is not None:
+        f[~mask.inside] = 0.0
+    b = rng.uniform(0.0, 1.0, g.size) if kind in ("1d_direct", "2d_fast") else None
+    return op, f, b
+
+
+@pytest.mark.parametrize("kind", ["1d_direct", "2d_fast", "2d_mask", "3d",
+                                  "non_cubic"])
+def test_preconditioned_solve_matches_plain_bicgstab(kind):
+    op, f, b = _elliptic_case(kind)
+    prob = vl.EllipticProblem(
+        operator=op, f=vl.GridFunction(op.grid, f),
+        b=None if b is None else vl.GridFunction(op.grid, b))
+    out = vl.solve_elliptic(prob)
+    plain = vl.bicgstab(_pinned_map(op, b), f)
+    assert plain.status == "converged"
+    gap = np.abs(out.u.values - plain.x).max() / np.abs(plain.x).max()
+    assert gap <= 1e-10, gap
+    assert out.krylov.iterations < plain.iterations
+    if op.mask is not None:
+        assert np.all(out.u.values[~op.mask.inside] == 0.0)
+
+
+def test_preconditioner_cuts_case2_linear_iterations():
+    g = vl.build_grid(2, -1.0, 1.0, 63)
+    op = vl.VariableOrderOperator(
+        g, vl.sample_order(order_field("case2_linear"), g), mode="fast")
+    f = np.ones(g.size)
+    out = vl.solve_elliptic(vl.EllipticProblem(operator=op,
+                                               f=vl.GridFunction(g, f)))
+    plain = vl.bicgstab(_pinned_map(op, None), f)
+    assert out.krylov.status == "converged" and out.krylov.restarts == 0
+    assert 5 * out.krylov.iterations <= plain.iterations, (
+        out.krylov.iterations, plain.iterations)
+
+
+def test_preconditioned_solve_rejects_initial_guess():
+    g = vl.build_grid(1, -1.0, 1.0, 15)
+    op = vl.VariableOrderOperator(g, sampled_const(g, 1.5), mode="fast", rank=1)
+    prob = vl.EllipticProblem(operator=op, f=vl.GridFunction(g, np.ones(g.size)))
+    with pytest.raises(InvalidRange):
+        vl.solve_elliptic(prob, vl.KrylovConfig(x0=np.ones(g.size)))
+
+
+def test_cn_step_runs_plain_bicgstab():
+    # the shifted Crank-Nicolson system gets no preconditioner: the step is
+    # bit for bit one plain BiCGSTAB solve on the pinned map
+    g = vl.build_grid(3, -1.0, 1.0, 15)
+    op = vl.VariableOrderOperator(
+        g, vl.sample_order(order_field("bench_tanh"), g), mode="fast")
+    u0 = vl.GridFunction(g, np.cos(np.pi * g.points()[:, 0] / 2.0))
+    stepper = vl.TimeStepper(dt=1.0 / 16.0, t_final=1.0 / 16.0)
+    u1, res = vl.step_crank_nicolson(u0, stepper, op)
+    half = stepper.dt / 2.0
+    rhs = _pinned_map(op, None, scale_a=-half, shift=1.0)(u0.values)
+    plain = vl.bicgstab(_pinned_map(op, None, scale_a=half, shift=1.0), rhs,
+                        stepper.krylov)
+    assert res.iterations == plain.iterations
+    assert np.array_equal(u1.values, plain.x)
 
 
 def test_elliptic_zero_data_zero_solution():
