@@ -49,7 +49,6 @@ from .lowrank import (
 from .operator import (
     ConstantOrderKernel,
     VariableOrderOperator,
-    apply_constant_order,
     operator_timing,
 )
 from .oracle import (

@@ -46,19 +46,18 @@ def _load_config(path: str | None) -> dict:
 
 
 def _run_weights(cfg: dict, out_dir: Path) -> None:
-    alpha = cfg.get("alpha")
-    if not isinstance(alpha, (int, float)):
-        raise ConfigError("weights config needs a numeric alpha")
-    dim = int(cfg.get("dim", 1))
-    n_max = int(cfg.get("n_max", 64))
+    alpha = experiments._number(cfg, "alpha", None)
+    dim = experiments._number(cfg, "dim", 1, int)
+    n_max = experiments._number(cfg, "n_max", 64, int)
     kind = cfg.get("kind") or ("closed-form" if dim == 1 else "fft")
     if kind == "closed-form":
         if dim != 1:
             raise ConfigError("closed-form weights exist only in 1D")
-        table = weights_1d_closed_form(float(alpha), n_max)
+        table = weights_1d_closed_form(alpha, n_max)
     elif kind == "fft":
-        m = int(cfg.get("quadrature") or default_quadrature_size(dim, n_max))
-        table = weights_nd_fft(float(alpha), dim, m, target_n=n_max)
+        m = (experiments._number(cfg, "quadrature", None, int)
+             if cfg.get("quadrature") else default_quadrature_size(dim, n_max))
+        table = weights_nd_fft(alpha, dim, m, target_n=n_max)
     else:
         raise ConfigError(f"weights kind must be closed-form or fft, got {kind!r}")
     out = out_dir / cfg.get("out", "weights.csv")

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NotNested
+from .errors import ConfigError, InvalidRange, NotNested
 from .grid import GridFunction, UniformGrid, build_grid, make_mask, sample_order
 from .operator import VariableOrderOperator, fit_loglog_slope, operator_timing
-from .oracle import gaussian_frac_lap
+from .oracle import gaussian_frac_lap, manufactured_rhs_case1
 from .presets import initial_condition, order_field, parse_predicate
 from .solver import (
     EllipticProblem,
@@ -89,20 +89,31 @@ def _grid_for_h(dim: int, lo: float, hi: float, h: float) -> UniformGrid:
     return build_grid(dim, lo, hi, n)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_number(v, kind=float) -> bool:
+    """True for a finite non-bool number that ``kind`` holds exactly."""
+    try:
+        return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v) and kind(v) == v)
+    except OverflowError:            # an int beyond the float range
+        return False
 
 
 def _number(cfg: dict, key: str, default, kind=float):
     """``cfg[key]`` (or ``default``) as a finite ``kind``; ConfigError otherwise."""
     val = cfg.get(key, default)
-    try:
-        ok = _is_number(val) and math.isfinite(val) and kind(val) == val
-    except OverflowError:            # an int beyond the float range
-        ok = False
-    if not ok:
+    if not _is_number(val, kind):
         raise ConfigError(f"{key} must be a finite {kind.__name__}, got {val!r}")
     return kind(val)
+
+
+def _positive_list(cfg: dict, key: str, default=None, kind=float) -> list:
+    """``cfg[key]`` (or ``default``) as a nonempty list of positive ``kind``s."""
+    vals = cfg.get(key, default)
+    if (not isinstance(vals, list) or not vals
+            or not all(_is_number(v, kind) and v > 0 for v in vals)):
+        raise ConfigError(f"{key} must be a nonempty list of positive "
+                          f"{kind.__name__}s, got {vals!r}")
+    return [kind(v) for v in vals]
 
 
 def _krylov(cfg: dict) -> KrylovConfig:
@@ -111,27 +122,22 @@ def _krylov(cfg: dict) -> KrylovConfig:
 
 
 def _h_list(cfg: dict) -> list[float]:
-    hs = cfg.get("h_list")
-    if not hs or not all(_is_number(v) and v > 0 for v in hs):
-        raise ConfigError("h_list must be a nonempty list of positive steps")
-    hs = [float(v) for v in hs]
+    hs = _positive_list(cfg, "h_list")
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ConfigError("h_list must be strictly decreasing")
     return hs
 
 
+def _operator_options(cfg: dict) -> dict:
+    return {"rank": cfg.get("rank"), "epsilon": cfg.get("epsilon"),
+            "quadrature_m": cfg.get("quadrature")}
+
+
 def _build_operator(grid: UniformGrid, field, cfg: dict, mask=None
                     ) -> VariableOrderOperator:
     mode = cfg.get("mode") or ("direct" if grid.dim == 1 else "fast")
-    if mode not in ("fast", "direct"):
-        raise ConfigError(f"mode must be fast or direct, got {mode!r}")
-    return VariableOrderOperator(
-        grid, field, mode=mode,
-        rank=cfg.get("rank"),
-        epsilon=cfg.get("epsilon"),
-        quadrature_m=cfg.get("quadrature"),
-        mask=mask,
-    )
+    return VariableOrderOperator(grid, field, mode=mode, mask=mask,
+                                 **_operator_options(cfg))
 
 
 def restrict_nested(fine: GridFunction, coarse: UniformGrid) -> np.ndarray:
@@ -182,17 +188,6 @@ def run_apply_convergence(cfg: dict, out_dir) -> list[ConvergenceRow]:
 
 # -- elliptic solves ----------------------------------------------------------
 
-def _reference_rhs(dim: int, lo: float, hi: float, h_ref: float, field,
-                   beta: float, reaction: float, cfg: dict) -> GridFunction:
-    """Reference data for the known-solution benchmark on the fine grid."""
-    fine = _grid_for_h(dim, lo, hi, h_ref)
-    pts = fine.points()
-    u_fine = np.prod(1.0 - pts**2, axis=-1) ** beta
-    sampled = sample_order(field, fine)
-    op = _build_operator(fine, sampled, {**cfg, "mode": "fast"})
-    return GridFunction(fine, op._apply_flat(u_fine) + reaction * u_fine)
-
-
 def run_elliptic(cfg: dict, out_dir) -> list[ConvergenceRow]:
     """Convergence of the elliptic scheme.
 
@@ -225,8 +220,10 @@ def run_elliptic(cfg: dict, out_dir) -> list[ConvergenceRow]:
     if case == 1:
         beta = _number(cfg, "beta", 4.0)
         reaction = _number(cfg, "reaction", 1.0)
-        h_ref = _number(cfg, "h_ref", 2.0**-9)
-        f_ref = _reference_rhs(dim, lo, hi, h_ref, base_field, beta, reaction, cfg)
+        fine = _grid_for_h(dim, lo, hi, _number(cfg, "h_ref", 2.0**-9))
+        # one reference operator per table; every h samples its data
+        f_ref = manufactured_rhs_case1(fine, base_field, beta, reaction,
+                                       **_operator_options(cfg))
         errors = []
         for h in hs:
             grid = _grid_for_h(dim, lo, hi, h)
@@ -252,8 +249,6 @@ def run_elliptic(cfg: dict, out_dir) -> list[ConvergenceRow]:
 # -- time-dependent runs --------------------------------------------------------
 
 def _stepper_from_cfg(cfg: dict, dt: float) -> TimeStepper:
-    from .errors import InvalidRange
-
     try:
         return TimeStepper(
             scheme=cfg.get("scheme", "crank_nicolson"),
@@ -313,7 +308,7 @@ def run_evolve(cfg: dict, out_dir):
     if kind != "richardson":
         raise ConfigError(f"evolve kind must be single or richardson, got {kind!r}")
     hs = _h_list(cfg)
-    dts = [float(v) for v in cfg.get("dt_list", hs)]
+    dts = _positive_list(cfg, "dt_list", hs)
     if len(dts) != len(hs):
         raise ConfigError("dt_list must pair with h_list")
     finals = []
@@ -355,15 +350,13 @@ def run_bench(cfg: dict, out_dir):
     if kind == "cn3d":
         dim = cfg.get("dim", 3)
         lo, hi = _box(cfg, (-1.0, 1.0))
-        ns = cfg.get("n_list")
-        if not ns:
-            raise ConfigError("cn3d bench needs n_list")
-        dts = [float(v) for v in cfg.get("dt_list", [1.0 / (n + 1) for n in ns])]
+        ns = _positive_list(cfg, "n_list", kind=int)
+        dts = _positive_list(cfg, "dt_list", [1.0 / (n + 1) for n in ns])
         if len(dts) != len(ns):
             raise ConfigError("dt_list must pair with n_list")
         rows = []
         for n, dt in zip(ns, dts):
-            grid = build_grid(dim, lo, hi, int(n))
+            grid = build_grid(dim, lo, hi, n)
             field = sample_order(base_field, grid)
             op = _build_operator(grid, field, cfg)
             stepper = _stepper_from_cfg({**cfg, "t_final": dt}, dt)
@@ -372,7 +365,7 @@ def run_bench(cfg: dict, out_dir):
             t0 = time.perf_counter()
             _, res = step_crank_nicolson(u0, stepper, op)
             seconds = time.perf_counter() - t0
-            rows.append([int(n) ** dim, dt, seconds, res.iterations])
+            rows.append([n ** dim, dt, seconds, res.iterations])
         _write_rows(out_path / cfg.get("out", "bench_cn3d.csv"),
                     ["n_total", "dt", "seconds_per_step", "iterations"],
                     [[r[0], _fmt(r[1]), _fmt(r[2]), r[3]] for r in rows])
@@ -382,17 +375,15 @@ def run_bench(cfg: dict, out_dir):
         raise ConfigError(f"bench kind must be cn3d or apply_sweep, got {kind!r}")
     dim = cfg.get("dim", 1)
     lo, hi = _box(cfg, (-4.0, 4.0))
-    ns = cfg.get("n_list")
-    if not ns:
-        raise ConfigError("apply_sweep bench needs n_list")
+    ns = _positive_list(cfg, "n_list", kind=int)
     reps = _number(cfg, "reps", 5, int)
     rows = []
     for n in ns:
-        grid = build_grid(dim, lo, hi, int(n))
+        grid = build_grid(dim, lo, hi, n)
         field = sample_order(base_field, grid)
         op = _build_operator(grid, field, {**cfg, "mode": "fast"})
         timing = operator_timing(op, n_reps=reps)
-        rows.append([int(n), timing["seconds_per_apply"]])
+        rows.append([n, timing["seconds_per_apply"]])
     slope = fit_loglog_slope([r[0] for r in rows], [r[1] for r in rows])
     _write_rows(out_path / cfg.get("out", "bench_apply.csv"),
                 ["n", "seconds_per_apply"],

@@ -32,7 +32,7 @@ import scipy.fft as sfft
 
 from .errors import (
     GridMismatch,
-    InvalidDim,
+    InvalidRange,
     MissingWeights,
     PlanMissing,
     SizeMismatch,
@@ -56,7 +56,6 @@ from .weights import (
 __all__ = [
     "ConstantOrderKernel",
     "VariableOrderOperator",
-    "apply_constant_order",
     "operator_timing",
 ]
 
@@ -134,15 +133,6 @@ class ConstantOrderKernel:
         return out * self.h ** (-self.alpha)
 
 
-def apply_constant_order(kernel: ConstantOrderKernel, u: GridFunction) -> GridFunction:
-    """Constant-order apply; identical to the dense Toeplitz matvec."""
-    if u.grid.shape != kernel.grid_shape:
-        raise SizeMismatch(
-            f"grid {u.grid.shape} does not match kernel {kernel.grid_shape}"
-        )
-    return GridFunction(u.grid, kernel.apply_nd(u.values_nd).ravel())
-
-
 class VariableOrderOperator:
     """Discrete variable-order fractional Laplacian on a grid.
 
@@ -157,8 +147,9 @@ class VariableOrderOperator:
         quadrature_m: weight quadrature size (default by grid size policy).
         mask: optional embedding mask; masked-out nodes contribute zero and
             receive zero in every apply.
-        weight_source: "auto" (closed form in 1D, FFT otherwise),
-            "closed-form", or "fft".
+
+    Weight tables come from the closed form in 1D and from the FFT
+    quadrature otherwise.
     """
 
     def __init__(self, grid: UniformGrid, field: OrderField,
@@ -166,14 +157,9 @@ class VariableOrderOperator:
                  epsilon: float | None = None,
                  plan: ChebyshevPlan | None = None,
                  quadrature_m: int | None = None,
-                 mask: DomainMask | None = None,
-                 weight_source: str = "auto"):
+                 mask: DomainMask | None = None):
         if mode not in ("fast", "direct"):
-            raise ValueError(f"mode must be 'fast' or 'direct', got {mode!r}")
-        if weight_source not in ("auto", "closed-form", "fft"):
-            raise ValueError(f"unknown weight source {weight_source!r}")
-        if weight_source == "closed-form" and grid.dim != 1:
-            raise InvalidDim("closed-form weights exist only in 1D")
+            raise InvalidRange(f"mode must be fast or direct, got {mode!r}")
         if field.sampled is None or field.grid is not grid:
             field = sample_order(field, grid)
         if mask is not None and mask.grid.shape != grid.shape:
@@ -185,7 +171,7 @@ class VariableOrderOperator:
         self.n_max = max(grid.n_per_dim)
         self.quadrature_m = (int(quadrature_m) if quadrature_m is not None
                              else default_quadrature_size(grid.dim, self.n_max))
-        self._closed_form = (grid.dim == 1 and weight_source in ("auto", "closed-form"))
+        self._closed_form = grid.dim == 1
         self.interpolation_error: float | None = None
 
         self.plan: ChebyshevPlan | None = None
@@ -200,7 +186,7 @@ class VariableOrderOperator:
                                   rank if rank is not None else DEFAULT_RANK)
             self.plan = plan
             coeffs = rank_coefficients(plan, field, grid).coeffs
-            self.kernels = [self._kernel(a) for a in plan.nodes]
+            self.kernels = [self.constant_order_kernel(a) for a in plan.nodes]
             # Lagrange coefficient maps with h^(-alpha_q) folded in, (r, *shape)
             maps = np.array(coeffs.T, order="C")
             maps *= np.array([k.h ** (-k.alpha) for k in self.kernels])[:, None]
@@ -217,14 +203,11 @@ class VariableOrderOperator:
                                target_n=self.n_max)
         return table.block_nonneg(self.n_max)
 
-    def _kernel(self, alpha: float) -> ConstantOrderKernel:
+    def constant_order_kernel(self, alpha: float) -> ConstantOrderKernel:
+        """The constant-order kernel of order ``alpha`` on this grid."""
         return ConstantOrderKernel.from_block(self._weight_block(alpha),
                                               self.grid.shape, self.grid.h,
                                               alpha)
-
-    def constant_order_kernel(self, alpha: float) -> ConstantOrderKernel:
-        """Public access to a single constant-order kernel on this grid."""
-        return self._kernel(alpha)
 
     # -- applies -----------------------------------------------------------
 
@@ -235,16 +218,6 @@ class VariableOrderOperator:
                 f"input grid {u.grid.shape} != operator grid {self.grid.shape}"
             )
         return GridFunction(self.grid, self._apply_flat(u.values))
-
-    def apply_fast(self, u: GridFunction) -> GridFunction:
-        if u.grid.shape != self.grid.shape:
-            raise GridMismatch("input grid does not match operator grid")
-        return GridFunction(self.grid, self._apply_fast_flat(u.values))
-
-    def apply_direct(self, u: GridFunction) -> GridFunction:
-        if u.grid.shape != self.grid.shape:
-            raise GridMismatch("input grid does not match operator grid")
-        return GridFunction(self.grid, self._apply_direct_flat(u.values))
 
     def _apply_flat(self, values: np.ndarray) -> np.ndarray:
         if self.mode == "fast":
@@ -259,8 +232,6 @@ class VariableOrderOperator:
         return out
 
     def _apply_fast_flat(self, values: np.ndarray) -> np.ndarray:
-        if self.plan is None:
-            raise PlanMissing("fast apply requested but no rank plan configured")
         vals = self._masked_input(np.asarray(values, dtype=float))
         shape, pad_shape = self.grid.shape, self.kernels[0].pad_shape
         spec = _forward(vals.reshape(shape), pad_shape)
@@ -360,7 +331,7 @@ def operator_timing(op: VariableOrderOperator, n_reps: int = 5) -> dict:
     return {
         "n": op.n_max,
         "dim": op.grid.dim,
-        "rank": op.plan.rank if op.plan else 0,
+        "rank": op.plan.rank,
         "seconds_per_apply": best,
     }
 

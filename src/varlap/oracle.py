@@ -27,14 +27,13 @@ from scipy.integrate import quad
 from .errors import (
     InvalidDim,
     InvalidRange,
-    NotNested,
     OrderOutOfRange,
     PoleInB,
     QuadratureNonConvergent,
     RangeExceeded,
     TailTooLarge,
 )
-from .grid import GridFunction, OrderField, UniformGrid, build_grid, sample_order
+from .grid import GridFunction, OrderField, UniformGrid, sample_order
 
 __all__ = [
     "hyp1f1",
@@ -248,50 +247,28 @@ def integral_frac_lap(u, x, alpha: float, d: int,
 
 
 def manufactured_rhs_case1(grid: UniformGrid, field: OrderField, beta: float,
-                           h_ref: float, reaction: float = 1.0,
+                           reaction: float = 1.0,
                            rank: int | None = None,
+                           epsilon: float | None = None,
                            quadrature_m: int | None = None) -> GridFunction:
     """Right-hand side for the known-solution elliptic benchmark.
 
     The target solution is ``u = prod_p (1 - x_p^2)^beta`` on the box; the
-    data is produced by applying the discrete operator (plus the reaction
-    term) on a fine reference grid of step ``h_ref`` and sampling the result
-    at the coarse nodes.  The coarse grid must be nested in the reference
-    grid so restriction is exact sampling.
+    data is the fast discrete operator (plus the reaction term) applied to
+    it on ``grid``, the fine reference grid.  A coarse grid nested in the
+    reference grid takes its data by exact sampling
+    (``experiments.restrict_nested``).
 
     Raises:
-        NotNested: coarse nodes are not a subset of the reference nodes.
         InvalidRange: beta < 2.
     """
     from .operator import VariableOrderOperator  # deferred: heavy module
 
     if beta < 2.0:
         raise InvalidRange(f"beta must be >= 2, got {beta}")
-    ratio_f = grid.h / h_ref
-    ratio = int(round(ratio_f))
-    if ratio < 1 or abs(ratio_f - ratio) > 1e-9 * ratio_f:
-        raise NotNested(f"coarse step {grid.h} is not a multiple of {h_ref}")
-    n_ref = []
-    for p in range(grid.dim):
-        span = grid.upper[p] - grid.lower[p]
-        n_float = span / h_ref - 1.0
-        n = int(round(n_float))
-        if abs(n_float - n) > 1e-9:
-            raise NotNested(f"reference step {h_ref} does not fit the box")
-        n_ref.append(n)
-    fine = build_grid(grid.dim, grid.lower, grid.upper, tuple(n_ref))
-
-    pts = fine.points()
-    u_fine = np.prod(1.0 - pts**2, axis=-1) ** float(beta)
-    sampled = sample_order(field, fine)
-    op = VariableOrderOperator(fine, sampled, mode="fast", rank=rank,
+    pts = grid.points()
+    u_ref = np.prod(1.0 - pts**2, axis=-1) ** float(beta)
+    op = VariableOrderOperator(grid, sample_order(field, grid), mode="fast",
+                               rank=rank, epsilon=epsilon,
                                quadrature_m=quadrature_m)
-    f_fine = op._apply_flat(u_fine) + reaction * u_fine
-
-    picks = tuple(slice(ratio - 1, None, ratio) for _ in range(grid.dim))
-    f_coarse = f_fine.reshape(fine.shape)[picks]
-    if f_coarse.shape != grid.shape:
-        raise NotNested(
-            f"restriction shape {f_coarse.shape} != coarse shape {grid.shape}"
-        )
-    return GridFunction(grid, f_coarse.ravel())
+    return GridFunction(grid, op._apply_flat(u_ref) + reaction * u_ref)

@@ -163,13 +163,14 @@ def _validate(tree: ast.AST, src: str) -> None:
             raise ConfigError("combine conditions with chi(...) products instead")
 
 
-def _compile_expression(src: str) -> Callable[[np.ndarray], np.ndarray]:
+def _compile_expression(src: str, dtype=float
+                        ) -> Callable[[np.ndarray], np.ndarray]:
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {src!r}: {exc}") from exc
     _validate(tree, src)
-    code = compile(tree, "<order-expression>", "eval")
+    code = compile(tree, "<expression>", "eval")
 
     def fn(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -179,7 +180,7 @@ def _compile_expression(src: str) -> Callable[[np.ndarray], np.ndarray]:
         if pts.shape[-1] > 2:
             env["x3"] = pts[..., 2]
         out = eval(code, {"__builtins__": {}}, {**_ALLOWED_CALLS, **env})
-        return np.broadcast_to(np.asarray(out, dtype=float), pts.shape[:-1]).copy()
+        return np.broadcast_to(np.asarray(out).astype(dtype), pts.shape[:-1]).copy()
 
     return fn
 
@@ -192,25 +193,7 @@ def parse_order_expression(src: str, alpha_min: float = 1e-3,
 
 def parse_predicate(src: str) -> Callable[[np.ndarray], np.ndarray]:
     """Boolean mask predicate from an expression like ``x1**2 + x2**2 < 0.25``."""
-    fn_num = None
-    try:
-        tree = ast.parse(src, mode="eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"cannot parse predicate {src!r}: {exc}") from exc
-    _validate(tree, src)
-    code = compile(tree, "<mask-predicate>", "eval")
-
-    def fn(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        env = {"x1": pts[..., 0], "r": _radial(pts), "pi": math.pi}
-        if pts.shape[-1] > 1:
-            env["x2"] = pts[..., 1]
-        if pts.shape[-1] > 2:
-            env["x3"] = pts[..., 2]
-        out = eval(code, {"__builtins__": {}}, {**_ALLOWED_CALLS, **env})
-        return np.broadcast_to(np.asarray(out).astype(bool), pts.shape[:-1]).copy()
-
-    return fn
+    return _compile_expression(src, bool)
 
 
 # -- initial conditions -------------------------------------------------------

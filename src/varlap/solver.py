@@ -383,6 +383,28 @@ def step_crank_nicolson(u_prev: GridFunction, stepper: TimeStepper,
     return GridFunction(op.grid, result.x), result
 
 
+def _step_allen_cahn_bootstrap(w: GridFunction, stepper: TimeStepper,
+                               operator: VariableOrderOperator
+                               ) -> tuple[GridFunction, KrylovResult]:
+    """First phase-field step: Crank-Nicolson with the nonlinearity explicit.
+
+    ``w`` is in the shifted variable (physical phase + 1), as for
+    ``step_allen_cahn_three_level``, which needs two levels to start from.
+    """
+    op = operator
+    dt = stepper.dt
+    lhs = _pinned_map(op, None, scale_a=stepper.diffusion * dt / 2.0, shift=1.0)
+    phys = w.values - 1.0
+    rhs = (w.values
+           - dt / 2.0 * stepper.diffusion * op._apply_flat(w.values)
+           - (dt / stepper.kappa**2) * (phys**3 - phys))
+    rhs = _masked_rhs(rhs, op.mask)
+    result = bicgstab(lhs, rhs, stepper.krylov)
+    if not result.ok:
+        raise SolverFailure(f"bootstrap step failed: {result.status}")
+    return GridFunction(op.grid, result.x), result
+
+
 def step_allen_cahn_three_level(u_nm1: GridFunction, u_n: GridFunction,
                                 stepper: TimeStepper,
                                 operator: VariableOrderOperator
@@ -480,48 +502,37 @@ def evolve(stepper: TimeStepper, operator: VariableOrderOperator,
     rows = [_observe(u0, 0, 0.0, 0, 0.0)]
     _dump_frame(frame_dir, frame_every, 0, u0)
 
+    # advance(k, state) -> (state, physical u at step k, Krylov result)
     if stepper.scheme == "crank_nicolson":
-        u = u0
-        for k in range(1, n_steps + 1):
-            t0 = time.perf_counter()
-            u, res = step_crank_nicolson(u, stepper, operator, t=(k - 1) * stepper.dt)
-            rows.append(_observe(u, k, k * stepper.dt, res.iterations,
-                                 time.perf_counter() - t0))
-            _dump_frame(frame_dir, frame_every, k, u)
-            if stop_when is not None and stop_when(rows[-1]):
-                break
-        return EvolveRecord(rows=rows, final=u)
+        state = u0
 
-    # three-level phase-field scheme in the shifted variable
-    kap2 = stepper.kappa**2
-    w_prev = GridFunction(operator.grid, u0.values + 1.0)
-    t0 = time.perf_counter()
-    lhs = _pinned_map(operator, None, scale_a=stepper.diffusion * stepper.dt / 2.0,
-                      shift=1.0)
-    phys = w_prev.values - 1.0
-    rhs = (w_prev.values
-           - stepper.dt / 2.0 * stepper.diffusion * operator._apply_flat(w_prev.values)
-           - (stepper.dt / kap2) * (phys**3 - phys))
-    rhs = _masked_rhs(rhs, operator.mask)
-    res = bicgstab(lhs, rhs, stepper.krylov)
-    if not res.ok:
-        raise SolverFailure(f"bootstrap step failed: {res.status}")
-    w_cur = GridFunction(operator.grid, res.x)
-    u_phys = GridFunction(operator.grid, w_cur.values - 1.0)
-    rows.append(_observe(u_phys, 1, stepper.dt, res.iterations,
-                         time.perf_counter() - t0))
-    _dump_frame(frame_dir, frame_every, 1, u_phys)
-    for k in range(2, n_steps + 1):
+        def advance(k, u):
+            u, res = step_crank_nicolson(u, stepper, operator, t=(k - 1) * stepper.dt)
+            return u, u, res
+    else:
+        # three-level scheme in the shifted variable; state = (w^{k-2}, w^{k-1})
+        state = (None, GridFunction(operator.grid, u0.values + 1.0))
+
+        def advance(k, state):
+            w_prev, w_cur = state
+            if k == 1:
+                w_next, res = _step_allen_cahn_bootstrap(w_cur, stepper, operator)
+            else:
+                w_next, res = step_allen_cahn_three_level(w_prev, w_cur, stepper,
+                                                          operator)
+            return ((w_cur, w_next), GridFunction(operator.grid, w_next.values - 1.0),
+                    res)
+
+    u = u0
+    for k in range(1, n_steps + 1):
         t0 = time.perf_counter()
-        w_next, res = step_allen_cahn_three_level(w_prev, w_cur, stepper, operator)
-        w_prev, w_cur = w_cur, w_next
-        u_phys = GridFunction(operator.grid, w_cur.values - 1.0)
-        rows.append(_observe(u_phys, k, k * stepper.dt, res.iterations,
+        state, u, res = advance(k, state)
+        rows.append(_observe(u, k, k * stepper.dt, res.iterations,
                              time.perf_counter() - t0))
-        _dump_frame(frame_dir, frame_every, k, u_phys)
+        _dump_frame(frame_dir, frame_every, k, u)
         if stop_when is not None and stop_when(rows[-1]):
             break
-    return EvolveRecord(rows=rows, final=u_phys)
+    return EvolveRecord(rows=rows, final=u)
 
 
 def _dump_frame(frame_dir, frame_every: int, step: int, u: GridFunction) -> None:

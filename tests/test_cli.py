@@ -56,6 +56,18 @@ def test_elliptic_subcommand_case2(tmp_path):
     assert len(lines) == 3
 
 
+def test_elliptic_subcommand_case1_1d(tmp_path):
+    cfg = write_cfg(tmp_path, "e1.json", {
+        "case": 1, "dim": 1, "order": "case1_linear",
+        "h_list": [0.25, 0.125, 0.0625], "h_ref": 2.0**-8, "out": "ell.csv",
+    })
+    assert cli.main(["elliptic", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "ell.csv").read_text().strip().splitlines()
+    assert lines[0] == "h,E_inf,order"
+    assert len(lines) == 4
+    assert float(lines[-1].split(",")[2]) == pytest.approx(2.0, abs=0.1)
+
+
 def test_evolve_subcommand_single_with_frames(tmp_path):
     cfg = write_cfg(tmp_path, "ev.json", {
         "kind": "single", "dim": 2, "box": [-1, 1], "order": "coexist_low",
@@ -163,6 +175,20 @@ def test_config_validation_direct():
     # 1 + r/4 reaches 1.875 on [-4, 4], above the declared [1, 1.5]
     ("apply-conv", {"dim": 1, "box": [-4, 4], "h_list": [0.5],
                     "order": "case1_linear"}),
+    ("weights", {"alpha": True, "dim": 1, "n_max": 8}),
+    ("weights", {"alpha": 1.5, "dim": "abc"}),
+    ("weights", {"alpha": 1.5, "dim": 1, "n_max": 2.7}),
+    ("weights", {"alpha": 1.5, "dim": 2, "n_max": 8, "quadrature": "x"}),
+    ("evolve", {"kind": "richardson", "dim": 1, "order": "case2_tanh",
+                "h_list": [0.25], "dt_list": ["x"]}),
+    ("evolve", {"kind": "richardson", "dim": 1, "order": "case2_tanh",
+                "h_list": [0.25], "dt_list": [True], "t_final": 1.0}),
+    ("bench", {"kind": "cn3d", "order": "bench_const16", "n_list": ["a"]}),
+    ("bench", {"kind": "apply_sweep", "order": "alpha1", "n_list": [7.5]}),
+    ("apply-conv", {"dim": 1, "h_list": [0.25], "order": "alpha1",
+                    "mode": "fastest"}),
+    ("elliptic", {"case": 1, "dim": 1, "order": "case1_linear",
+                  "h_list": [0.25], "h_ref": 0.0625, "beta": 1.0}),
 ])
 def test_exit_code_2_on_library_value_errors(tmp_path, command, cfg, capsys):
     path = write_cfg(tmp_path, "bad.json", cfg)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import varlap as vl
-from varlap.errors import GridMismatch, PlanMissing, SizeMismatch
+from varlap.errors import GridMismatch, InvalidRange, PlanMissing, SizeMismatch
 from varlap.operator import fit_loglog_slope
 
 from conftest import gaussian_on, tanh_dec_field, tanh_inc_field
@@ -30,8 +30,8 @@ def test_constant_order_matches_dense_toeplitz():
                       for j in range(4)]) * g.h ** -1.5
     rng = np.random.default_rng(0)
     u = rng.standard_normal(4)
-    out = vl.apply_constant_order(kern, vl.GridFunction(g, u))
-    assert np.allclose(out.values, dense @ u, atol=1e-13)
+    out = kern.apply_nd(u)
+    assert np.allclose(out, dense @ u, atol=1e-13)
 
 
 def test_constant_order_delta_gives_matrix_column():
@@ -43,9 +43,9 @@ def test_constant_order_delta_gives_matrix_column():
     j = 3
     e = np.zeros(8)
     e[j] = 1.0
-    out = vl.apply_constant_order(kern, vl.GridFunction(g, e))
+    out = kern.apply_nd(e)
     col = np.array([table.value([i - j]) for i in range(8)]) * g.h ** -0.7
-    assert np.allclose(out.values, col, atol=1e-12)
+    assert np.allclose(out, col, atol=1e-12)
 
 
 def test_constant_order_2d_alpha2_is_five_point():
@@ -54,13 +54,12 @@ def test_constant_order_2d_alpha2_is_five_point():
                                   rank=1, quadrature_m=64)
     x = g.axis_nodes(0)
     u2 = np.sin(np.pi * x)[:, None] * np.sin(np.pi * x)[None, :]
-    out = vl.apply_constant_order(op.constant_order_kernel(2.0),
-                                  vl.GridFunction(g, u2.ravel()))
+    out = op.constant_order_kernel(2.0).apply_nd(u2)
     pad = np.zeros((17, 17))
     pad[1:-1, 1:-1] = u2
     lap5 = (4.0 * pad[1:-1, 1:-1] - pad[:-2, 1:-1] - pad[2:, 1:-1]
             - pad[1:-1, :-2] - pad[1:-1, 2:]) / g.h**2
-    assert np.allclose(out.values_nd, lap5, atol=1e-12)
+    assert np.allclose(out, lap5, atol=1e-12)
 
 
 def test_zero_input_zero_output(grid_2d):
@@ -79,10 +78,10 @@ def test_fast_collapses_at_chebyshev_node(grid_1d):
         vl.OrderField.from_callable(lambda p: np.full(p.shape[0], node),
                                     0.1, 1.9), grid_1d)
     op = vl.VariableOrderOperator(grid_1d, field, mode="fast", plan=plan,
-                                  weight_source="fft", quadrature_m=1024)
+                                  quadrature_m=1024)
     const = vl.VariableOrderOperator(
         grid_1d, vl.sample_order(vl.OrderField.constant(node), grid_1d),
-        mode="fast", rank=1, weight_source="fft", quadrature_m=1024)
+        mode="fast", rank=1, quadrature_m=1024)
     u = gaussian_on(grid_1d)
     assert np.allclose(op.apply(u).values, const.apply(u).values, atol=1e-12)
     del base
@@ -172,15 +171,20 @@ def test_grid_mismatch_errors(grid_1d):
     with pytest.raises(GridMismatch):
         op.apply(vl.GridFunction.zeros(other))
     with pytest.raises(SizeMismatch):
-        vl.apply_constant_order(op.constant_order_kernel(1.0),
-                                vl.GridFunction.zeros(other))
+        op.constant_order_kernel(1.0).apply_nd(vl.GridFunction.zeros(other).values_nd)
+
+
+def test_unknown_mode_rejected(grid_1d):
+    with pytest.raises(InvalidRange):
+        vl.VariableOrderOperator(grid_1d, vl.OrderField.constant(1.0),
+                                 mode="fastest")
 
 
 def test_plan_missing():
     g = vl.build_grid(1, 0.0, 1.0, 7)
     op = vl.VariableOrderOperator(g, vl.OrderField.constant(1.0), mode="direct")
     with pytest.raises(PlanMissing):
-        op.apply_fast(vl.GridFunction.zeros(g))
+        vl.operator_timing(op)
 
 
 def test_operator_timing_report(grid_1d):
@@ -295,5 +299,5 @@ def test_pruned_fast_apply_matches_dense(dim, n):
     for j in np.ndindex(*g.shape):
         win = block[tuple(slice(n - 1 - jp, 2 * n - 1 - jp) for jp in j)]
         toeplitz[j] = np.sum(win * u_nd) * g.h ** -alpha
-    out = vl.apply_constant_order(kern, vl.GridFunction(g, u))
-    assert np.abs(out.values_nd - toeplitz).max() <= 1e-12 * np.abs(toeplitz).max()
+    out = kern.apply_nd(u_nd)
+    assert np.abs(out - toeplitz).max() <= 1e-12 * np.abs(toeplitz).max()

@@ -6,12 +6,14 @@ import pytest
 
 import varlap as vl
 from varlap.errors import (
+    InvalidRange,
     NotNested,
     OrderOutOfRange,
     PoleInB,
     RangeExceeded,
     TailTooLarge,
 )
+from varlap.experiments import restrict_nested
 
 
 def mp_hyp1f1_direct(a, b, z, dps=60):
@@ -147,12 +149,18 @@ def test_integral_tail_guard():
                              tol=1e-8)
 
 
+def case1_rhs_on(coarse, field, beta=4.0):
+    """Case-1 data on [-1, 1]^2 from the h_ref = 2^-7 reference grid."""
+    fine = vl.build_grid(2, -1, 1, 255)
+    f_ref = vl.manufactured_rhs_case1(fine, field, beta=beta)
+    return vl.GridFunction(coarse, restrict_nested(f_ref, coarse))
+
+
 def test_manufactured_rhs_center_value():
     # alpha = 2 and beta = 4: data is -Lap u + u; at the center -Lap u = 16
     # and the discrete operator adds O(h_ref^2) ~ 24 h_ref^2
     g = vl.build_grid(2, -1, 1, 15)
-    f = vl.manufactured_rhs_case1(g, vl.OrderField.constant(2.0), beta=4.0,
-                                  h_ref=2.0**-7)
+    f = case1_rhs_on(g, vl.OrderField.constant(2.0))
     center = np.argmin(np.sum(g.points()**2, axis=-1))
     assert f.values[center] == pytest.approx(17.0, abs=5e-3)
 
@@ -161,7 +169,7 @@ def test_manufactured_rhs_bounded_near_boundary():
     g = vl.build_grid(2, -1, 1, 15)
     field = vl.OrderField.from_callable(
         lambda p: 1.0 + 0.25 * np.sqrt(np.sum(p**2, axis=-1)), 1.0, 1.5)
-    f = vl.manufactured_rhs_case1(g, field, beta=4.0, h_ref=2.0**-7)
+    f = case1_rhs_on(g, field)
     inner_max = np.abs(f.values).max()
     edge = np.abs(f.values_nd[0, :]).max()
     assert np.isfinite(f.values).all()
@@ -171,8 +179,13 @@ def test_manufactured_rhs_bounded_near_boundary():
 def test_manufactured_rhs_not_nested():
     g = vl.build_grid(2, -1, 1, 14)   # h = 2/15, not a multiple of 2^-7
     with pytest.raises(NotNested):
-        vl.manufactured_rhs_case1(g, vl.OrderField.constant(1.5), beta=4.0,
-                                  h_ref=2.0**-7)
+        case1_rhs_on(g, vl.OrderField.constant(1.5))
+
+
+def test_manufactured_rhs_rejects_small_beta():
+    g = vl.build_grid(1, -1, 1, 7)
+    with pytest.raises(InvalidRange):
+        vl.manufactured_rhs_case1(g, vl.OrderField.constant(1.5), beta=1.0)
 
 
 def test_definition_equivalence_sample():

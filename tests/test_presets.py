@@ -63,8 +63,9 @@ def test_expression_tanh_piecewise_1d():
     "chi(x1 > 0) and chi(x1 < 0)",
 ])
 def test_expression_rejects_unsafe(bad):
-    with pytest.raises(ConfigError):
-        parse_order_expression(bad)
+    for parse in (parse_order_expression, parse_predicate):
+        with pytest.raises(ConfigError):
+            parse(bad)
 
 
 def test_predicate_parse():

@@ -3,7 +3,7 @@ import pytest
 
 import varlap as vl
 from varlap.errors import InvalidRange
-from varlap.presets import order_field
+from varlap.presets import initial_condition, order_field
 from varlap.solver import (
     _pinned_map,
     positive_component_count,
@@ -275,6 +275,18 @@ def test_evolve_zero_initial_data_zero_observers():
     rec = vl.evolve(stepper, op, vl.GridFunction.zeros(g))
     assert all(r.max_norm == 0.0 for r in rec.rows)
     assert all(r.components == 0 for r in rec.rows)
+
+
+@pytest.mark.parametrize("scheme", ["crank_nicolson", "allen_cahn"])
+def test_evolve_stop_when_after_first_step(scheme):
+    # both schemes consult stop_when after every step, the phase-field
+    # bootstrap step included
+    g = vl.build_grid(2, 0.0, 1.0, 15)
+    op = vl.VariableOrderOperator(g, sampled_const(g, 1.8), mode="fast", rank=1)
+    stepper = vl.TimeStepper(scheme=scheme, dt=1e-3, t_final=1e-2, kappa=0.05)
+    u0 = vl.GridFunction(g, initial_condition("bubbles", kappa=0.05)(g.points()))
+    rec = vl.evolve(stepper, op, u0, stop_when=lambda r: r.step == 1)
+    assert rec.column("step") == [0, 1]
 
 
 def test_evolve_masked_diffusion_max_norm_non_increasing():
