@@ -4,9 +4,12 @@ The elliptic scheme solves ``(-Lap_h)^{alpha_j/2} u_j + b_j u_j = f_j`` on the
 interior nodes with the extended zero condition outside; nodes excluded by an
 embedding mask are pinned to zero through identity rows, keeping the system
 square and nonsingular.  Linear systems are solved matrix-free by BiCGSTAB
-with a zero initial guess by default.  Elliptic solves are right
-preconditioned by the tau-algebra (DST-I) model of a constant-order block;
-the shifted systems of the time steppers are solved unpreconditioned.
+with a zero initial guess by default.  Elliptic and phase-field solves are
+right preconditioned by the tau-algebra (DST-I) model of a constant-order
+block, shifted for the phase-field steps by the mean of their diagonal.
+Crank-Nicolson solves stay unpreconditioned: their identity-dominated
+systems converge in a few dozen half-steps already, and a shift model made
+the ``bench_tanh`` step slower.
 
 A requested tolerance below double-precision reach is treated as "iterate to
 stagnation": the solver stops once the relative residual is at ``tol`` or no
@@ -88,8 +91,10 @@ def bicgstab(apply_a: LinearMap, rhs: np.ndarray,
     """BiCGSTAB for a general linear map.
 
     Right preconditioning is left to the caller: hand in ``A M^-1`` and map
-    the returned iterate through ``M^-1`` (see ``solve_elliptic``); the
-    monitored residual is then the true residual of that iterate.
+    the returned iterate through ``M^-1`` (``_solve_preconditioned`` does
+    this for the elliptic and phase-field solves; Crank-Nicolson calls this
+    function plainly); the monitored residual is then the true residual of
+    that iterate.
 
     Iterations are counted in half-steps: every full sweep applies the
     operator twice and produces two iterates, and the count increments at
@@ -265,61 +270,88 @@ def _masked_rhs(rhs: np.ndarray, mask: DomainMask | None) -> np.ndarray:
     return out
 
 
-def _tau_inverse(op: VariableOrderOperator) -> LinearMap:
-    """``v -> S Lam^-1 S (h^alpha_j v)``, identity on masked rows.
+def _tau_inverse(op: VariableOrderOperator, scale: float = 1.0,
+                 shift: float = 0.0) -> tuple[LinearMap, LinearMap]:
+    """``(M^-1, M)`` for the tau model M of ``shift*I + scale*A``.
 
     S is the orthonormal DST-I, its own inverse; it diagonalizes the tau
     (sine-algebra) approximation of a constant-order Toeplitz block, whose
-    eigenvalues are the weight symbol ``(sum_p 4 sin^2(theta_p/2))^(a/2)`` at
-    ``theta_k = k pi / (N_p + 1)``.  The order a is the geometric mean of the
-    sampled order; the per-node scaling h^(-alpha_j) is undone exactly.
+    eigenvalues are the weight symbol ``Lam = (sum_p 4 sin^2(theta_p/2))^(a/2)``
+    at ``theta_k = k pi / (N_p + 1)``.  The order a is the geometric mean of
+    the sampled order.  With no shift, ``M^-1 v = S (scale Lam)^-1 S (h^alpha_j
+    v)`` undoes the per-node scaling h^(-alpha_j) exactly; with a shift, one
+    scale h^(-a) fits better: ``M^-1 v = S (shift + scale h^(-a) Lam)^-1 S v``.
+    Both maps are the identity on masked rows.
     """
     shape = op.grid.shape
     alphas = op.field.sampled
     abar = float(np.exp(np.mean(np.log(alphas))))
     thetas = [np.pi * np.arange(1, n + 1) / (n + 1) for n in shape]
     theta = np.stack(np.meshgrid(*thetas, indexing="ij"), axis=-1)
-    inv_lam = symbol(theta, 1.0) ** (-abar / 2.0)
-    h_alpha = op.grid.h ** alphas
+    lam = symbol(theta, 1.0)
+    if shift == 0.0:
+        inv_lam = lam ** (-abar / 2.0)
+        inv_lam /= scale
+        h_alpha = op.grid.h ** alphas
+    else:
+        inv_lam = 1.0 / (shift + scale * op.grid.h ** (-abar) * lam ** (abar / 2.0))
+        h_alpha = None
     outside = None if op.mask is None else ~op.mask.inside
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        w = sfft.dstn((h_alpha * v).reshape(shape), type=1, norm="ortho")
-        w *= inv_lam
-        out = sfft.dstn(w, type=1, norm="ortho", overwrite_x=True).ravel()
+    def sine_diag(v: np.ndarray, diag: np.ndarray) -> np.ndarray:
+        w = sfft.dstn(v.reshape(shape), type=1, norm="ortho")
+        w *= diag
+        return sfft.dstn(w, type=1, norm="ortho", overwrite_x=True).ravel()
+
+    def pinned(out: np.ndarray, v: np.ndarray) -> np.ndarray:
         if outside is not None:
             out[outside] = v[outside]
         return out
 
-    return apply
+    def inverse(v: np.ndarray) -> np.ndarray:
+        return pinned(sine_diag(v if h_alpha is None else h_alpha * v, inv_lam), v)
+
+    def forward(u: np.ndarray) -> np.ndarray:
+        out = sine_diag(u, 1.0 / inv_lam)
+        return pinned(out if h_alpha is None else out / h_alpha, u)
+
+    return inverse, forward
+
+
+def _solve_preconditioned(apply_a: LinearMap, tau: tuple[LinearMap, LinearMap],
+                          rhs: np.ndarray,
+                          config: KrylovConfig | None) -> KrylovResult:
+    """Right-preconditioned BiCGSTAB: solve ``A M^-1 y = rhs``, return ``M^-1 y``.
+
+    ``tau`` is the ``(M^-1, M)`` pair of ``_tau_inverse``.  The residuals are
+    those of the returned iterate; an initial guess x0 enters as y0 = M x0.
+    """
+    inverse, forward = tau
+    if config is not None and config.x0 is not None:
+        config = replace(config, x0=forward(np.asarray(config.x0, dtype=float).ravel()))
+    # composed here, not passed to bicgstab, so bicgstab keeps the
+    # (apply_a, rhs, config) form that perfbench/tracing.py wraps
+    result = bicgstab(lambda y: apply_a(inverse(y)), rhs, config)
+    return replace(result, x=inverse(result.x))
 
 
 def solve_elliptic(problem: EllipticProblem,
                    config: KrylovConfig | None = None) -> SolveOutcome:
     """Solve the elliptic scheme by right-preconditioned BiCGSTAB.
 
-    BiCGSTAB runs on ``A M^-1 y = f`` with M^-1 the tau inverse of
+    BiCGSTAB runs on ``A M^-1 y = f`` with M^-1 the unshifted tau inverse of
     ``_tau_inverse`` and returns ``u = M^-1 y``, so its residuals are those
     of u.  The reaction term stays out of M; masked nodes stay at zero.
-    The iteration starts from zero: ``config.x0`` must be unset.
 
     Raises:
-        InvalidRange: ``config.x0`` is set.
         SolverFailure: the Krylov iteration broke down or left a residual
             above 1e-8 relative.
     """
-    if config is not None and config.x0 is not None:
-        raise InvalidRange("the preconditioned elliptic solve starts from zero; "
-                           "x0 must be unset")
     op = problem.operator
     diag = problem.b.values if problem.b is not None else None
-    apply_a = _pinned_map(op, diag)
-    precond = _tau_inverse(op)
     rhs = _masked_rhs(problem.f.values, op.mask)
-    # composed here, not passed to bicgstab, so bicgstab keeps the
-    # (apply_a, rhs, config) form that perfbench/tracing.py wraps
-    result = bicgstab(lambda y: apply_a(precond(y)), rhs, config)
-    result = replace(result, x=precond(result.x))
+    result = _solve_preconditioned(_pinned_map(op, diag), _tau_inverse(op), rhs,
+                                   config)
     if not result.ok:
         raise SolverFailure(
             f"elliptic solve ended with status {result.status}, "
@@ -399,7 +431,8 @@ def _step_allen_cahn_bootstrap(w: GridFunction, stepper: TimeStepper,
            - dt / 2.0 * stepper.diffusion * op._apply_flat(w.values)
            - (dt / stepper.kappa**2) * (phys**3 - phys))
     rhs = _masked_rhs(rhs, op.mask)
-    result = bicgstab(lhs, rhs, stepper.krylov)
+    tau = _tau_inverse(op, scale=stepper.diffusion * dt / 2.0, shift=1.0)
+    result = _solve_preconditioned(lhs, tau, rhs, stepper.krylov)
     if not result.ok:
         raise SolverFailure(f"bootstrap step failed: {result.status}")
     return GridFunction(op.grid, result.x), result
@@ -422,7 +455,8 @@ def step_allen_cahn_three_level(u_nm1: GridFunction, u_n: GridFunction,
 
     The nonnegative implicit factor q keeps the scheme stable at dt ~
     kappa^2; fully explicit or fully averaged treatments of the double-well
-    term are leapfrog-unstable there.
+    term are leapfrog-unstable there.  The solve is right preconditioned by
+    the tau model with shift 1 + mu mean(q) over the unmasked nodes.
     """
     op = operator
     dt = stepper.dt
@@ -435,7 +469,9 @@ def step_allen_cahn_three_level(u_nm1: GridFunction, u_n: GridFunction,
            - mu * q * u_nm1.values
            + 2.0 * mu * (q + phys))
     rhs = _masked_rhs(rhs, op.mask)
-    result = bicgstab(lhs, rhs, stepper.krylov)
+    q_mean = float(np.mean(q if op.mask is None else q[op.mask.inside]))
+    tau = _tau_inverse(op, scale=stepper.diffusion * dt, shift=1.0 + mu * q_mean)
+    result = _solve_preconditioned(lhs, tau, rhs, stepper.krylov)
     if not result.ok:
         raise SolverFailure(
             f"three-level step failed: {result.status}, relres {result.relres:.3e}"

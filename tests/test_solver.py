@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import varlap as vl
-from varlap.errors import InvalidRange
 from varlap.presets import initial_condition, order_field
 from varlap.solver import (
+    _masked_rhs,
     _pinned_map,
+    _step_allen_cahn_bootstrap,
     positive_component_count,
     write_observer_csv,
     write_residual_csv,
@@ -122,12 +125,90 @@ def test_preconditioner_cuts_case2_linear_iterations():
         out.krylov.iterations, plain.iterations)
 
 
-def test_preconditioned_solve_rejects_initial_guess():
-    g = vl.build_grid(1, -1.0, 1.0, 15)
-    op = vl.VariableOrderOperator(g, sampled_const(g, 1.5), mode="fast", rank=1)
-    prob = vl.EllipticProblem(operator=op, f=vl.GridFunction(g, np.ones(g.size)))
-    with pytest.raises(InvalidRange):
-        vl.solve_elliptic(prob, vl.KrylovConfig(x0=np.ones(g.size)))
+def _allen_cahn_systems(op, w_prev, w_cur, stepper):
+    """(step result, pinned map, rhs) of the bootstrap and three-level steps."""
+    dt, mu = stepper.dt, stepper.dt / stepper.kappa**2
+    phys = w_cur - 1.0
+    q = phys**2
+    boot = (_step_allen_cahn_bootstrap(vl.GridFunction(op.grid, w_cur), stepper, op),
+            _pinned_map(op, None, scale_a=dt / 2.0, shift=1.0),
+            w_cur - dt / 2.0 * op._apply_flat(w_cur) - mu * (phys**3 - phys))
+    three = (vl.step_allen_cahn_three_level(vl.GridFunction(op.grid, w_prev),
+                                            vl.GridFunction(op.grid, w_cur),
+                                            stepper, op),
+             _pinned_map(op, mu * q, scale_a=dt, shift=1.0),
+             w_prev - dt * op._apply_flat(w_prev) - mu * q * w_prev
+             + 2.0 * mu * (q + phys))
+    return [(res, lhs, _masked_rhs(rhs, op.mask)) for res, lhs, rhs in (boot, three)]
+
+
+@pytest.mark.parametrize("kind", ["1d_direct", "2d_fast", "2d_mask", "non_cubic"])
+def test_allen_cahn_steps_match_plain_bicgstab(kind):
+    # both phase-field steps are right preconditioned by the shifted tau
+    # model; each must land on the plain BiCGSTAB solution of its system
+    op, _, _ = _elliptic_case(kind)
+    rng = np.random.default_rng(3)
+    w_prev, w_cur = rng.uniform(0.0, 2.0, (2, op.grid.size))
+    if op.mask is not None:
+        w_prev[~op.mask.inside] = 0.0
+        w_cur[~op.mask.inside] = 0.0
+    stepper = vl.TimeStepper(scheme="allen_cahn", dt=1e-3, t_final=1e-3,
+                             kappa=0.05)
+    for (w_next, res), lhs, rhs in _allen_cahn_systems(op, w_prev, w_cur, stepper):
+        plain = vl.bicgstab(lhs, rhs)
+        assert plain.status == "converged" and res.status == "converged"
+        gap = np.abs(w_next.values - plain.x).max() / np.abs(plain.x).max()
+        assert gap <= 1e-10, gap
+        if op.mask is not None:
+            assert np.all(w_next.values[~op.mask.inside] == 0.0)
+
+
+def test_preconditioner_cuts_three_level_iterations():
+    # the phase-field acceptance set-up at half the resolution: kappa scaled
+    # with h (kappa/h = 1.28) and dt = kappa^2
+    g = vl.build_grid(2, 0.0, 1.0, 63)
+    op = vl.VariableOrderOperator(
+        g, vl.sample_order(order_field("phase_middle"), g), mode="fast")
+    w = initial_condition("bubbles", kappa=0.02)(g.points()) + 1.0
+    stepper = vl.TimeStepper(scheme="allen_cahn", dt=4e-4, t_final=4e-4,
+                             kappa=0.02)
+    (_, res), lhs, rhs = _allen_cahn_systems(op, w, w, stepper)[1]
+    plain = vl.bicgstab(lhs, rhs)
+    assert res.status == "converged" and plain.status == "converged"
+    assert 2 * res.iterations <= plain.iterations, (res.iterations,
+                                                    plain.iterations)
+
+
+def test_preconditioned_solves_take_initial_guess():
+    # x0 enters the preconditioned iteration as y0 = M x0: a random start
+    # reaches the zero-start solution, the converged one returns at once
+    op, f, b = _elliptic_case("2d_fast")
+    g = op.grid
+    rng = np.random.default_rng(13)
+    x0 = rng.standard_normal(g.size)
+    prob = vl.EllipticProblem(operator=op, f=vl.GridFunction(g, f),
+                              b=vl.GridFunction(g, b))
+    stepper = vl.TimeStepper(scheme="allen_cahn", dt=1e-3, t_final=1e-3,
+                             kappa=0.05)
+    w_prev, w_cur = rng.uniform(0.0, 2.0, (2, g.size))
+
+    def elliptic(cfg):
+        out = vl.solve_elliptic(prob, cfg)
+        return out.u.values, out.krylov
+
+    def three_level(cfg):
+        w, res = vl.step_allen_cahn_three_level(
+            vl.GridFunction(g, w_prev), vl.GridFunction(g, w_cur),
+            replace(stepper, krylov=cfg), op)
+        return w.values, res
+
+    for solve in (elliptic, three_level):
+        u, _ = solve(vl.KrylovConfig())
+        u_x0, res = solve(vl.KrylovConfig(x0=x0))
+        assert res.status == "converged"
+        assert np.abs(u_x0 - u).max() / np.abs(u).max() <= 1e-10
+        _, res = solve(vl.KrylovConfig(x0=u))
+        assert res.ok and res.iterations <= 2, res.iterations
 
 
 def test_cn_step_runs_plain_bicgstab():
