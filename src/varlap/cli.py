@@ -23,7 +23,13 @@ import scipy.fft as sfft
 
 from . import experiments
 from .errors import ConfigError, SolverFailure, VarlapError
-from .weights import default_quadrature_size, dump_csv, weights_1d_closed_form, weights_nd_fft
+from .weights import (
+    alias_corrected_block,
+    default_quadrature_size,
+    dump_csv,
+    weights_1d_closed_form,
+    weights_nd_fft,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,16 +59,18 @@ def _run_weights(cfg: dict, out_dir: Path) -> None:
     if kind == "closed-form":
         if dim != 1:
             raise ConfigError("closed-form weights exist only in 1D")
-        table = weights_1d_closed_form(alpha, n_max)
+        block = weights_1d_closed_form(alpha, n_max).block_nonneg(n_max)
     elif kind == "fft":
         m = (experiments._number(cfg, "quadrature", None, int)
              if cfg.get("quadrature") else default_quadrature_size(dim, n_max))
-        table = weights_nd_fft(alpha, dim, m, target_n=n_max)
+        # in 2D the weights the operator applies: the table with its aliases
+        block = (alias_corrected_block(alpha, m, n_max) if dim == 2 else
+                 weights_nd_fft(alpha, dim, m, target_n=n_max).block_nonneg(n_max))
     else:
         raise ConfigError(f"weights kind must be closed-form or fft, got {kind!r}")
-    out = out_dir / cfg.get("out", "weights.csv")
+    out = experiments._output(cfg, out_dir, "weights.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    dump_csv(table, out, n_max=n_max)
+    dump_csv(block, out)
     print(f"wrote {out} (alpha={alpha}, dim={dim}, offsets to {n_max})")
 
 

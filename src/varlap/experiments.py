@@ -76,7 +76,7 @@ def _convergence_csv(path: Path, rows: list[ConvergenceRow]) -> None:
 def _box(cfg: dict, default: tuple[float, float]) -> tuple[float, float]:
     box = cfg.get("box", list(default))
     if (not isinstance(box, (list, tuple)) or len(box) != 2
-            or not all(isinstance(v, (int, float)) for v in box)):
+            or not all(_is_number(v) for v in box)):
         raise ConfigError(f"box must be [lower, upper], got {box!r}")
     return float(box[0]), float(box[1])
 
@@ -116,6 +116,35 @@ def _positive_list(cfg: dict, key: str, default=None, kind=float) -> list:
     return [kind(v) for v in vals]
 
 
+def _optional_number(cfg: dict, key: str, kind=float):
+    """``cfg[key]`` as a finite ``kind``, or None when absent or null."""
+    return None if cfg.get(key) is None else _number(cfg, key, None, kind)
+
+
+def _choice(cfg: dict, key: str, choices: tuple[int, ...], default=None) -> int:
+    """``cfg[key]`` (or ``default``) as one of the integers ``choices``."""
+    val = cfg.get(key, default)
+    if not _is_number(val, int) or val not in choices:
+        raise ConfigError(f"{key} must be one of "
+                          f"{', '.join(map(str, choices))}, got {val!r}")
+    return int(val)
+
+
+def _order(cfg: dict):
+    spec = cfg.get("order")
+    if not spec:
+        raise ConfigError("missing order field spec")
+    return order_field(spec)
+
+
+def _output(cfg: dict, out_dir, default: str) -> Path:
+    """Path of the CSV a runner writes: ``cfg["out"]`` under ``out_dir``."""
+    name = cfg.get("out", default)
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"out must be a file name, got {name!r}")
+    return Path(out_dir) / name
+
+
 def _krylov(cfg: dict) -> KrylovConfig:
     return KrylovConfig(tol=_number(cfg, "tol", 1e-14),
                         max_iter=_number(cfg, "max_iter", 5000, int))
@@ -129,8 +158,9 @@ def _h_list(cfg: dict) -> list[float]:
 
 
 def _operator_options(cfg: dict) -> dict:
-    return {"rank": cfg.get("rank"), "epsilon": cfg.get("epsilon"),
-            "quadrature_m": cfg.get("quadrature")}
+    return {"rank": _optional_number(cfg, "rank", int),
+            "epsilon": _optional_number(cfg, "epsilon"),
+            "quadrature_m": _optional_number(cfg, "quadrature", int)}
 
 
 def _build_operator(grid: UniformGrid, field, cfg: dict, mask=None
@@ -160,15 +190,11 @@ def restrict_nested(fine: GridFunction, coarse: UniformGrid) -> np.ndarray:
 
 def run_apply_convergence(cfg: dict, out_dir) -> list[ConvergenceRow]:
     """Max-norm error of the discrete apply against the Gaussian oracle."""
-    dim = cfg.get("dim")
-    if dim not in (1, 2, 3):
-        raise ConfigError(f"dim must be 1, 2 or 3, got {dim!r}")
+    dim = _choice(cfg, "dim", (1, 2, 3))
     lo, hi = _box(cfg, (-4.0, 4.0))
     hs = _h_list(cfg)
-    spec = cfg.get("order")
-    if not spec:
-        raise ConfigError("missing order field spec")
-    base_field = order_field(spec)
+    base_field = _order(cfg)
+    out = _output(cfg, out_dir, "apply_conv.csv")
     rows: list[ConvergenceRow] = []
     errors: list[float] = []
     for h in hs:
@@ -182,7 +208,7 @@ def run_apply_convergence(cfg: dict, out_dir) -> list[ConvergenceRow]:
         errors.append(float(np.abs(v.values - exact).max()))
     for h, e, o in zip(hs, errors, _orders(errors)):
         rows.append(ConvergenceRow(h=h, e_inf=e, order=o))
-    _convergence_csv(Path(out_dir) / cfg.get("out", "apply_conv.csv"), rows)
+    _convergence_csv(out, rows)
     return rows
 
 
@@ -195,19 +221,13 @@ def run_elliptic(cfg: dict, out_dir) -> list[ConvergenceRow]:
     reference grid and measures the true error; case 2 uses data f = 1 and
     measures the step-halving difference ``||u_h - u_{h/2}||_inf``.
     """
-    case = cfg.get("case")
-    if case not in (1, 2):
-        raise ConfigError(f"case must be 1 or 2, got {case!r}")
-    dim = cfg.get("dim", 2)
-    if dim not in (1, 2, 3):
-        raise ConfigError(f"dim must be 1, 2 or 3, got {dim!r}")
+    case = _choice(cfg, "case", (1, 2))
+    dim = _choice(cfg, "dim", (1, 2, 3), 2)
     lo, hi = _box(cfg, (-1.0, 1.0))
     hs = _h_list(cfg)
-    spec = cfg.get("order")
-    if not spec:
-        raise ConfigError("missing order field spec")
-    base_field = order_field(spec)
+    base_field = _order(cfg)
     krylov = _krylov(cfg)
+    out = _output(cfg, out_dir, f"elliptic_case{case}.csv")
 
     def solve_on(grid: UniformGrid, f_vals: np.ndarray, reaction: float):
         field = sample_order(base_field, grid)
@@ -242,7 +262,7 @@ def run_elliptic(cfg: dict, out_dir) -> list[ConvergenceRow]:
             errors.append(float(np.abs(sols[i].values - fine_on_coarse).max()))
     for h, e, o in zip(hs, errors, _orders(errors)):
         rows.append(ConvergenceRow(h=h, e_inf=e, order=o))
-    _convergence_csv(Path(out_dir) / cfg.get("out", f"elliptic_case{case}.csv"), rows)
+    _convergence_csv(out, rows)
     return rows
 
 
@@ -265,14 +285,9 @@ def _stepper_from_cfg(cfg: dict, dt: float) -> TimeStepper:
 def run_evolve(cfg: dict, out_dir):
     """Evolve an initial state; single run with observers, or a Richardson
     convergence table over simultaneous (h, dt) halvings."""
-    dim = cfg.get("dim", 2)
-    if dim not in (1, 2, 3):
-        raise ConfigError(f"dim must be 1, 2 or 3, got {dim!r}")
+    dim = _choice(cfg, "dim", (1, 2, 3), 2)
     lo, hi = _box(cfg, (-4.0, 4.0))
-    spec = cfg.get("order")
-    if not spec:
-        raise ConfigError("missing order field spec")
-    base_field = order_field(spec)
+    base_field = _order(cfg)
     kind = cfg.get("kind", "single")
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -294,6 +309,7 @@ def run_evolve(cfg: dict, out_dir):
         return evolve(stepper, op, u0, frame_dir=frames, frame_every=frame_every)
 
     if kind == "single":
+        out = _output(cfg, out_path, "evolve.csv")
         frames = None
         if cfg.get("frame_every"):
             frames = out_path / "frames"
@@ -302,11 +318,12 @@ def run_evolve(cfg: dict, out_dir):
         if h is None:
             raise ConfigError("single evolve needs h")
         record = run_one(h, _number(cfg, "dt", h), frames=frames)
-        write_observer_csv(record, out_path / cfg.get("out", "evolve.csv"))
+        write_observer_csv(record, out)
         return record
 
     if kind != "richardson":
         raise ConfigError(f"evolve kind must be single or richardson, got {kind!r}")
+    out = _output(cfg, out_path, "evolve_richardson.csv")
     hs = _h_list(cfg)
     dts = _positive_list(cfg, "dt_list", hs)
     if len(dts) != len(hs):
@@ -323,8 +340,7 @@ def run_evolve(cfg: dict, out_dir):
         errors.append(float(np.abs(finals[i].values - fine_on_coarse).max()))
     rows = [ConvergenceRow(h=h, e_inf=e, order=o)
             for h, e, o in zip(hs, errors, _orders(errors))]
-    _write_rows(out_path / cfg.get("out", "evolve_richardson.csv"),
-                ["h", "dt", "E_inf", "order"],
+    _write_rows(out, ["h", "dt", "E_inf", "order"],
                 [[_fmt(h), _fmt(dt), _fmt(r.e_inf), _fmt(r.order)]
                  for h, dt, r in zip(hs, dts, rows)])
     return rows
@@ -341,14 +357,11 @@ def run_bench(cfg: dict, out_dir):
     slope.
     """
     kind = cfg.get("kind", "cn3d")
-    out_path = Path(out_dir)
-    spec = cfg.get("order")
-    if not spec:
-        raise ConfigError("missing order field spec")
-    base_field = order_field(spec)
+    base_field = _order(cfg)
 
     if kind == "cn3d":
-        dim = cfg.get("dim", 3)
+        dim = _choice(cfg, "dim", (1, 2, 3), 3)
+        out = _output(cfg, out_dir, "bench_cn3d.csv")
         lo, hi = _box(cfg, (-1.0, 1.0))
         ns = _positive_list(cfg, "n_list", kind=int)
         dts = _positive_list(cfg, "dt_list", [1.0 / (n + 1) for n in ns])
@@ -366,14 +379,14 @@ def run_bench(cfg: dict, out_dir):
             _, res = step_crank_nicolson(u0, stepper, op)
             seconds = time.perf_counter() - t0
             rows.append([n ** dim, dt, seconds, res.iterations])
-        _write_rows(out_path / cfg.get("out", "bench_cn3d.csv"),
-                    ["n_total", "dt", "seconds_per_step", "iterations"],
+        _write_rows(out, ["n_total", "dt", "seconds_per_step", "iterations"],
                     [[r[0], _fmt(r[1]), _fmt(r[2]), r[3]] for r in rows])
         return rows
 
     if kind != "apply_sweep":
         raise ConfigError(f"bench kind must be cn3d or apply_sweep, got {kind!r}")
-    dim = cfg.get("dim", 1)
+    dim = _choice(cfg, "dim", (1, 2, 3), 1)
+    out = _output(cfg, out_dir, "bench_apply.csv")
     lo, hi = _box(cfg, (-4.0, 4.0))
     ns = _positive_list(cfg, "n_list", kind=int)
     reps = _number(cfg, "reps", 5, int)
@@ -385,7 +398,6 @@ def run_bench(cfg: dict, out_dir):
         timing = operator_timing(op, n_reps=reps)
         rows.append([n, timing["seconds_per_apply"]])
     slope = fit_loglog_slope([r[0] for r in rows], [r[1] for r in rows])
-    _write_rows(out_path / cfg.get("out", "bench_apply.csv"),
-                ["n", "seconds_per_apply"],
+    _write_rows(out, ["n", "seconds_per_apply"],
                 [[r[0], _fmt(r[1])] for r in rows])
     return {"rows": rows, "slope": slope}

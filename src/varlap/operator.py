@@ -30,13 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import (
-    GridMismatch,
-    InvalidRange,
-    MissingWeights,
-    PlanMissing,
-    SizeMismatch,
-)
+from .errors import GridMismatch, InvalidRange, PlanMissing, SizeMismatch
 from .grid import DomainMask, GridFunction, OrderField, UniformGrid, sample_order
 from .lowrank import (
     DEFAULT_RANK,
@@ -46,7 +40,7 @@ from .lowrank import (
     rank_coefficients,
 )
 from .weights import (
-    WeightTable,
+    alias_corrected_block,
     closed_form_rows,
     default_quadrature_size,
     weights_1d_closed_form,
@@ -148,8 +142,8 @@ class VariableOrderOperator:
         mask: optional embedding mask; masked-out nodes contribute zero and
             receive zero in every apply.
 
-    Weight tables come from the closed form in 1D and from the FFT
-    quadrature otherwise.
+    Both modes apply the same weights: the closed form in 1D, the
+    alias-corrected quadrature in 2D and the plain quadrature in 3D.
     """
 
     def __init__(self, grid: UniformGrid, field: OrderField,
@@ -191,7 +185,7 @@ class VariableOrderOperator:
             maps = np.array(coeffs.T, order="C")
             maps *= np.array([k.h ** (-k.alpha) for k in self.kernels])[:, None]
             self._rank_maps = maps.reshape((plan.rank,) + grid.shape)
-        self._direct_tables: dict[bytes, WeightTable] = {}
+        self._direct_blocks: dict[bytes, np.ndarray] = {}
 
     # -- kernel and weight-row construction -------------------------------
 
@@ -199,6 +193,8 @@ class VariableOrderOperator:
         """Nonnegative-offset weight block covering offsets 0..N per axis."""
         if self._closed_form:
             return weights_1d_closed_form(alpha, self.n_max).block_nonneg(self.n_max)
+        if self.grid.dim == 2:
+            return alias_corrected_block(alpha, self.quadrature_m, self.n_max)
         table = weights_nd_fft(alpha, self.grid.dim, self.quadrature_m,
                                target_n=self.n_max)
         return table.block_nonneg(self.n_max)
@@ -278,26 +274,21 @@ class VariableOrderOperator:
         order_groups: dict[bytes, list[int]] = {}
         for j, a in enumerate(alphas):
             order_groups.setdefault(np.float64(a).tobytes(), []).append(j)
-        # keep instance-level tables only for few-valued fields (piecewise
-        # orders); an all-distinct field would pin one table per node
+        # keep instance-level blocks only for few-valued fields (piecewise
+        # orders); an all-distinct field would pin one block per node
         keep = len(order_groups) <= 64
         for key, nodes_j in order_groups.items():
             alpha = float(np.frombuffer(key, dtype=np.float64)[0])
-            table = self._direct_tables.get(key)
-            if table is None:
-                table = weights_nd_fft(alpha, self.grid.dim, self.quadrature_m,
-                                       target_n=self.n_max)
+            block = self._direct_blocks.get(key)
+            if block is None:
+                block = self._weight_block(alpha)
                 if keep:
-                    self._direct_tables[key] = table
-            if table.max_offset < self.n_max:
-                raise MissingWeights(
-                    f"table covers offsets to {table.max_offset}, need {self.n_max}"
-                )
+                    self._direct_blocks[key] = block
             scale = h ** (-alpha)
             for j in nodes_j:
                 jnd = np.unravel_index(j, shape)
                 idx = [np.abs(axis_range[p] - jnd[p]) for p in range(self.grid.dim)]
-                win = table.values[np.ix_(*idx)]
+                win = block[np.ix_(*idx)]
                 out[j] = scale * float(np.tensordot(win, u_nd, axes=self.grid.dim))
         return out
 

@@ -98,6 +98,8 @@ def order_preset_names() -> list[str]:
 
 def order_field(spec: str) -> OrderField:
     """Resolve a preset name, ``const:<value>``, or ``expr:<expression>``."""
+    if not isinstance(spec, str):
+        raise ConfigError(f"order field spec must be a string, got {spec!r}")
     if spec in _PRESETS:
         return _PRESETS[spec]()
     if spec.startswith("const:"):
@@ -165,6 +167,8 @@ def _validate(tree: ast.AST, src: str) -> None:
 
 def _compile_expression(src: str, dtype=float
                         ) -> Callable[[np.ndarray], np.ndarray]:
+    if not isinstance(src, str):
+        raise ConfigError(f"expression must be a string, got {src!r}")
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:

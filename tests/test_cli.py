@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from varlap import cli, experiments
+from varlap import OrderField, VariableOrderOperator, build_grid, cli, experiments
 from varlap.errors import ConfigError
+from varlap.weights import weights_nd_fft
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -19,6 +20,24 @@ def test_weights_subcommand(tmp_path):
     lines = (tmp_path / "weights.csv").read_text().strip().splitlines()
     assert lines[0] == "n_1,value"
     assert len(lines) == 1 + 17
+
+
+def test_weights_2d_csv_is_operator_block(tmp_path):
+    # in 2D the CSV holds the weights the operator applies: the alias-
+    # corrected block at the operator's default quadrature size
+    n, alpha = 8, 1.3
+    cfg = write_cfg(tmp_path, "w2.json", {"alpha": alpha, "dim": 2, "n_max": n})
+    assert cli.main(["weights", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "weights.csv", delimiter=",", skiprows=1)
+    assert rows.shape == ((2 * n + 1) ** 2, 3)
+    grid = build_grid(2, -1.0, 1.0, n)
+    op = VariableOrderOperator(grid, OrderField.constant(alpha), mode="direct")
+    block = op._weight_block(alpha)
+    idx = np.abs(rows[:, :2]).astype(int)
+    expect = block[idx[:, 0], idx[:, 1]]
+    assert np.abs(rows[:, 2] - expect).max() <= 1e-11 * block[0, 0]
+    plain = weights_nd_fft(alpha, 2, op.quadrature_m).block_nonneg(n)
+    assert np.abs(rows[:, 2] - plain[idx[:, 0], idx[:, 1]]).max() > 1e-9
 
 
 def test_apply_conv_subcommand(tmp_path):
@@ -209,3 +228,26 @@ def test_exit_code_2_on_bad_numbers(tmp_path, command, key, value, capsys):
     assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+_SINGLE_EVOLVE = {"kind": "single", "dim": 2, "box": [-1, 1],
+                  "order": "coexist_high", "h": 0.125, "dt": 0.02,
+                  "t_final": 0.04, "ic": "ones"}
+_CASE2_2D = {"case": 2, "dim": 2, "order": "case2_linear", "h_list": [0.25]}
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("apply-conv", {"dim": True, "h_list": [0.25], "order": "alpha1"}),
+    ("apply-conv", {"dim": 1, "h_list": [0.25], "order": 5}),
+    ("evolve", {**_SINGLE_EVOLVE, "mask": 5}),
+    ("elliptic", {**_CASE2_2D, "rank": "7"}),
+    ("elliptic", {**_CASE2_2D, "epsilon": "x"}),
+    ("evolve", {**_SINGLE_EVOLVE, "out": 5}),
+    ("elliptic", {**_CASE2_2D, "rank": True}),
+], ids=["dim-bool", "order-int", "mask-int", "rank-str", "epsilon-str",
+        "out-int", "rank-bool"])
+def test_exit_code_2_on_config_types(tmp_path, command, cfg, capsys):
+    path = write_cfg(tmp_path, "bad.json", cfg)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1

@@ -4,6 +4,7 @@ import pytest
 import varlap as vl
 from varlap.errors import GridMismatch, InvalidRange, PlanMissing, SizeMismatch
 from varlap.operator import fit_loglog_slope
+from varlap.weights import alias_corrected_block
 
 from conftest import gaussian_on, tanh_dec_field, tanh_inc_field
 
@@ -291,9 +292,14 @@ def test_pruned_fast_apply_matches_dense(dim, n):
     # constant-order apply against the Toeplitz matvec, one row at a time
     alpha = 1.3
     kern = fast.constant_order_kernel(alpha)
-    table = (vl.weights_1d_closed_form(alpha, n) if dim == 1
-             else vl.weights_nd_fft(alpha, dim, m))
-    block = table.signed_block(n - 1)
+    if dim == 1:
+        nonneg = vl.weights_1d_closed_form(alpha, n).block_nonneg(n)
+    elif dim == 2:
+        nonneg = alias_corrected_block(alpha, m, n)
+    else:
+        nonneg = vl.weights_nd_fft(alpha, dim, m).block_nonneg(n)
+    offsets = np.abs(np.arange(1 - n, n))
+    block = nonneg[np.ix_(*[offsets] * dim)]
     u_nd = u.reshape(g.shape)
     toeplitz = np.empty(g.shape)
     for j in np.ndindex(*g.shape):

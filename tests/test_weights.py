@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 import varlap as vl
 from varlap.errors import OrderOutOfRange, QuadratureTooCoarse
-from varlap.weights import check_decay, dump_csv
+from varlap.weights import alias_corrected_block, check_decay, dump_csv
 
 
 def quad_oracle_1d(alpha: float, n: int) -> float:
@@ -132,6 +132,57 @@ def test_sign_symmetry_zero_sum(alpha, dim):
     assert abs(t.total_sum()) <= 1e-12
 
 
+CORRECTED_ALPHAS = (0.3, 0.5, 1.0, 1.5, 1.9)
+
+
+def test_default_2d_quadrature_is_4n():
+    assert vl.default_quadrature_size(2, 7) == 128
+    assert vl.default_quadrature_size(2, 63) == 256
+    assert vl.default_quadrature_size(2, 511) == 2048
+    assert vl.default_quadrature_size(2, 1023) == 4096
+
+
+@pytest.mark.parametrize("alpha", CORRECTED_ALPHAS)
+def test_alias_corrected_block_converged_at_4n(alpha):
+    # the corrected block at m = 4N against the same at 8m: the aliases it
+    # adds back leave O(m^(-4-alpha)); the plain table at 16N, the size the
+    # 2D operator used before the correction, is much further off
+    n = 63
+    m = vl.default_quadrature_size(2, n)
+    ref = alias_corrected_block(alpha, 8 * m, n)
+    err = np.abs(alias_corrected_block(alpha, m, n) - ref).max()
+    plain_16n = vl.weights_nd_fft(alpha, 2, 1024).block_nonneg(n)
+    assert err <= 1e-11
+    assert err < np.abs(plain_16n - ref).max()
+
+
+def test_alias_corrected_block_matches_fine_plain_table():
+    # independent of the correction's own formula: at alpha = 1.5 the plain
+    # table at m = 4096 aliases by about 1e-13
+    n, alpha = 63, 1.5
+    fine = vl.weights_nd_fft(alpha, 2, 4096).block_nonneg(n)
+    coarse = vl.weights_nd_fft(alpha, 2, 256).block_nonneg(n)
+    assert np.abs(alias_corrected_block(alpha, 256, n) - fine).max() <= 1e-12
+    assert np.abs(coarse - fine).max() > 1e-9
+
+
+@pytest.mark.parametrize("alpha", CORRECTED_ALPHAS)
+def test_alias_corrected_block_sign_symmetry(alpha):
+    block = alias_corrected_block(alpha, 64, 15)
+    assert block[0, 0] > 0.0
+    off = block.copy()
+    off[0, 0] = 0.0
+    assert np.all(off <= 0.0)
+    assert np.abs(block - block.T).max() <= 1e-15 * block[0, 0]
+
+
+def test_alias_corrected_block_alpha2_is_plain():
+    block = alias_corrected_block(2.0, 64, 15)
+    plain = vl.weights_nd_fft(2.0, 2, 64).block_nonneg(15)
+    assert block.tobytes() == plain.tobytes()
+    assert block[0, 0] == pytest.approx(4.0, abs=1e-12)
+
+
 def test_decay_alpha1_brackets_known_constant():
     # a_n = -(4/pi)/(4n^2 - 1) at alpha = 1, so |a_n| n^2 decreases to 1/pi
     t = vl.weights_1d_closed_form(1.0, 512)
@@ -170,7 +221,7 @@ def test_closed_form_partial_sums_positive_decreasing():
 def test_dump_csv(tmp_path):
     t = vl.weights_nd_fft(1.5, 2, 64)
     path = tmp_path / "w.csv"
-    dump_csv(t, path, n_max=2)
+    dump_csv(t.block_nonneg(2), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n_1,n_2,value"
     assert len(lines) == 1 + 5 * 5
