@@ -14,7 +14,6 @@ from .errors import (
     InvalidBox,
     InvalidDim,
     InvalidRange,
-    MissingWeights,
     NotNested,
     OrderOutOfRange,
     OutOfRange,
@@ -40,7 +39,6 @@ from .grid import (
 )
 from .lowrank import (
     ChebyshevPlan,
-    RankCoefficients,
     build_plan,
     estimate_rank,
     eval_lagrange,

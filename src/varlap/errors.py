@@ -29,10 +29,6 @@ class GridMismatch(VarlapError):
     """Operands live on different grids."""
 
 
-class MissingWeights(VarlapError):
-    """No weight table covers the requested offsets."""
-
-
 class PlanMissing(VarlapError):
     """Fast apply requested without a rank plan."""
 

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRange, OutOfRange, RankCapExceeded
-from .grid import OrderField, UniformGrid
+from .grid import OrderField
 
 __all__ = [
     "ChebyshevPlan",
-    "RankCoefficients",
     "build_plan",
     "eval_lagrange",
     "rank_coefficients",
@@ -46,17 +45,6 @@ class ChebyshevPlan:
     @property
     def degenerate(self) -> bool:
         return self.rank == 1
-
-
-@dataclass(frozen=True)
-class RankCoefficients:
-    """Per-node Lagrange values c_q(x_j) = L_q(alpha_j), shape (nodes, rank).
-
-    Rows sum to one (partition of unity of the Lagrange basis).
-    """
-
-    grid: UniformGrid
-    coeffs: np.ndarray
 
 
 def build_plan(alpha_min: float, alpha_max: float, r: int = DEFAULT_RANK) -> ChebyshevPlan:
@@ -119,14 +107,14 @@ def eval_lagrange(plan: ChebyshevPlan, t) -> np.ndarray:
     return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
-def rank_coefficients(plan: ChebyshevPlan, field: OrderField,
-                      grid: UniformGrid | None = None) -> RankCoefficients:
-    """Lagrange coefficients of a sampled order field on its grid."""
+def rank_coefficients(plan: ChebyshevPlan, field: OrderField) -> np.ndarray:
+    """Per-node Lagrange values c_q(x_j) = L_q(alpha_j), shape (nodes, rank).
+
+    Rows sum to one (partition of unity of the Lagrange basis).
+    """
     if field.sampled is None:
         raise InvalidRange("order field must be sampled first")
-    g = grid if grid is not None else field.grid
-    coeffs = eval_lagrange(plan, field.sampled)
-    return RankCoefficients(grid=g, coeffs=coeffs)
+    return eval_lagrange(plan, field.sampled)
 
 
 def _sample_symbol_values(h: float, dim: int) -> np.ndarray:

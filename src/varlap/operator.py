@@ -5,7 +5,9 @@ with the sum over interior nodes (the extended Dirichlet condition zeroes
 everything else).  Two evaluation paths are provided:
 
 * direct: per-node weight rows, O(N^{2d}) work.  The reference path and the
-  oracle for the fast one.
+  oracle for the fast one; ``dense_matrix`` stacks the same rows.  Nothing is
+  cached between direct applies: each one rebuilds the weight block of
+  every distinct order it meets (a 2D N = 511 block takes about 40 ms).
 * fast: the rank-r Chebyshev decomposition replaces the non-convolution
   kernel by r constant-order Toeplitz applies, each performed as a circular
   convolution on an L^d embedding (L >= 2N, FFT-friendly) via FFT, then
@@ -18,7 +20,9 @@ entries right after transforming it, so no transform runs on a line that is
 all zeros or that the interior block never reads.  Kernel spectra and the
 h^(-alpha_q)-scaled Lagrange coefficients are built once per operator, so
 each repeated apply (every Krylov iteration) costs one forward and r inverse
-transforms.
+transforms.  The padded spectrum and its product with one kernel spectrum
+live in two buffers the operator keeps, so an apply allocates no full-size
+padded array.
 """
 
 from __future__ import annotations
@@ -64,11 +68,21 @@ def _fast_axis_len(n: int) -> int:
     return sfft.next_fast_len(2 * n, real=True)
 
 
-def _forward(u_nd: np.ndarray, pad_shape: tuple[int, ...]) -> np.ndarray:
-    """Spectrum of ``u_nd`` zero-padded to ``pad_shape`` (rfftn layout)."""
-    spec = sfft.rfft(u_nd, n=pad_shape[-1], axis=-1)
+def _forward(u_nd: np.ndarray, pad_shape: tuple[int, ...],
+             spec: np.ndarray) -> np.ndarray:
+    """Spectrum of ``u_nd`` zero-padded to ``pad_shape``, written into ``spec``.
+
+    ``spec`` has the rfftn shape of ``pad_shape``.  Each axis is zero-padded
+    just before it is transformed, in place.
+    """
+    lead = tuple(slice(0, n) for n in u_nd.shape[:-1])
+    spec[lead] = sfft.rfft(u_nd, n=pad_shape[-1], axis=-1)
     for ax in range(u_nd.ndim - 2, -1, -1):
-        spec = sfft.fft(spec, n=pad_shape[ax], axis=ax, overwrite_x=True)
+        part = spec[lead[:ax]]
+        part[(slice(None),) * ax + (slice(u_nd.shape[ax], None),)] = 0.0
+        done = sfft.fft(part, axis=ax, overwrite_x=True)
+        if done is not part:
+            part[...] = done
     return spec
 
 
@@ -122,7 +136,9 @@ class ConstantOrderKernel:
         """Toeplitz matvec: pad, convolve circularly, truncate, scale."""
         if u_nd.shape != self.grid_shape:
             raise SizeMismatch(f"input {u_nd.shape} != grid {self.grid_shape}")
-        spec = _forward(u_nd, self.pad_shape) * self.spectrum
+        spec = _forward(u_nd, self.pad_shape,
+                        np.empty(self.spectrum.shape, dtype=complex))
+        spec *= self.spectrum
         out = _inverse(spec, self.grid_shape, self.pad_shape)
         return out * self.h ** (-self.alpha)
 
@@ -179,13 +195,18 @@ class VariableOrderOperator:
                 plan = build_plan(field.alpha_min, field.alpha_max,
                                   rank if rank is not None else DEFAULT_RANK)
             self.plan = plan
-            coeffs = rank_coefficients(plan, field, grid).coeffs
+            coeffs = rank_coefficients(plan, field)
             self.kernels = [self.constant_order_kernel(a) for a in plan.nodes]
             # Lagrange coefficient maps with h^(-alpha_q) folded in, (r, *shape)
             maps = np.array(coeffs.T, order="C")
             maps *= np.array([k.h ** (-k.alpha) for k in self.kernels])[:, None]
             self._rank_maps = maps.reshape((plan.rank,) + grid.shape)
-        self._direct_blocks: dict[bytes, np.ndarray] = {}
+            # the padded spectrum and one rank term's product, reused by
+            # every apply: allocated per apply, these multi-MB arrays are
+            # page-faulted in afresh whenever the C allocator has trimmed
+            # its heap (up to 4e5 faults per 3D N = 31 solve)
+            self._work = np.empty((2,) + self.kernels[0].spectrum.shape,
+                                  dtype=complex)
 
     # -- kernel and weight-row construction -------------------------------
 
@@ -230,82 +251,75 @@ class VariableOrderOperator:
     def _apply_fast_flat(self, values: np.ndarray) -> np.ndarray:
         vals = self._masked_input(np.asarray(values, dtype=float))
         shape, pad_shape = self.grid.shape, self.kernels[0].pad_shape
-        spec = _forward(vals.reshape(shape), pad_shape)
+        spec, prod = self._work
+        _forward(vals.reshape(shape), pad_shape, spec)
         out = np.zeros(shape)
         # fixed ascending-q summation keeps results bitwise reproducible
         for coef, kern in zip(self._rank_maps, self.kernels):
-            out += coef * _inverse(spec * kern.spectrum, shape, pad_shape)
+            np.multiply(spec, kern.spectrum, out=prod)
+            out += coef * _inverse(prod, shape, pad_shape)
         out = out.ravel()
         if self.mask is not None:
             out[~self.mask.inside] = 0.0
         return out
 
-    def _apply_direct_flat(self, values: np.ndarray) -> np.ndarray:
-        vals = self._masked_input(np.asarray(values, dtype=float))
-        alphas = self.field.sampled
-        h = self.grid.h
+    def _rows(self):
+        """Yield ``(j, scale, row)`` for every node j inside the mask.
+
+        ``v_j = scale * (row @ u)`` for flat u: the row holds the weights at
+        offsets k - j over all interior nodes k, and scale is h^(-alpha_j).
+        1D rows come from the closed-form recurrence; nD rows are windows of
+        the weight block of the node's order, which is built once per
+        distinct order and dropped once its nodes are done.
+        """
+        alphas, h = self.field.sampled, self.grid.h
+        nodes = (np.arange(self.grid.size) if self.mask is None
+                 else np.flatnonzero(self.mask.inside))
         if self._closed_form:
-            out = self._direct_1d_closed_form(vals, alphas, h)
-        else:
-            out = self._direct_nd_fft(vals, alphas, h)
-        if self.mask is not None:
-            out[~self.mask.inside] = 0.0
-        return out
-
-    def _direct_1d_closed_form(self, vals, alphas, h) -> np.ndarray:
-        n = self.grid.size
-        rows = closed_form_rows(alphas, n - 1)
-        if n <= 2048:
-            j = np.arange(n)
-            gather = rows[j[:, None], np.abs(j[None, :] - j[:, None])]
-            out = gather @ vals
-        else:
-            out = np.empty(n)
+            n = self.grid.size
+            rows = closed_form_rows(alphas, n - 1)
+            scales = h ** (-alphas)
             idx = np.arange(n)
-            for j in range(n):
-                out[j] = rows[j, np.abs(idx - j)] @ vals
-        return out * h ** (-alphas)
-
-    def _direct_nd_fft(self, vals, alphas, h) -> np.ndarray:
-        u_nd = vals.reshape(self.grid.shape)
-        out = np.empty(self.grid.size)
+            for j in nodes:
+                yield j, scales[j], rows[j, np.abs(idx - j)]
+            return
         shape = self.grid.shape
         axis_range = [np.arange(n) for n in shape]
         order_groups: dict[bytes, list[int]] = {}
-        for j, a in enumerate(alphas):
-            order_groups.setdefault(np.float64(a).tobytes(), []).append(j)
-        # keep instance-level blocks only for few-valued fields (piecewise
-        # orders); an all-distinct field would pin one block per node
-        keep = len(order_groups) <= 64
+        for j in nodes:
+            order_groups.setdefault(np.float64(alphas[j]).tobytes(), []).append(j)
         for key, nodes_j in order_groups.items():
             alpha = float(np.frombuffer(key, dtype=np.float64)[0])
-            block = self._direct_blocks.get(key)
-            if block is None:
-                block = self._weight_block(alpha)
-                if keep:
-                    self._direct_blocks[key] = block
+            block = self._weight_block(alpha)
             scale = h ** (-alpha)
             for j in nodes_j:
                 jnd = np.unravel_index(j, shape)
-                idx = [np.abs(axis_range[p] - jnd[p]) for p in range(self.grid.dim)]
-                win = block[np.ix_(*idx)]
-                out[j] = scale * float(np.tensordot(win, u_nd, axes=self.grid.dim))
+                idx = [np.abs(r - jp) for r, jp in zip(axis_range, jnd)]
+                yield j, scale, block[np.ix_(*idx)].ravel()
+
+    def _apply_direct_flat(self, values: np.ndarray) -> np.ndarray:
+        vals = self._masked_input(np.asarray(values, dtype=float))
+        out = np.zeros(self.grid.size)
+        for j, scale, row in self._rows():
+            out[j] = scale * (row @ vals)
         return out
 
     # -- diagnostics --------------------------------------------------------
 
     def dense_matrix(self, max_size: int = 4096) -> np.ndarray:
-        """Assemble the dense operator matrix column by column (small grids)."""
+        """The dense operator matrix, row by row (small grids).
+
+        Masked-out rows and columns are zero, as in every apply.
+        """
         n = self.grid.size
         if n > max_size:
             raise SizeMismatch(f"dense assembly capped at {max_size} unknowns")
-        cols = np.empty((n, n))
-        e = np.zeros(n)
-        for j in range(n):
-            e[j] = 1.0
-            cols[:, j] = self._apply_direct_flat(e)
-            e[j] = 0.0
-        return cols
+        mat = np.zeros((n, n))
+        for j, scale, row in self._rows():
+            mat[j] = scale * row
+        if self.mask is not None:
+            mat[:, ~self.mask.inside] = 0.0
+        return mat
 
 
 def operator_timing(op: VariableOrderOperator, n_reps: int = 5) -> dict:

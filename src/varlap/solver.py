@@ -46,7 +46,6 @@ __all__ = [
     "step_allen_cahn_three_level",
     "evolve",
     "EvolveRecord",
-    "write_residual_csv",
     "write_observer_csv",
 ]
 
@@ -576,15 +575,6 @@ def _dump_frame(frame_dir, frame_every: int, step: int, u: GridFunction) -> None
         return
     np.savetxt(f"{frame_dir}/frame_{step:06d}.txt", u.values_nd.reshape(
         u.grid.shape[0], -1))
-
-
-def write_residual_csv(result: KrylovResult, path) -> None:
-    """Per-iteration relative residuals of one solve."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "relative_residual"])
-        for i, r in enumerate(result.residuals):
-            writer.writerow([i, f"{r:.6e}"])
 
 
 def write_observer_csv(record: EvolveRecord, path) -> None:

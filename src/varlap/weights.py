@@ -24,6 +24,10 @@ so its error decays only algebraically in m.  In 2D the operator therefore
 applies :func:`alias_corrected_block`, which adds those aliases back (Navot
 1961; Lyness 1976) and leaves about 1e-11 at m = 4N, N = 63.  The periodic
 table itself stays plain, and 3D uses it as it is.
+
+Tables are built afresh on every call; a 2D N = 511 table (m = 2048) is
+8.4 MB and takes about 35-40 ms.  The one cache is the order-free geometry of
+the 2D alias sum, which :func:`clear_weight_cache` drops.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import csv
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +49,7 @@ __all__ = [
     "DecayReport",
     "symbol",
     "weights_1d_closed_form",
+    "closed_form_rows",
     "weights_nd_fft",
     "alias_corrected_block",
     "check_decay",
@@ -88,7 +92,6 @@ class WeightTable:
     dim: int
     m: int
     values: np.ndarray
-    kind: str = "fft"           # "fft" | "closed-form"
 
     @property
     def max_offset(self) -> int:
@@ -151,18 +154,15 @@ def weights_1d_closed_form(alpha: float, n_max: int) -> WeightTable:
     n_max = int(n_max)
     if n_max < 1:
         raise InvalidDim(f"n_max must be >= 1, got {n_max}")
-    half = np.zeros(n_max + 2)
-    half[0] = math.gamma(alpha + 1.0) / math.gamma(alpha / 2.0 + 1.0) ** 2
-    for n in range(n_max + 1):
-        half[n + 1] = half[n] * (n - alpha / 2.0) / (n + 1.0 + alpha / 2.0)
-    return WeightTable(alpha=alpha, dim=1, m=2 * n_max + 2, values=half,
-                       kind="closed-form")
+    return WeightTable(alpha=alpha, dim=1, m=2 * n_max + 2,
+                       values=closed_form_rows([alpha], n_max + 1)[0])
 
 
 def closed_form_rows(alphas: np.ndarray, n_max: int) -> np.ndarray:
     """Recurrence weights for many orders at once, shape (len(alphas), n_max+1).
 
-    Row i holds a_0..a_n for order alphas[i]; used by the 1D direct apply.
+    Row i holds a_0..a_n for order alphas[i], by the recurrence of
+    :func:`weights_1d_closed_form`; the 1D direct apply reads one row a node.
     """
     al = np.asarray(alphas, dtype=float)
     if np.any(al <= 0.0) or np.any(al > 2.0):
@@ -200,40 +200,6 @@ def default_quadrature_size(dim: int, n_target: int) -> int:
     return max(min(max(_next_pow2(4 * n_target), 64), 512), floor)
 
 
-_cache_lock = threading.Lock()
-_table_cache: dict[tuple, WeightTable] = {}
-_cache_bytes = 0
-_CACHE_BUDGET = 256 * 2**20
-_CACHE_ENTRY_LIMIT = 48 * 2**20
-
-
-def clear_weight_cache() -> None:
-    global _cache_bytes
-    with _cache_lock:
-        _table_cache.clear()
-        _cache_bytes = 0
-
-
-def _cache_get(key):
-    with _cache_lock:
-        return _table_cache.get(key)
-
-
-def _cache_put(key, table: WeightTable) -> None:
-    global _cache_bytes
-    nbytes = table.values.nbytes
-    if nbytes > _CACHE_ENTRY_LIMIT:
-        return
-    with _cache_lock:
-        if key in _table_cache:
-            return
-        while _cache_bytes + nbytes > _CACHE_BUDGET and _table_cache:
-            _, old = _table_cache.popitem()
-            _cache_bytes -= old.values.nbytes
-        _table_cache[key] = table
-        _cache_bytes += nbytes
-
-
 def weights_nd_fft(alpha: float, dim: int, m: int,
                    target_n: int | None = None) -> WeightTable:
     """Weight table in ``dim`` dimensions by trapezoidal quadrature.
@@ -266,11 +232,6 @@ def weights_nd_fft(alpha: float, dim: int, m: int,
             f"quadrature size {m} < 2*N = {2 * int(target_n)}"
         )
 
-    key = (np.float64(alpha).tobytes(), dim, m)
-    hit = _cache_get(key)
-    if hit is not None:
-        return hit
-
     eta = 2.0 * np.pi * np.arange(m // 2 + 1) / m
     s = 4.0 * np.sin(eta / 2.0) ** 2
     acc = s
@@ -280,9 +241,7 @@ def weights_nd_fft(alpha: float, dim: int, m: int,
     acc **= alpha / 2.0
     vals = sfft.dctn(acc, type=1, overwrite_x=True)
     vals /= m**dim
-    table = WeightTable(alpha=alpha, dim=dim, m=m, values=vals, kind="fft")
-    _cache_put(key, table)
-    return table
+    return WeightTable(alpha=alpha, dim=dim, m=m, values=vals)
 
 
 #: Chebyshev nodes per axis at which the 2D alias sum is evaluated, the
@@ -344,6 +303,11 @@ def _alias_geometry(n_max: int, m: int) -> tuple[np.ndarray, ...]:
     for a in out:
         a.setflags(write=False)
     return out
+
+
+def clear_weight_cache() -> None:
+    """Drop the cached 2D alias geometry, the one table-side cache."""
+    _alias_geometry.cache_clear()
 
 
 def alias_corrected_block(alpha: float, m: int, n_max: int) -> np.ndarray:

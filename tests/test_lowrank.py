@@ -98,5 +98,5 @@ def test_rank_coefficients_rows_sum_to_one():
         lambda p: 1.0 + 0.5 * np.tanh(p[:, 0]), 0.4, 1.6), g)
     plan = vl.build_plan(field.alpha_min, field.alpha_max, 6)
     coeffs = vl.rank_coefficients(plan, field)
-    assert coeffs.coeffs.shape == (g.size, 6)
-    assert np.allclose(coeffs.coeffs.sum(axis=1), 1.0, atol=1e-10)
+    assert coeffs.shape == (g.size, 6)
+    assert np.allclose(coeffs.sum(axis=1), 1.0, atol=1e-10)

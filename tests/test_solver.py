@@ -11,7 +11,6 @@ from varlap.solver import (
     _step_allen_cahn_bootstrap,
     positive_component_count,
     write_observer_csv,
-    write_residual_csv,
 )
 
 from conftest import gaussian_on
@@ -396,10 +395,6 @@ def test_component_count():
 
 
 def test_run_record_csvs(tmp_path):
-    res = vl.bicgstab(lambda u: 2.0 * u, np.ones(3))
-    write_residual_csv(res, tmp_path / "resid.csv")
-    lines = (tmp_path / "resid.csv").read_text().strip().splitlines()
-    assert lines[0] == "iteration,relative_residual"
     g = vl.build_grid(1, 0.0, 1.0, 7)
     op = vl.VariableOrderOperator(g, sampled_const(g, 1.0), mode="fast", rank=1)
     rec = vl.evolve(vl.TimeStepper(dt=0.1, t_final=0.2), op,

@@ -6,7 +6,13 @@ from scipy.integrate import quad
 
 import varlap as vl
 from varlap.errors import OrderOutOfRange, QuadratureTooCoarse
-from varlap.weights import alias_corrected_block, check_decay, dump_csv
+from varlap.weights import (
+    _alias_geometry,
+    alias_corrected_block,
+    check_decay,
+    clear_weight_cache,
+    dump_csv,
+)
 
 
 def quad_oracle_1d(alpha: float, n: int) -> float:
@@ -181,6 +187,13 @@ def test_alias_corrected_block_alpha2_is_plain():
     plain = vl.weights_nd_fft(2.0, 2, 64).block_nonneg(15)
     assert block.tobytes() == plain.tobytes()
     assert block[0, 0] == pytest.approx(4.0, abs=1e-12)
+
+
+def test_clear_weight_cache_empties_alias_geometry():
+    alias_corrected_block(1.3, 64, 15)
+    assert _alias_geometry.cache_info().currsize > 0
+    clear_weight_cache()
+    assert _alias_geometry.cache_info().currsize == 0
 
 
 def test_decay_alpha1_brackets_known_constant():
