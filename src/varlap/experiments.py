@@ -83,7 +83,7 @@ def _box(cfg: dict, default: tuple[float, float]) -> tuple[float, float]:
 
 def _grid_for_h(dim: int, lo: float, hi: float, h: float) -> UniformGrid:
     n_float = (hi - lo) / h - 1.0
-    n = int(round(n_float))
+    n = int(round(n_float)) if math.isfinite(n_float) else 0
     if n < 1 or abs(n_float - n) > 1e-9:
         raise ConfigError(f"step {h} does not fit the box [{lo}, {hi}]")
     return build_grid(dim, lo, hi, n)

@@ -10,19 +10,22 @@ everything else).  Two evaluation paths are provided:
   every distinct order it meets (a 2D N = 511 block takes about 40 ms).
 * fast: the rank-r Chebyshev decomposition replaces the non-convolution
   kernel by r constant-order Toeplitz applies, each performed as a circular
-  convolution on an L^d embedding (L >= 2N, FFT-friendly) via FFT, then
-  weighted by the per-node Lagrange coefficients.  O(r N^d log N) per apply.
+  convolution on an L^d embedding (L >= 2N, even, FFT-friendly) via FFT,
+  then weighted by the per-node Lagrange coefficients.  O(r N^d log N) per
+  apply.
 
 The embedded kernel carries offsets -(N-1)..N-1 only, so it is even and its
-spectrum is real.  The transforms are pruned: the forward one pads each axis
-just before transforming it, and the inverse one cuts each axis back to N
-entries right after transforming it, so no transform runs on a line that is
-all zeros or that the interior block never reads.  Kernel spectra and the
-h^(-alpha_q)-scaled Lagrange coefficients are built once per operator, so
-each repeated apply (every Krylov iteration) costs one forward and r inverse
-transforms.  The padded spectrum and its product with one kernel spectrum
-live in two buffers the operator keeps, so an apply allocates no full-size
-padded array.
+spectrum is real: the DCT-I of its nonnegative-offset block, zero-padded to
+L/2 + 1 entries per axis (symmetric convolution).  No embedding is built and
+no complex transform runs to get it.  The apply's transforms are pruned:
+the forward one pads each axis just before transforming it, and the inverse
+one cuts each axis back to N entries right after transforming it, so no
+transform runs on a line that is all zeros or that the interior block never
+reads.  Kernel spectra and the h^(-alpha_q)-scaled Lagrange coefficients
+are built once per operator, so each repeated apply (every Krylov iteration)
+costs one forward and r inverse transforms.  The padded spectrum and its
+product with one kernel spectrum live in two buffers the operator keeps, so
+an apply allocates no full-size padded array.
 """
 
 from __future__ import annotations
@@ -59,13 +62,14 @@ __all__ = [
 
 
 def _fast_axis_len(n: int) -> int:
-    """Circulant length >= 2N with small prime factors.
+    """Even circulant length >= 2N with small prime factors.
 
     Only offsets |m| <= N-1 reach the interior block, so the embedding may
     be padded beyond 2N with zeros; FFT-friendly lengths avoid the slow
-    large-prime transforms that plain 2N often is.
+    large-prime transforms that plain 2N often is.  The length is even
+    because the kernel spectrum is a DCT-I of half of it plus one entry.
     """
-    return sfft.next_fast_len(2 * n, real=True)
+    return 2 * sfft.next_fast_len(n, real=True)
 
 
 def _forward(u_nd: np.ndarray, pad_shape: tuple[int, ...],
@@ -105,7 +109,10 @@ class ConstantOrderKernel:
     alpha: float
     grid_shape: tuple[int, ...]
     h: float
-    spectrum: np.ndarray          # real rfftn of the even embedded kernel
+    # real rfftn-layout spectrum of the even embedded kernel: a DCT-I of
+    # the nonnegative-offset block padded to L/2 + 1 entries per axis,
+    # mirrored to full length L on every axis but the last
+    spectrum: np.ndarray
     pad_shape: tuple[int, ...]
 
     @classmethod
@@ -114,7 +121,8 @@ class ConstantOrderKernel:
         """Build from the nonnegative-offset block a_0..a_N per axis.
 
         Only offsets |k| <= N-1 reach the interior block; the embedding
-        leaves offset -N at zero, which keeps the kernel even.
+        leaves offsets N..L/2 at zero, which keeps the kernel even, so its
+        spectrum is the DCT-I of those offsets (symmetric convolution).
         """
         dim = len(grid_shape)
         if block.ndim != dim or any(block.shape[p] < grid_shape[p] + 1
@@ -123,12 +131,12 @@ class ConstantOrderKernel:
                 f"weight block {block.shape} too small for grid {grid_shape}"
             )
         pad_shape = tuple(_fast_axis_len(n) for n in grid_shape)
-        src = [np.r_[np.arange(n), np.arange(n - 1, 0, -1)] for n in grid_shape]
-        dst = [np.r_[np.arange(n), np.arange(length - n + 1, length)]
-               for n, length in zip(grid_shape, pad_shape)]
-        kernel = np.zeros(pad_shape)
-        kernel[np.ix_(*dst)] = block[np.ix_(*src)]
-        spectrum = np.ascontiguousarray(sfft.rfftn(kernel).real)
+        half = np.zeros(tuple(length // 2 + 1 for length in pad_shape))
+        inner = tuple(slice(0, n) for n in grid_shape)
+        half[inner] = block[inner]
+        half = sfft.dctn(half, type=1, overwrite_x=True)
+        mirror = [(0, length // 2 - 1) for length in pad_shape[:-1]] + [(0, 0)]
+        spectrum = np.pad(half, mirror, mode="reflect")
         return cls(alpha=float(alpha), grid_shape=tuple(grid_shape), h=float(h),
                    spectrum=spectrum, pad_shape=pad_shape)
 
@@ -257,7 +265,9 @@ class VariableOrderOperator:
         # fixed ascending-q summation keeps results bitwise reproducible
         for coef, kern in zip(self._rank_maps, self.kernels):
             np.multiply(spec, kern.spectrum, out=prod)
-            out += coef * _inverse(prod, shape, pad_shape)
+            term = _inverse(prod, shape, pad_shape)
+            term *= coef
+            out += term
         out = out.ravel()
         if self.mask is not None:
             out[~self.mask.inside] = 0.0

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varlap import OrderField, VariableOrderOperator, build_grid, cli, experiments
 from varlap.errors import ConfigError
@@ -251,3 +257,44 @@ def test_exit_code_2_on_config_types(tmp_path, command, cfg, capsys):
     assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+# values of the wrong type or range, mixed into every key of the fuzz configs
+_WRONG = [None, True, "x", "1", [], {}, [1], 1.5, -1, 0, float("inf")]
+
+
+def _key(valid, weight):
+    """Mostly one of ``valid`` (each ``weight`` times as likely), else wrong."""
+    return st.sampled_from(valid * weight + _WRONG)
+
+
+_CONV_CONFIGS = st.fixed_dictionaries({
+    "dim": _key([1, 2, 3], 6),
+    # coarse steps only: the largest grid is N = 15 in 3D
+    "h_list": st.one_of(st.lists(_key([2.0, 1.0, 0.5], 10), min_size=1,
+                                 max_size=3),
+                        st.sampled_from(_WRONG)),
+    "order": _key(["alpha1", "alpha2", "alpha3", "case2_tanh",
+                   "expr:1 + 0*x1", "expr:x1", "nope", "expr:"], 2),
+}, optional={
+    "box": _key([[-4, 4], [-2, 2], [0, 1], [1, -1], [0, 0],
+                 [-1e308, 1e308]], 2),
+    "mode": _key(["fast", "direct", "slow"], 4),
+    "rank": _key([1, 3, 7, 0, -2, 40], 2),
+})
+
+
+@given(cfg=_CONV_CONFIGS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_apply_conv_fuzz_exits_cleanly(cfg):
+    # every config either runs or is refused with a one-line message
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_cfg(Path(tmp), "fuzz.json", cfg)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["apply-conv", "--config", path, "--out", tmp])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("config error:")

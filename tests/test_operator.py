@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 import varlap as vl
 from varlap.errors import GridMismatch, InvalidRange, PlanMissing, SizeMismatch
-from varlap.operator import fit_loglog_slope
+from varlap.operator import ConstantOrderKernel, _fast_axis_len, fit_loglog_slope
 from varlap.presets import order_field
 from varlap.weights import alias_corrected_block
 
@@ -329,3 +330,37 @@ def test_pruned_fast_apply_matches_dense(dim, n):
         toeplitz[j] = np.sum(win * u_nd) * g.h ** -alpha
     out = kern.apply_nd(u_nd)
     assert np.abs(out - toeplitz).max() <= 1e-12 * np.abs(toeplitz).max()
+
+
+def _embedded_spectrum(block, grid_shape, pad_shape):
+    """Kernel spectrum the long way: the even L^d embedding of offsets
+    -(N-1)..N-1 and the real part of its complex rfftn."""
+    src = [np.r_[np.arange(n), np.arange(n - 1, 0, -1)] for n in grid_shape]
+    dst = [np.r_[np.arange(n), np.arange(length - n + 1, length)]
+           for n, length in zip(grid_shape, pad_shape)]
+    kernel = np.zeros(pad_shape)
+    kernel[np.ix_(*dst)] = block[np.ix_(*src)]
+    return sfft.rfftn(kernel).real
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [7, 13, 16, 17])
+def test_kernel_spectrum_matches_embedded_rfftn(dim, n):
+    # N = 7 and 13 used to get odd pads (15 and 27); a random block also
+    # fills offset N, which the spectrum must ignore
+    shape = (n,) * dim
+    block = np.random.default_rng(n + dim).standard_normal((n + 1,) * dim)
+    kern = ConstantOrderKernel.from_block(block, shape, 0.1, 1.3)
+    ref = _embedded_spectrum(block, shape, kern.pad_shape)
+    assert kern.spectrum.shape == ref.shape
+    assert kern.spectrum.flags.c_contiguous and kern.spectrum.dtype == float
+    assert np.abs(kern.spectrum - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_fast_axis_len_even_and_covers_2n():
+    lengths = {n: _fast_axis_len(n) for n in range(1, 601)}
+    assert all(length % 2 == 0 and length >= 2 * n
+               for n, length in lengths.items())
+    # the benchmark grids keep the pads of next_fast_len(2N)
+    for n in (31, 127, 255, 511):
+        assert lengths[n] == sfft.next_fast_len(2 * n, real=True)

@@ -14,6 +14,7 @@ from varlap.errors import (
     TailTooLarge,
 )
 from varlap.experiments import restrict_nested
+from varlap.presets import order_field
 
 
 def mp_hyp1f1_direct(a, b, z, dps=60):
@@ -107,6 +108,40 @@ def test_gaussian_frac_lap_alpha_to_two_continuity():
              for k in range(2, 7)]
     assert all(a > b for a, b in zip(diffs, diffs[1:]))
     assert diffs[-1] < 1e-4
+
+
+def _gaussian_frac_lap_every_point(pts, alpha, d):
+    """The closed form evaluated at every point, without deduplication."""
+    r2 = np.sum(np.asarray(pts, dtype=float) ** 2, axis=-1)
+    al = np.broadcast_to(np.asarray(alpha, dtype=float), r2.shape)
+    lg = np.vectorize(math.lgamma)
+    front = 2.0**al * np.exp(lg((d + al) / 2.0) - math.lgamma(d / 2.0))
+    return front * vl.hyp1f1((d + al) / 2.0, d / 2.0, -r2)
+
+
+@pytest.mark.parametrize("order", ["radial", "constant", "random"])
+def test_gaussian_frac_lap_bitwise_on_symmetric_grid(order):
+    grid = vl.build_grid(2, -4.0, 4.0, 63)
+    pts = grid.points()
+    if order == "radial":
+        alpha = vl.sample_order(order_field("alpha2"), grid).sampled
+    elif order == "constant":
+        alpha = 1.3
+    else:
+        # orders independent of |x| on repeated radii: a key on |x|^2 alone
+        # would hand one radius's value to another order
+        alpha = np.random.default_rng(3).choice([0.4, 1.1, 1.9], grid.size)
+    got = vl.gaussian_frac_lap(pts, alpha, 2)
+    assert got.shape == (grid.size,)
+    assert np.array_equal(got, _gaussian_frac_lap_every_point(pts, alpha, 2))
+
+
+def test_gaussian_frac_lap_scalar_paths_return_float():
+    one_d = vl.gaussian_frac_lap(0.6, 1.4, 1)
+    point = vl.gaussian_frac_lap([0.6, -0.2], np.float64(1.4), 2)
+    assert type(one_d) is float and type(point) is float
+    assert one_d == _gaussian_frac_lap_every_point([[0.6]], 1.4, 1)[0]
+    assert point == _gaussian_frac_lap_every_point([[0.6, -0.2]], 1.4, 2)[0]
 
 
 def test_normalization_constant():
