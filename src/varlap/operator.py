@@ -109,10 +109,7 @@ class ConstantOrderKernel:
     alpha: float
     grid_shape: tuple[int, ...]
     h: float
-    # real rfftn-layout spectrum of the even embedded kernel: a DCT-I of
-    # the nonnegative-offset block padded to L/2 + 1 entries per axis,
-    # mirrored to full length L on every axis but the last
-    spectrum: np.ndarray
+    spectrum: np.ndarray          # real rfftn layout; a mirrored DCT-I
     pad_shape: tuple[int, ...]
 
     @classmethod
