@@ -71,6 +71,7 @@ from .weights import (
     WeightTable,
     check_decay,
     default_quadrature_size,
+    operator_block,
     symbol,
     weights_1d_closed_form,
     weights_nd_fft,

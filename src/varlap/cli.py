@@ -23,13 +23,7 @@ import scipy.fft as sfft
 
 from . import experiments
 from .errors import ConfigError, SolverFailure, VarlapError
-from .weights import (
-    alias_corrected_block,
-    default_quadrature_size,
-    dump_csv,
-    weights_1d_closed_form,
-    weights_nd_fft,
-)
+from .weights import dump_csv, operator_block
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,22 +46,13 @@ def _load_config(path: str | None) -> dict:
 
 
 def _run_weights(cfg: dict, out_dir: Path) -> None:
+    """Write the weights the operator applies, every signed offset to n_max."""
     alpha = experiments._number(cfg, "alpha", None)
-    dim = experiments._number(cfg, "dim", 1, int)
+    dim = experiments._choice(cfg, "dim", (1, 2, 3), 1)
     n_max = experiments._number(cfg, "n_max", 64, int)
-    kind = cfg.get("kind") or ("closed-form" if dim == 1 else "fft")
-    if kind == "closed-form":
-        if dim != 1:
-            raise ConfigError("closed-form weights exist only in 1D")
-        block = weights_1d_closed_form(alpha, n_max).block_nonneg(n_max)
-    elif kind == "fft":
-        m = (experiments._number(cfg, "quadrature", None, int)
-             if cfg.get("quadrature") else default_quadrature_size(dim, n_max))
-        # in 2D the weights the operator applies: the table with its aliases
-        block = (alias_corrected_block(alpha, m, n_max) if dim == 2 else
-                 weights_nd_fft(alpha, dim, m, target_n=n_max).block_nonneg(n_max))
-    else:
-        raise ConfigError(f"weights kind must be closed-form or fft, got {kind!r}")
+    experiments._check_nodes(2 * n_max + 1, dim)
+    block = operator_block(alpha, dim, n_max,
+                           experiments._optional_number(cfg, "quadrature", int))
     out = experiments._output(cfg, out_dir, "weights.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     dump_csv(block, out)

@@ -81,12 +81,25 @@ def _box(cfg: dict, default: tuple[float, float]) -> tuple[float, float]:
     return float(box[0]), float(box[1])
 
 
+#: Most nodes a config may ask for in one grid or weight block: 128 MiB per
+#: array of doubles.  The largest grid the tests and benchmarks build, 2D
+#: N = 1023, has about 1.05M.
+MAX_NODES = 2**24
+
+
+def _check_nodes(n: int, dim: int) -> int:
+    """``n``, if n^dim nodes are within MAX_NODES; ConfigError otherwise."""
+    if n ** dim > MAX_NODES:
+        raise ConfigError(f"{n}^{dim} nodes exceed the limit of {MAX_NODES}")
+    return n
+
+
 def _grid_for_h(dim: int, lo: float, hi: float, h: float) -> UniformGrid:
     n_float = (hi - lo) / h - 1.0
     n = int(round(n_float)) if math.isfinite(n_float) else 0
     if n < 1 or abs(n_float - n) > 1e-9:
         raise ConfigError(f"step {h} does not fit the box [{lo}, {hi}]")
-    return build_grid(dim, lo, hi, n)
+    return build_grid(dim, lo, hi, _check_nodes(n, dim))
 
 
 def _is_number(v, kind=float) -> bool:
@@ -195,10 +208,10 @@ def run_apply_convergence(cfg: dict, out_dir) -> list[ConvergenceRow]:
     hs = _h_list(cfg)
     base_field = _order(cfg)
     out = _output(cfg, out_dir, "apply_conv.csv")
+    grids = [_grid_for_h(dim, lo, hi, h) for h in hs]
     rows: list[ConvergenceRow] = []
     errors: list[float] = []
-    for h in hs:
-        grid = _grid_for_h(dim, lo, hi, h)
+    for grid in grids:
         field = sample_order(base_field, grid)
         op = _build_operator(grid, field, cfg)
         pts = grid.points()
@@ -363,7 +376,7 @@ def run_bench(cfg: dict, out_dir):
         dim = _choice(cfg, "dim", (1, 2, 3), 3)
         out = _output(cfg, out_dir, "bench_cn3d.csv")
         lo, hi = _box(cfg, (-1.0, 1.0))
-        ns = _positive_list(cfg, "n_list", kind=int)
+        ns = [_check_nodes(n, dim) for n in _positive_list(cfg, "n_list", kind=int)]
         dts = _positive_list(cfg, "dt_list", [1.0 / (n + 1) for n in ns])
         if len(dts) != len(ns):
             raise ConfigError("dt_list must pair with n_list")
@@ -388,7 +401,7 @@ def run_bench(cfg: dict, out_dir):
     dim = _choice(cfg, "dim", (1, 2, 3), 1)
     out = _output(cfg, out_dir, "bench_apply.csv")
     lo, hi = _box(cfg, (-4.0, 4.0))
-    ns = _positive_list(cfg, "n_list", kind=int)
+    ns = [_check_nodes(n, dim) for n in _positive_list(cfg, "n_list", kind=int)]
     reps = _number(cfg, "reps", 5, int)
     rows = []
     for n in ns:

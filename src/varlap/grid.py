@@ -68,10 +68,6 @@ class UniformGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def meshgrid(self) -> list[np.ndarray]:
-        axes = [self.axis_nodes(p) for p in range(self.dim)]
-        return np.meshgrid(*axes, indexing="ij")
-
 
 @dataclass(frozen=True)
 class OrderField:
@@ -162,10 +158,6 @@ class DomainMask:
         if not ins.any():
             raise EmptyDomain("mask selects no node")
         object.__setattr__(self, "inside", ins)
-
-    @property
-    def inside_nd(self) -> np.ndarray:
-        return self.inside.reshape(self.grid.shape)
 
 
 def build_grid(dim: int,

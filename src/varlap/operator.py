@@ -7,7 +7,8 @@ everything else).  Two evaluation paths are provided:
 * direct: per-node weight rows, O(N^{2d}) work.  The reference path and the
   oracle for the fast one; ``dense_matrix`` stacks the same rows.  Nothing is
   cached between direct applies: each one rebuilds the weight block of
-  every distinct order it meets (a 2D N = 511 block takes about 40 ms).
+  every distinct order it meets (a 2D N = 511 block takes about 40 ms, a 1D
+  one a few microseconds).
 * fast: the rank-r Chebyshev decomposition replaces the non-convolution
   kernel by r constant-order Toeplitz applies, each performed as a circular
   convolution on an L^d embedding (L >= 2N, even, FFT-friendly) via FFT,
@@ -46,13 +47,10 @@ from .lowrank import (
     estimate_rank,
     rank_coefficients,
 )
-from .weights import (
-    alias_corrected_block,
-    closed_form_rows,
-    default_quadrature_size,
-    weights_1d_closed_form,
-    weights_nd_fft,
-)
+from .weights import operator_block
+# bound here only for perfbench/tracing.py: Tracer.install reads
+# varlap.operator.weights_nd_fft and raises AttributeError without it
+from .weights import weights_nd_fft  # noqa: F401
 
 __all__ = [
     "ConstantOrderKernel",
@@ -159,12 +157,13 @@ class VariableOrderOperator:
         epsilon: if given and ``rank`` is None, pick the smallest rank whose
             measured interpolation error is below epsilon.
         plan: an explicit ChebyshevPlan overriding rank/epsilon.
-        quadrature_m: weight quadrature size (default by grid size policy).
+        quadrature_m: weight quadrature size in 2D and 3D (default: that of
+            :func:`~varlap.weights.operator_block`); 1D weights are exact.
         mask: optional embedding mask; masked-out nodes contribute zero and
             receive zero in every apply.
 
-    Both modes apply the same weights: the closed form in 1D, the
-    alias-corrected quadrature in 2D and the plain quadrature in 3D.
+    Both modes apply the same weights, :func:`~varlap.weights.operator_block`
+    of each order.
     """
 
     def __init__(self, grid: UniformGrid, field: OrderField,
@@ -184,9 +183,7 @@ class VariableOrderOperator:
         self.mode = mode
         self.mask = mask
         self.n_max = max(grid.n_per_dim)
-        self.quadrature_m = (int(quadrature_m) if quadrature_m is not None
-                             else default_quadrature_size(grid.dim, self.n_max))
-        self._closed_form = grid.dim == 1
+        self.quadrature_m = quadrature_m
         self.interpolation_error: float | None = None
 
         self.plan: ChebyshevPlan | None = None
@@ -215,21 +212,12 @@ class VariableOrderOperator:
 
     # -- kernel and weight-row construction -------------------------------
 
-    def _weight_block(self, alpha: float) -> np.ndarray:
-        """Nonnegative-offset weight block covering offsets 0..N per axis."""
-        if self._closed_form:
-            return weights_1d_closed_form(alpha, self.n_max).block_nonneg(self.n_max)
-        if self.grid.dim == 2:
-            return alias_corrected_block(alpha, self.quadrature_m, self.n_max)
-        table = weights_nd_fft(alpha, self.grid.dim, self.quadrature_m,
-                               target_n=self.n_max)
-        return table.block_nonneg(self.n_max)
-
     def constant_order_kernel(self, alpha: float) -> ConstantOrderKernel:
         """The constant-order kernel of order ``alpha`` on this grid."""
-        return ConstantOrderKernel.from_block(self._weight_block(alpha),
-                                              self.grid.shape, self.grid.h,
-                                              alpha)
+        block = operator_block(alpha, self.grid.dim, self.n_max,
+                               self.quadrature_m)
+        return ConstantOrderKernel.from_block(block, self.grid.shape,
+                                              self.grid.h, alpha)
 
     # -- applies -----------------------------------------------------------
 
@@ -275,21 +263,12 @@ class VariableOrderOperator:
 
         ``v_j = scale * (row @ u)`` for flat u: the row holds the weights at
         offsets k - j over all interior nodes k, and scale is h^(-alpha_j).
-        1D rows come from the closed-form recurrence; nD rows are windows of
-        the weight block of the node's order, which is built once per
-        distinct order and dropped once its nodes are done.
+        Rows are windows of the weight block of the node's order, which is
+        built once per distinct order and dropped once its nodes are done.
         """
         alphas, h = self.field.sampled, self.grid.h
         nodes = (np.arange(self.grid.size) if self.mask is None
                  else np.flatnonzero(self.mask.inside))
-        if self._closed_form:
-            n = self.grid.size
-            rows = closed_form_rows(alphas, n - 1)
-            scales = h ** (-alphas)
-            idx = np.arange(n)
-            for j in nodes:
-                yield j, scales[j], rows[j, np.abs(idx - j)]
-            return
         shape = self.grid.shape
         axis_range = [np.arange(n) for n in shape]
         order_groups: dict[bytes, list[int]] = {}
@@ -297,7 +276,8 @@ class VariableOrderOperator:
             order_groups.setdefault(np.float64(alphas[j]).tobytes(), []).append(j)
         for key, nodes_j in order_groups.items():
             alpha = float(np.frombuffer(key, dtype=np.float64)[0])
-            block = self._weight_block(alpha)
+            block = operator_block(alpha, self.grid.dim, self.n_max,
+                                   self.quadrature_m)
             scale = h ** (-alpha)
             for j in nodes_j:
                 jnd = np.unravel_index(j, shape)

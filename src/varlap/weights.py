@@ -20,10 +20,14 @@ the full periodic table (the symbol vanishes at eta = 0), and decay like
 
 The trapezoidal table of size m is the aliased sum
 ``sum_k a_(n+km)``; the far weights follow ``-C_{d,alpha} |j|^(-d-alpha)``,
-so its error decays only algebraically in m.  In 2D the operator therefore
-applies :func:`alias_corrected_block`, which adds those aliases back (Navot
-1961; Lyness 1976) and leaves about 1e-11 at m = 4N, N = 63.  The periodic
-table itself stays plain, and 3D uses it as it is.
+so its error decays only algebraically in m.  :func:`alias_corrected_block`
+adds those aliases back in 2D (Navot 1961; Lyness 1976) and leaves about
+1e-11 at m = 4N, N = 63.
+
+:func:`operator_block` is the one place that picks the weights an operator
+applies, and their default quadrature size: the closed form in 1D, the
+alias-corrected table in 2D and the plain table in 3D.  The fast kernels,
+the direct rows and ``varlap weights`` all read it.
 
 Tables are built afresh on every call; a 2D N = 511 table (m = 2048) is
 8.4 MB and takes about 35-40 ms.  The one cache is the order-free geometry of
@@ -49,9 +53,9 @@ __all__ = [
     "DecayReport",
     "symbol",
     "weights_1d_closed_form",
-    "closed_form_rows",
     "weights_nd_fft",
     "alias_corrected_block",
+    "operator_block",
     "check_decay",
     "dump_csv",
     "default_quadrature_size",
@@ -139,7 +143,7 @@ class WeightTable:
 
 
 def weights_1d_closed_form(alpha: float, n_max: int) -> WeightTable:
-    """1D weights from the closed form, evaluated by a stable recurrence.
+    """1D weights at offsets 0..n_max+1 from the closed form (period 2*n_max+2).
 
     The closed form is ``a_n = (-1)^n Gamma(alpha+1) /
     (Gamma(alpha/2+n+1) Gamma(alpha/2-n+1))``; direct Gamma evaluation hits
@@ -148,31 +152,14 @@ def weights_1d_closed_form(alpha: float, n_max: int) -> WeightTable:
         a_0 = Gamma(alpha+1) / Gamma(alpha/2+1)^2,
         a_{n+1} = a_n * (n - alpha/2) / (n + 1 + alpha/2),
 
-    which is pole-free and exact at alpha = 2 (stencil 2, -1, 0, ...).
+    which is pole-free and exact at alpha = 2 (stencil 2, -1, 0, ...).  The
+    values are those of :func:`operator_block` in 1D.
     """
-    alpha = _check_alpha(alpha)
     n_max = int(n_max)
     if n_max < 1:
         raise InvalidDim(f"n_max must be >= 1, got {n_max}")
-    return WeightTable(alpha=alpha, dim=1, m=2 * n_max + 2,
-                       values=closed_form_rows([alpha], n_max + 1)[0])
-
-
-def closed_form_rows(alphas: np.ndarray, n_max: int) -> np.ndarray:
-    """Recurrence weights for many orders at once, shape (len(alphas), n_max+1).
-
-    Row i holds a_0..a_n for order alphas[i], by the recurrence of
-    :func:`weights_1d_closed_form`; the 1D direct apply reads one row a node.
-    """
-    al = np.asarray(alphas, dtype=float)
-    if np.any(al <= 0.0) or np.any(al > 2.0):
-        raise OrderOutOfRange("order outside (0, 2]")
-    rows = np.zeros((al.size, n_max + 1))
-    g = np.vectorize(math.gamma)
-    rows[:, 0] = g(al + 1.0) / g(al / 2.0 + 1.0) ** 2
-    for n in range(n_max):
-        rows[:, n + 1] = rows[:, n] * (n - al / 2.0) / (n + 1.0 + al / 2.0)
-    return rows
+    return WeightTable(alpha=_check_alpha(alpha), dim=1, m=2 * n_max + 2,
+                       values=operator_block(alpha, 1, n_max + 1))
 
 
 def _next_pow2(n: int) -> int:
@@ -180,7 +167,7 @@ def _next_pow2(n: int) -> int:
 
 
 def default_quadrature_size(dim: int, n_target: int) -> int:
-    """Quadrature size policy: a power of two comfortably above 2*N.
+    """Quadrature size of the 2D and 3D operator weights at N = ``n_target``.
 
     In 2D the operator adds the trapezoidal aliases back
     (:func:`alias_corrected_block`), which leaves an error of order
@@ -188,16 +175,14 @@ def default_quadrature_size(dim: int, n_target: int) -> int:
     of 128 serves coarse grids: at N = 7 and m = 32 that error would be
     4e-8, more than the plain m = 512 table used to have.  The plain 3D
     table aliases with error O(m^(-3-alpha)) and keeps a lean multiple,
-    floored at 64 and capped at 512.  1D tables serve only the CSV dump
-    (the operator uses the closed form) and keep m = 2^14.
+    floored at 64 and capped at 512.  The 1D weights are the closed form
+    and need no quadrature.
     """
     n_target = int(n_target)
-    floor = _next_pow2(2 * n_target + 2)
-    if dim == 1:
-        return max(2**14, floor)
     if dim == 2:
         return max(_next_pow2(4 * n_target), 128)
-    return max(min(max(_next_pow2(4 * n_target), 64), 512), floor)
+    return max(min(max(_next_pow2(4 * n_target), 64), 512),
+               _next_pow2(2 * n_target + 2))
 
 
 def weights_nd_fft(alpha: float, dim: int, m: int,
@@ -342,6 +327,38 @@ def alias_corrected_block(alpha: float, m: int, n_max: int) -> np.ndarray:
     scale = normalization_constant(2, alpha) * float(table.m) ** -s
     block += interp @ (scale * (near + far.sum(axis=0))) @ interp.T
     return block
+
+
+def operator_block(alpha: float, dim: int, n_max: int,
+                   m: int | None = None) -> np.ndarray:
+    """The weights an operator of order ``alpha`` applies, offsets 0..n_max.
+
+    Shape (n_max+1,)*dim.  1D weights are the closed form, exact and free of
+    ``m``; 2D weights are the alias-corrected quadrature and 3D weights the
+    plain one, of size ``m`` or :func:`default_quadrature_size`.
+
+    Raises:
+        InvalidDim: dim not 1, 2 or 3, or n_max < 1.
+        OrderOutOfRange: alpha outside (0, 2].
+        QuadratureTooCoarse: m not a power of two >= 4, or m < 2*n_max.
+    """
+    if dim not in (1, 2, 3):
+        raise InvalidDim(f"dim must be 1, 2 or 3, got {dim}")
+    n_max = int(n_max)
+    if n_max < 1:
+        raise InvalidDim(f"n_max must be >= 1, got {n_max}")
+    if dim == 1:
+        # the recurrence of weights_1d_closed_form as one running product
+        alpha = _check_alpha(alpha)
+        n = np.arange(n_max, dtype=float)
+        factors = np.empty(n_max + 1)
+        factors[0] = math.gamma(alpha + 1.0) / math.gamma(alpha / 2.0 + 1.0) ** 2
+        factors[1:] = (n - alpha / 2.0) / (n + 1.0 + alpha / 2.0)
+        return np.cumprod(factors)
+    m = default_quadrature_size(dim, n_max) if m is None else m
+    if dim == 2:
+        return alias_corrected_block(alpha, m, n_max)
+    return weights_nd_fft(alpha, dim, m, target_n=n_max).block_nonneg(n_max)
 
 
 @dataclass(frozen=True)

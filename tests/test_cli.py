@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from varlap import OrderField, VariableOrderOperator, build_grid, cli, experiments
 from varlap.errors import ConfigError
-from varlap.weights import weights_nd_fft
+from varlap.weights import default_quadrature_size, operator_block, weights_nd_fft
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -28,22 +29,28 @@ def test_weights_subcommand(tmp_path):
     assert len(lines) == 1 + 17
 
 
-def test_weights_2d_csv_is_operator_block(tmp_path):
-    # in 2D the CSV holds the weights the operator applies: the alias-
-    # corrected block at the operator's default quadrature size
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_weights_2d_csv_is_operator_block(tmp_path, dim):
+    # the CSV holds operator_block, the weights the operator applies: the
+    # corner node's row of the direct operator reads offsets 0..n-1
     n, alpha = 8, 1.3
-    cfg = write_cfg(tmp_path, "w2.json", {"alpha": alpha, "dim": 2, "n_max": n})
+    cfg = write_cfg(tmp_path, "w.json", {"alpha": alpha, "dim": dim, "n_max": n})
     assert cli.main(["weights", "--config", cfg, "--out", str(tmp_path)]) == 0
-    rows = np.loadtxt(tmp_path / "weights.csv", delimiter=",", skiprows=1)
-    assert rows.shape == ((2 * n + 1) ** 2, 3)
-    grid = build_grid(2, -1.0, 1.0, n)
+    rows = np.loadtxt(tmp_path / "weights.csv", delimiter=",", skiprows=1,
+                      ndmin=2)
+    assert rows.shape == ((2 * n + 1) ** dim, dim + 1)
+    block = operator_block(alpha, dim, n)
+    idx = tuple(np.abs(rows[:, :dim]).astype(int).T)
+    assert np.abs(rows[:, dim] - block[idx]).max() <= 1e-11 * block.flat[0]
+    grid = build_grid(dim, -1.0, 1.0, n)
     op = VariableOrderOperator(grid, OrderField.constant(alpha), mode="direct")
-    block = op._weight_block(alpha)
-    idx = np.abs(rows[:, :2]).astype(int)
-    expect = block[idx[:, 0], idx[:, 1]]
-    assert np.abs(rows[:, 2] - expect).max() <= 1e-11 * block[0, 0]
-    plain = weights_nd_fft(alpha, 2, op.quadrature_m).block_nonneg(n)
-    assert np.abs(rows[:, 2] - plain[idx[:, 0], idx[:, 1]]).max() > 1e-9
+    corner = op.dense_matrix()[0].reshape(grid.shape) * grid.h ** alpha
+    inner = (slice(0, n),) * dim
+    assert np.abs(corner - block[inner]).max() <= 1e-14 * block.flat[0]
+    if dim == 2:
+        # the 2D weights carry the alias correction the plain table lacks
+        plain = weights_nd_fft(alpha, 2, default_quadrature_size(2, n))
+        assert np.abs(block - plain.block_nonneg(n)).max() > 1e-9
 
 
 def test_apply_conv_subcommand(tmp_path):
@@ -214,12 +221,39 @@ def test_config_validation_direct():
                     "mode": "fastest"}),
     ("elliptic", {"case": 1, "dim": 1, "order": "case1_linear",
                   "h_list": [0.25], "h_ref": 0.0625, "beta": 1.0}),
+    ("weights", {"alpha": 1.5, "dim": 2, "n_max": 0}),
+    ("weights", {"alpha": 1.5, "dim": 2, "n_max": -5}),
+    ("weights", {"alpha": 1.5, "dim": 3, "n_max": -5}),
+    ("weights", {"alpha": 1.5, "dim": 2, "n_max": 8, "quadrature": 0}),
+    ("weights", {"alpha": 1.5, "dim": 2, "n_max": 8, "quadrature": False}),
+    # past the 2**24-node cap: refused before any array is allocated
+    ("apply-conv", {"dim": 1, "h_list": [1e-300], "order": "alpha1"}),
+    ("apply-conv", {"dim": 1, "h_list": [1e-7], "order": "alpha1"}),
+    ("weights", {"alpha": 1.5, "dim": 1, "n_max": 100000000}),
 ])
 def test_exit_code_2_on_library_value_errors(tmp_path, command, cfg, capsys):
     path = write_cfg(tmp_path, "bad.json", cfg)
     assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_node_cap(tmp_path, capsys):
+    assert experiments._check_nodes(4096, 2) == 4096         # 2**24 nodes
+    assert experiments._check_nodes(256, 3) == 256
+    for n, dim in ((4097, 2), (257, 3), (2**24 + 1, 1)):
+        with pytest.raises(ConfigError, match="exceed"):
+            experiments._check_nodes(n, dim)
+    # the weights runner refuses before it allocates the block
+    path = write_cfg(tmp_path, "big.json", {"alpha": 1.5, "n_max": 10**8})
+    tracemalloc.start()
+    try:
+        code = cli.main(["weights", "--config", path, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 2**20
+    assert "exceed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -6,7 +8,6 @@ import varlap as vl
 from varlap.errors import GridMismatch, InvalidRange, PlanMissing, SizeMismatch
 from varlap.operator import ConstantOrderKernel, _fast_axis_len, fit_loglog_slope
 from varlap.presets import order_field
-from varlap.weights import alias_corrected_block
 
 from conftest import gaussian_on, tanh_dec_field, tanh_inc_field
 
@@ -152,6 +153,23 @@ def test_gaussian_benchmark_value_1d():
     exact = vl.gaussian_frac_lap(g.points()[:, 0], field.sampled, 1)
     err = np.abs(op.apply(u).values - exact).max()
     assert err == pytest.approx(7.35e-4, rel=0.10)
+
+
+def test_direct_1d_apply_builds_no_square_table():
+    # one weight block per distinct order, n + 1 doubles each: an n x n
+    # table of rows would take 128 MiB here
+    n = 4096
+    g = vl.build_grid(1, -1.0, 1.0, n)
+    field = vl.sample_order(order_field("case1_tanh"), g)
+    op = vl.VariableOrderOperator(g, field, mode="direct")
+    u = np.random.default_rng(0).standard_normal(n)
+    tracemalloc.start()
+    try:
+        op._apply_flat(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_dense_sign_structure_1d():
@@ -315,12 +333,7 @@ def test_pruned_fast_apply_matches_dense(dim, n):
     # constant-order apply against the Toeplitz matvec, one row at a time
     alpha = 1.3
     kern = fast.constant_order_kernel(alpha)
-    if dim == 1:
-        nonneg = vl.weights_1d_closed_form(alpha, n).block_nonneg(n)
-    elif dim == 2:
-        nonneg = alias_corrected_block(alpha, m, n)
-    else:
-        nonneg = vl.weights_nd_fft(alpha, dim, m).block_nonneg(n)
+    nonneg = vl.operator_block(alpha, dim, n, m)
     offsets = np.abs(np.arange(1 - n, n))
     block = nonneg[np.ix_(*[offsets] * dim)]
     u_nd = u.reshape(g.shape)

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import varlap as vl
-from varlap.errors import OrderOutOfRange, QuadratureTooCoarse
+from varlap.errors import InvalidDim, OrderOutOfRange, QuadratureTooCoarse
 from varlap.weights import (
     _alias_geometry,
     alias_corrected_block,
@@ -52,6 +52,28 @@ def test_closed_form_alpha1_values():
 def test_closed_form_matches_quadrature_oracle():
     t = vl.weights_1d_closed_form(0.7, 8)
     assert t.value([5]) == pytest.approx(quad_oracle_1d(0.7, 5), abs=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.99, 2.0])
+def test_closed_form_matches_scalar_recurrence(alpha):
+    n_max = 2048
+    a = [math.gamma(alpha + 1.0) / math.gamma(alpha / 2.0 + 1.0) ** 2]
+    for n in range(n_max):
+        a.append(a[n] * (n - alpha / 2.0) / (n + 1.0 + alpha / 2.0))
+    tol = 1e-15 * a[0]
+    assert np.abs(vl.operator_block(alpha, 1, n_max) - a).max() <= tol
+    assert np.abs(vl.weights_1d_closed_form(alpha, n_max - 1).values - a).max() <= tol
+
+
+def test_operator_block_rejects_bad_sizes():
+    for dim in (1, 2, 3):
+        for n_max in (0, -5):
+            with pytest.raises(InvalidDim):
+                vl.operator_block(1.5, dim, n_max)
+    with pytest.raises(InvalidDim):
+        vl.operator_block(1.5, 4, 8)
+    with pytest.raises(QuadratureTooCoarse):
+        vl.operator_block(1.5, 2, 8, m=0)
 
 
 def test_closed_form_rejects_bad_alpha():
