@@ -51,8 +51,7 @@ def _run_weights(cfg: dict, out_dir: Path) -> None:
     dim = experiments._choice(cfg, "dim", (1, 2, 3), 1)
     n_max = experiments._number(cfg, "n_max", 64, int)
     experiments._check_nodes(2 * n_max + 1, dim)
-    block = operator_block(alpha, dim, n_max,
-                           experiments._optional_number(cfg, "quadrature", int))
+    block = operator_block(alpha, dim, n_max, experiments._quadrature(cfg, dim))
     out = experiments._output(cfg, out_dir, "weights.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     dump_csv(block, out)

@@ -6,10 +6,13 @@ embedding mask are pinned to zero through identity rows, keeping the system
 square and nonsingular.  Linear systems are solved matrix-free by BiCGSTAB
 with a zero initial guess by default.  Elliptic and phase-field solves are
 right preconditioned by the tau-algebra (DST-I) model of a constant-order
-block, shifted for the phase-field steps by the mean of their diagonal.
-Crank-Nicolson solves stay unpreconditioned: their identity-dominated
-systems converge in a few dozen half-steps already, and a shift model made
-the ``bench_tanh`` step slower.
+block.  For the elliptic solves its inverse is Lagrange interpolated in the
+order over three Chebyshev nodes of the sampled range; the phase-field
+steps keep one mean order, shifted by the mean of their diagonal.  In a
+preconditioned solve an initial guess x0 is a correction start: the Krylov
+iteration solves for ``u - x0``.  Crank-Nicolson solves stay
+unpreconditioned: their identity-dominated systems converge in a few dozen
+half-steps already, and a shift model made the ``bench_tanh`` step slower.
 
 A requested tolerance below double-precision reach is treated as "iterate to
 stagnation": the solver stops once the relative residual is at ``tol`` or no
@@ -31,6 +34,7 @@ from scipy import ndimage
 
 from .errors import GridMismatch, InvalidRange, SolverFailure
 from .grid import DomainMask, GridFunction
+from .lowrank import build_plan, eval_lagrange
 from .operator import VariableOrderOperator
 from .weights import symbol
 
@@ -50,6 +54,8 @@ __all__ = [
 ]
 
 LinearMap = Callable[[np.ndarray], np.ndarray]
+
+TAU_ORDER_NODES = 3  # Chebyshev order nodes of the unshifted tau inverse
 
 
 @dataclass(frozen=True)
@@ -270,68 +276,82 @@ def _masked_rhs(rhs: np.ndarray, mask: DomainMask | None) -> np.ndarray:
 
 
 def _tau_inverse(op: VariableOrderOperator, scale: float = 1.0,
-                 shift: float = 0.0) -> tuple[LinearMap, LinearMap]:
-    """``(M^-1, M)`` for the tau model M of ``shift*I + scale*A``.
+                 shift: float = 0.0) -> LinearMap:
+    """``M^-1`` for the tau model M of ``shift*I + scale*A``.
 
     S is the orthonormal DST-I, its own inverse; it diagonalizes the tau
     (sine-algebra) approximation of a constant-order Toeplitz block, whose
     eigenvalues are the weight symbol ``Lam = (sum_p 4 sin^2(theta_p/2))^(a/2)``
-    at ``theta_k = k pi / (N_p + 1)``.  The order a is the geometric mean of
-    the sampled order.  With no shift, ``M^-1 v = S (scale Lam)^-1 S (h^alpha_j
-    v)`` undoes the per-node scaling h^(-alpha_j) exactly; with a shift, one
-    scale h^(-a) fits better: ``M^-1 v = S (shift + scale h^(-a) Lam)^-1 S v``.
-    Both maps are the identity on masked rows.
+    at ``theta_k = k pi / (N_p + 1)``.
+
+    With no shift, the frozen-order inverse ``S Lam^(-a/2) S`` is Lagrange
+    interpolated in a over ``TAU_ORDER_NODES`` Chebyshev nodes alpha_p of the
+    sampled order range, the split the operator uses for its own rank sum:
+    ``M^-1 v = S sum_p Lam^(-alpha_p/2) S (L_p(alpha_j) h^alpha_j v_j / scale)``.
+    The per-node scaling h^(-alpha_j) is undone exactly; a constant order
+    collapses the sum to its one node.  With a shift, one order a, the
+    geometric mean of the sampled order, and one scale h^(-a) fit better:
+    ``M^-1 v = S (shift + scale h^(-a) Lam)^-1 S v``.  The map is the
+    identity on masked rows.
     """
     shape = op.grid.shape
     alphas = op.field.sampled
-    abar = float(np.exp(np.mean(np.log(alphas))))
     thetas = [np.pi * np.arange(1, n + 1) / (n + 1) for n in shape]
     theta = np.stack(np.meshgrid(*thetas, indexing="ij"), axis=-1)
     lam = symbol(theta, 1.0)
     if shift == 0.0:
-        inv_lam = lam ** (-abar / 2.0)
-        inv_lam /= scale
-        h_alpha = op.grid.h ** alphas
+        plan = build_plan(alphas.min(), alphas.max(), TAU_ORDER_NODES)
+        inv_lams = [lam ** (-a / 2.0) / scale for a in plan.nodes]
+        # row p: L_p(alpha_j) h^alpha_j
+        node_weights = np.ascontiguousarray(
+            eval_lagrange(plan, alphas).T * op.grid.h ** alphas)
     else:
-        inv_lam = 1.0 / (shift + scale * op.grid.h ** (-abar) * lam ** (abar / 2.0))
-        h_alpha = None
+        abar = float(np.exp(np.mean(np.log(alphas))))
+        inv_lams = [1.0 / (shift + scale * op.grid.h ** (-abar) * lam ** (abar / 2.0))]
+        node_weights = np.ones((1, alphas.size))
     outside = None if op.mask is None else ~op.mask.inside
 
-    def sine_diag(v: np.ndarray, diag: np.ndarray) -> np.ndarray:
-        w = sfft.dstn(v.reshape(shape), type=1, norm="ortho")
-        w *= diag
-        return sfft.dstn(w, type=1, norm="ortho", overwrite_x=True).ravel()
-
-    def pinned(out: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def inverse(v: np.ndarray) -> np.ndarray:
+        acc = sum(inv_lam * sfft.dstn((c * v).reshape(shape), type=1, norm="ortho",
+                                      overwrite_x=True)
+                  for inv_lam, c in zip(inv_lams, node_weights))
+        out = sfft.dstn(acc, type=1, norm="ortho", overwrite_x=True).ravel()
         if outside is not None:
             out[outside] = v[outside]
         return out
 
-    def inverse(v: np.ndarray) -> np.ndarray:
-        return pinned(sine_diag(v if h_alpha is None else h_alpha * v, inv_lam), v)
-
-    def forward(u: np.ndarray) -> np.ndarray:
-        out = sine_diag(u, 1.0 / inv_lam)
-        return pinned(out if h_alpha is None else out / h_alpha, u)
-
-    return inverse, forward
+    return inverse
 
 
-def _solve_preconditioned(apply_a: LinearMap, tau: tuple[LinearMap, LinearMap],
+def _solve_preconditioned(apply_a: LinearMap, inverse: LinearMap,
                           rhs: np.ndarray,
                           config: KrylovConfig | None) -> KrylovResult:
     """Right-preconditioned BiCGSTAB: solve ``A M^-1 y = rhs``, return ``M^-1 y``.
 
-    ``tau`` is the ``(M^-1, M)`` pair of ``_tau_inverse``.  The residuals are
-    those of the returned iterate; an initial guess x0 enters as y0 = M x0.
+    ``inverse`` is the ``M^-1`` of ``_tau_inverse``; the residuals are those
+    of the returned iterate.  An initial guess x0 enters as a correction:
+    BiCGSTAB runs from zero on ``A M^-1 y = rhs - A x0`` and the solve returns
+    ``x0 + M^-1 y``, with tolerance and residuals still relative to ||rhs||.
     """
-    inverse, forward = tau
-    if config is not None and config.x0 is not None:
-        config = replace(config, x0=forward(np.asarray(config.x0, dtype=float).ravel()))
+    cfg = config or KrylovConfig()
+    b = np.asarray(rhs, dtype=float).ravel()
+    b_norm = float(np.linalg.norm(b))
+
     # composed here, not passed to bicgstab, so bicgstab keeps the
     # (apply_a, rhs, config) form that perfbench/tracing.py wraps
-    result = bicgstab(lambda y: apply_a(inverse(y)), rhs, config)
-    return replace(result, x=inverse(result.x))
+    def apply_am(y: np.ndarray) -> np.ndarray:
+        return apply_a(inverse(y))
+
+    if cfg.x0 is None or b_norm == 0.0:     # a zero rhs is solved by u = 0
+        result = bicgstab(apply_am, b, replace(cfg, x0=None))
+        return replace(result, x=inverse(result.x))
+    x0 = np.asarray(cfg.x0, dtype=float).ravel()
+    r0 = b - apply_a(x0)
+    ratio = float(np.linalg.norm(r0)) / b_norm
+    inner = replace(cfg, x0=None, tol=cfg.tol / ratio if ratio > 0.0 else cfg.tol)
+    result = bicgstab(apply_am, r0, inner)
+    return replace(result, x=x0 + inverse(result.x), relres=result.relres * ratio,
+                   residuals=[r * ratio for r in result.residuals])
 
 
 def solve_elliptic(problem: EllipticProblem,
@@ -340,7 +360,8 @@ def solve_elliptic(problem: EllipticProblem,
 
     BiCGSTAB runs on ``A M^-1 y = f`` with M^-1 the unshifted tau inverse of
     ``_tau_inverse`` and returns ``u = M^-1 y``, so its residuals are those
-    of u.  The reaction term stays out of M; masked nodes stay at zero.
+    of u.  A ``config.x0`` is a correction start: the iteration solves for
+    ``u - x0``.  The reaction term stays out of M; masked nodes stay at zero.
 
     Raises:
         SolverFailure: the Krylov iteration broke down or left a residual

@@ -230,6 +230,8 @@ def test_config_validation_direct():
     ("apply-conv", {"dim": 1, "h_list": [1e-300], "order": "alpha1"}),
     ("apply-conv", {"dim": 1, "h_list": [1e-7], "order": "alpha1"}),
     ("weights", {"alpha": 1.5, "dim": 1, "n_max": 100000000}),
+    # an explicit quadrature whose 524289^2 table would take 2 TiB
+    ("weights", {"alpha": 1.5, "dim": 2, "n_max": 8, "quadrature": 1048576}),
 ])
 def test_exit_code_2_on_library_value_errors(tmp_path, command, cfg, capsys):
     path = write_cfg(tmp_path, "bad.json", cfg)
@@ -254,6 +256,16 @@ def test_node_cap(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 2 and peak < 2**20
     assert "exceed" in capsys.readouterr().err
+
+
+def test_quadrature_cap():
+    # every default table of a grid the node cap admits stays admitted
+    for dim, n in ((2, 4096), (3, 256)):
+        m = default_quadrature_size(dim, n)
+        assert experiments._quadrature({"quadrature": m}, dim) == m
+        with pytest.raises(ConfigError, match="exceeds"):
+            experiments._quadrature({"quadrature": 2 * m}, dim)
+    assert experiments._quadrature({}, 2) is None
 
 
 @pytest.mark.parametrize("key,value", [

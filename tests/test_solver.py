@@ -81,7 +81,9 @@ def _elliptic_case(kind):
     else:
         dim, n = (3, 15) if kind == "3d" else (2, 31)
         g = vl.build_grid(dim, -1.0, 1.0, n)
-        field = order_field("case2_linear")
+        # corner08 spans orders 0.8-2.0; case2_square jumps between two orders
+        field = order_field(kind if kind in ("corner08", "case2_square")
+                            else "case2_linear")
         mode = "fast"
         mask = (vl.make_mask(g, lambda p: np.sum(p**2, axis=-1) < 0.7)
                 if kind == "2d_mask" else None)
@@ -95,7 +97,7 @@ def _elliptic_case(kind):
 
 
 @pytest.mark.parametrize("kind", ["1d_direct", "2d_fast", "2d_mask", "3d",
-                                  "non_cubic"])
+                                  "non_cubic", "corner08", "case2_square"])
 def test_preconditioned_solve_matches_plain_bicgstab(kind):
     op, f, b = _elliptic_case(kind)
     prob = vl.EllipticProblem(
@@ -122,6 +124,36 @@ def test_preconditioner_cuts_case2_linear_iterations():
     assert out.krylov.status == "converged" and out.krylov.restarts == 0
     assert 5 * out.krylov.iterations <= plain.iterations, (
         out.krylov.iterations, plain.iterations)
+
+
+@pytest.mark.parametrize("kind, cap", [("case2_linear", 14), ("corner08", 18)])
+def test_order_interpolated_tau_half_steps(kind, cap):
+    # interpolating the frozen-order inverse over the order range absorbs
+    # the spread a single mean order leaves (19 and 27 half-steps with it)
+    g = vl.build_grid(2, -1.0, 1.0, 63)
+    op = vl.VariableOrderOperator(g, vl.sample_order(order_field(kind), g),
+                                  mode="fast")
+    out = vl.solve_elliptic(vl.EllipticProblem(
+        operator=op, f=vl.GridFunction(g, np.ones(g.size))))
+    assert out.krylov.status == "converged" and out.krylov.restarts == 0
+    assert out.krylov.iterations <= cap, out.krylov.iterations
+
+
+def test_initial_guess_residuals_relative_to_rhs():
+    # x0 is a correction start: the first recorded residual is that of x0
+    # itself, relative to ||f||, and the solve still reaches tol on ||f||
+    op, f, b = _elliptic_case("2d_fast")
+    g = op.grid
+    x0 = np.random.default_rng(17).standard_normal(g.size)
+    prob = vl.EllipticProblem(operator=op, f=vl.GridFunction(g, f),
+                              b=vl.GridFunction(g, b))
+    cfg = vl.KrylovConfig(tol=1e-10, x0=x0)
+    res = vl.solve_elliptic(prob, cfg).krylov
+    start = np.linalg.norm(f - _pinned_map(op, b)(x0)) / np.linalg.norm(f)
+    assert res.residuals[0] == pytest.approx(start, rel=1e-12)
+    assert res.status == "converged" and res.relres <= cfg.tol
+    true = np.linalg.norm(f - _pinned_map(op, b)(res.x)) / np.linalg.norm(f)
+    assert true <= 10 * cfg.tol, true
 
 
 def _allen_cahn_systems(op, w_prev, w_cur, stepper):
@@ -179,8 +211,8 @@ def test_preconditioner_cuts_three_level_iterations():
 
 
 def test_preconditioned_solves_take_initial_guess():
-    # x0 enters the preconditioned iteration as y0 = M x0: a random start
-    # reaches the zero-start solution, the converged one returns at once
+    # x0 enters the preconditioned iteration as a correction start: a random
+    # start reaches the zero-start solution, the converged one returns at once
     op, f, b = _elliptic_case("2d_fast")
     g = op.grid
     rng = np.random.default_rng(13)
