@@ -18,10 +18,8 @@ from .errors import (
     OrderOutOfRange,
     OutOfRange,
     PlanMissing,
-    PoleInB,
     QuadratureNonConvergent,
     QuadratureTooCoarse,
-    RangeExceeded,
     RankCapExceeded,
     SizeMismatch,
     SolverFailure,
@@ -51,7 +49,6 @@ from .operator import (
 )
 from .oracle import (
     gaussian_frac_lap,
-    hyp1f1,
     integral_frac_lap,
     manufactured_rhs_case1,
     normalization_constant,

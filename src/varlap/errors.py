@@ -53,14 +53,6 @@ class SolverFailure(VarlapError):
     """Krylov solve ended without an acceptable residual."""
 
 
-class PoleInB(VarlapError):
-    """Confluent hypergeometric lower parameter at a pole."""
-
-
-class RangeExceeded(VarlapError):
-    """Argument outside the supported evaluation range."""
-
-
 class TailTooLarge(VarlapError):
     """Truncation radius too small for the requested tolerance."""
 

@@ -50,10 +50,9 @@ class ConvergenceRow:
 
 
 def _orders(errors: list[float]) -> list[float | None]:
-    out: list[float | None] = [None]
-    for i in range(1, len(errors)):
-        out.append(math.log2(errors[i - 1] / errors[i]))
-    return out
+    """Observed orders log2(e_{i-1} / e_i); None where an error is not positive."""
+    return [None] + [math.log2(a / b) if a > 0.0 and b > 0.0 else None
+                     for a, b in zip(errors, errors[1:])]
 
 
 def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:

@@ -95,14 +95,16 @@ def eval_lagrange(plan: ChebyshevPlan, t) -> np.ndarray:
     if plan.rank == 1:
         out = np.ones((flat.size, 1))
     else:
-        diff = flat[:, None] - plan.nodes[None, :]
+        # (r, n): the reductions run over the short rank axis as r whole-row
+        # adds, not as n strided short sums
+        diff = flat[None, :] - plan.nodes[:, None]
         hit = np.abs(diff) < 1e-14
         safe = np.where(hit, 1.0, diff)
-        kern = plan.bary_weights[None, :] / safe
-        out = kern / kern.sum(axis=1, keepdims=True)
-        rows = hit.any(axis=1)
-        if rows.any():
-            out[rows] = hit[rows].astype(float)
+        kern = plan.bary_weights[:, None] / safe
+        out = (kern / kern.sum(axis=0)).T
+        cols = hit.any(axis=0)
+        if cols.any():
+            out[cols] = hit[:, cols].T
     out = out.reshape(t_arr.shape + (plan.rank,))
     return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 

@@ -218,6 +218,8 @@ def _kissing_bubbles(kappa: float, radius: float = 0.0975
     centers = np.array([[0.42, 0.42], [0.58, 0.58]])
 
     def fn(pts: np.ndarray) -> np.ndarray:
+        if pts.shape[-1] != 2:
+            raise ConfigError("the bubbles initial condition is 2D only")
         d1 = np.linalg.norm(pts - centers[0], axis=-1) - radius
         d2 = np.linalg.norm(pts - centers[1], axis=-1) - radius
         return 1.0 - np.tanh(d1 / (2.0 * kappa)) - np.tanh(d2 / (2.0 * kappa))

@@ -402,6 +402,8 @@ class TimeStepper:
             raise InvalidRange(f"unknown scheme {self.scheme!r}")
         if self.dt <= 0.0 or self.t_final < self.dt:
             raise InvalidRange("need dt > 0 and t_final >= dt")
+        if not math.isfinite(self.t_final / self.dt):
+            raise InvalidRange("t_final / dt overflows the step count")
         if self.scheme == "allen_cahn" and self.kappa <= 0.0:
             raise InvalidRange("Allen-Cahn needs kappa > 0")
 

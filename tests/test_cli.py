@@ -77,6 +77,15 @@ def test_apply_conv_deterministic_output(tmp_path):
     assert (p1 / "conv.csv").read_bytes() == (p2 / "conv.csv").read_bytes()
 
 
+def test_apply_conv_wide_box(tmp_path):
+    # the Gaussian oracle is evaluated out to |x|^2 = 380 on this box
+    cfg = write_cfg(tmp_path, "w.json", {"dim": 1, "order": "const:1.5",
+                                         "box": [-20, 20], "h_list": [0.5]})
+    assert cli.main(["apply-conv", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "apply_conv.csv").read_text().strip().splitlines()
+    assert len(rows) == 2 and np.isfinite(float(rows[1].split(",")[1]))
+
+
 def test_elliptic_subcommand_case2(tmp_path):
     cfg = write_cfg(tmp_path, "e.json", {
         "case": 2, "dim": 2, "order": "case2_linear",
@@ -232,12 +241,20 @@ def test_config_validation_direct():
     ("weights", {"alpha": 1.5, "dim": 1, "n_max": 100000000}),
     # an explicit quadrature whose 524289^2 table would take 2 TiB
     ("weights", {"alpha": 1.5, "dim": 2, "n_max": 8, "quadrature": 1048576}),
+    # t_final / dt overflows the step count
+    ("evolve", {"dim": 1, "order": "const:1.5", "h": 0.25, "dt": 1e-308,
+                "t_final": 1e308}),
 ])
 def test_exit_code_2_on_library_value_errors(tmp_path, command, cfg, capsys):
     path = write_cfg(tmp_path, "bad.json", cfg)
     assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_orders_skip_zero_errors():
+    # a Richardson run on a one-node grid can measure an error of exactly 0
+    assert experiments._orders([0.0, 0.1, 0.025, 0.0]) == [None, None, 2.0, None]
 
 
 def test_node_cap(tmp_path, capsys):
@@ -340,6 +357,56 @@ def test_apply_conv_fuzz_exits_cleanly(cfg):
         with contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["apply-conv", "--config", path, "--out", tmp])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("config error:")
+
+
+def _often(valid):
+    """One of ``valid`` about nine times in ten, else a wrong value."""
+    return _key(valid, 100 // len(valid))
+
+
+# tiny grids only: box [-1, 1] or [0, 1] with h >= 0.25 gives N <= 7, and a
+# Richardson h_list of 1.0 and 0.5 adds a finest run at 0.25.  dt and t_final
+# come from small sets, so every step count stays small; t_final / dt
+# overflow is a case of test_exit_code_2_on_library_value_errors.
+_EVOLVE_CONFIGS = st.fixed_dictionaries({
+    "kind": _often(["single", "richardson"]),
+    "dim": _often([1, 2, 3]),
+    "box": _often([[-1, 1], [0, 1]]),
+    "order": _often(["parabolic_linear", "coexist_low", "case2_tanh",
+                     "const:1.5", "expr:x1"]),
+    "h": _often([0.5, 0.25]),
+    "h_list": _often([[1.0], [0.5], [1.0, 0.5]]),
+}, optional={
+    "scheme": _often(["crank_nicolson", "allen_cahn"]),
+    "dt": _often([0.25, 0.5]),
+    "dt_list": _often([[0.25], [0.5], [0.5, 0.25]]),
+    "t_final": _often([0.5, 1.0]),
+    "ic": _often(["gaussian", "ones", "bubbles", "cos_modes"]),
+    "kappa": _often([0.05, 0.2]),
+    "diffusion": _often([0.5, 1.0]),
+    "mask": _often(["x1 > 0", "x1**2 < 0.5", "x1 > 5", "x1 >"]),
+    "mode": _often(["fast", "direct"]),
+    "rank": _often([1, 3]),
+    "max_iter": _often([50, 5]),
+    "frame_every": _often([1, 2]),
+})
+
+
+@given(cfg=_EVOLVE_CONFIGS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_evolve_fuzz_exits_cleanly(cfg):
+    # every config either runs, stops on a solver failure or is refused
+    # with a one-line message
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_cfg(Path(tmp), "fuzz.json", cfg)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["evolve", "--config", path, "--out", tmp])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     if code == 2:

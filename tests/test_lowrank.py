@@ -40,6 +40,23 @@ def test_partition_of_unity(t):
     assert abs(vals.sum() - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("rank", [2, 3, 7, 12])
+def test_eval_lagrange_matches_product_form(rank):
+    # the barycentric batch against prod_{k != q} (t - t_k) / (t_q - t_k), on
+    # a 2D batch that includes every node exactly
+    plan = vl.build_plan(0.3, 1.9, rank)
+    line = np.concatenate([np.linspace(0.3, 1.9, 37), plan.nodes])
+    t = np.stack([line, line[::-1]])
+    ref = np.ones(t.shape + (rank,))
+    for q, node in enumerate(plan.nodes):
+        for k, other in enumerate(plan.nodes):
+            if k != q:
+                ref[..., q] *= (t - other) / (node - other)
+    got = vl.eval_lagrange(plan, t)
+    assert got.shape == t.shape + (rank,)
+    assert np.abs(got - ref).max() <= 1e-12
+
+
 def test_eval_out_of_range():
     plan = vl.build_plan(0.5, 1.5, 4)
     with pytest.raises(OutOfRange):

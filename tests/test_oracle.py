@@ -3,16 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaln, hyp1f1
 
 import varlap as vl
-from varlap.errors import (
-    InvalidRange,
-    NotNested,
-    OrderOutOfRange,
-    PoleInB,
-    RangeExceeded,
-    TailTooLarge,
-)
+from varlap.errors import InvalidRange, NotNested, OrderOutOfRange, TailTooLarge
 from varlap.experiments import restrict_nested
 from varlap.presets import order_field
 
@@ -41,52 +35,55 @@ def gaussian(pts):
     return np.exp(-np.sum(pts**2, axis=-1))
 
 
-def test_hyp1f1_at_zero():
-    for a, b in [(0.3, 0.5), (2.5, 1.0), (-0.7, 1.5)]:
-        assert vl.hyp1f1(a, b, 0.0) == 1.0
+def exact_at(x, alpha, d, f11):
+    """The oracle's closed form at point x, with 1F1 evaluated by ``f11``."""
+    r2 = float(np.sum(np.asarray(x, dtype=float) ** 2))
+    a, b = (d + alpha) / 2.0, d / 2.0
+    with mpmath.workdps(30):
+        front = mpmath.mpf(2) ** alpha * mpmath.gamma(a) / mpmath.gamma(b)
+        return float(front * f11(a, b, -r2))
 
 
-@pytest.mark.parametrize("z", [-5.0, 1.0, 10.0])
-def test_hyp1f1_exponential_identity(z):
-    assert vl.hyp1f1(1.0, 1.0, z) == pytest.approx(math.exp(z), rel=1e-12)
+def point(r2, d):
+    """A point of dimension d at squared distance about r2 off the axes."""
+    return np.full(d, math.sqrt(r2 / d))
 
 
 def test_hyp1f1_against_extended_precision():
-    cases = [(1.75, 1.0, -4.0), (0.55, 0.5, -12.5), (2.45, 1.5, -30.0),
-             (1.2, 0.5, 7.0), (0.9, 1.0, -0.3)]
-    for a, b, z in cases:
-        ref = mp_hyp1f1_direct(a, b, z)
-        assert vl.hyp1f1(a, b, z) == pytest.approx(ref, rel=1e-11)
+    # (d, alpha, |x|^2): 1F1((d+alpha)/2; d/2; -|x|^2) across the dimensions
+    cases = [(2, 1.5, 4.0), (1, 0.1, 12.5), (3, 1.9, 30.0), (1, 1.4, 7.0),
+             (2, 1.8, 0.3)]
+    for d, alpha, r2 in cases:
+        x = point(r2, d)
+        ref = exact_at(x, alpha, d, mp_hyp1f1_direct)
+        assert vl.gaussian_frac_lap(x, alpha, d) == pytest.approx(ref, rel=1e-11)
 
 
 def test_hyp1f1_kummer_route_consistency():
-    # the transform route must agree with the extended-precision direct
-    # alternating series over the negative-argument range
+    # the oracle must agree with the extended-precision direct alternating
+    # series over the negative-argument range
     rng = np.random.default_rng(7)
     for _ in range(25):
-        a = rng.uniform(0.2, 2.4)
-        b = float(rng.choice([0.5, 1.0, 1.5]))
-        z = -rng.uniform(1e-3, 50.0)
-        ref = mp_hyp1f1_direct(a, b, z)
-        val = vl.hyp1f1(a, b, z)
+        d = int(rng.choice([1, 2, 3]))
+        alpha = rng.uniform(0.05, 2.0)
+        x = point(rng.uniform(1e-3, 50.0), d)
+        ref = exact_at(x, alpha, d, mp_hyp1f1_direct)
+        val = vl.gaussian_frac_lap(x, alpha, d)
         assert val == pytest.approx(ref, rel=1e-10, abs=1e-300)
 
 
-def test_hyp1f1_vectorized_matches_scalar():
-    a = np.array([0.8, 1.3, 2.0])
-    z = np.array([-2.0, 0.5, -40.0])
-    out = vl.hyp1f1(a, 1.0, z)
-    for i in range(3):
-        assert out[i] == pytest.approx(vl.hyp1f1(a[i], 1.0, z[i]), rel=1e-13)
-
-
-def test_hyp1f1_errors():
-    with pytest.raises(PoleInB):
-        vl.hyp1f1(1.0, 0.0, 1.0)
-    with pytest.raises(PoleInB):
-        vl.hyp1f1(1.0, -2.0, 1.0)
-    with pytest.raises(RangeExceeded):
-        vl.hyp1f1(1.0, 1.0, 250.0)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_frac_lap_wide_range(d):
+    # |x|^2 up to 1e4; the reference is mpmath's 1F1, since the direct
+    # alternating series cancels catastrophically at such arguments
+    rng = np.random.default_rng(11 + d)
+    r2s = np.concatenate([[200.5, 1e3, 1e4], 10.0 ** rng.uniform(-2, 4, 30)])
+    alphas = np.concatenate([[0.05, 1.0, 2.0], rng.uniform(0.05, 2.0, 30)])
+    for r2, alpha in zip(r2s, alphas):
+        x = point(r2, d)
+        ref = exact_at(x, alpha, d, mpmath.hyp1f1)
+        assert vl.gaussian_frac_lap(x, alpha, d) == pytest.approx(
+            ref, rel=1e-12, abs=1e-300)
 
 
 def test_gaussian_frac_lap_at_origin():
@@ -99,6 +96,8 @@ def test_gaussian_frac_lap_at_origin():
 def test_gaussian_frac_lap_classical_limit_point():
     # alpha = 2 is the negative Laplacian: (2 - 4x^2) e^{-x^2} in 1D
     assert vl.gaussian_frac_lap(1.0, 2.0, 1) == pytest.approx(-2.0 / math.e, rel=1e-12)
+    # and stays cheap far out, where a 1F1 series with a - b = 1 is not
+    assert vl.gaussian_frac_lap([1e6, 0.0], 2.0, 2) == 0.0
 
 
 def test_gaussian_frac_lap_alpha_to_two_continuity():
@@ -114,9 +113,8 @@ def _gaussian_frac_lap_every_point(pts, alpha, d):
     """The closed form evaluated at every point, without deduplication."""
     r2 = np.sum(np.asarray(pts, dtype=float) ** 2, axis=-1)
     al = np.broadcast_to(np.asarray(alpha, dtype=float), r2.shape)
-    lg = np.vectorize(math.lgamma)
-    front = 2.0**al * np.exp(lg((d + al) / 2.0) - math.lgamma(d / 2.0))
-    return front * vl.hyp1f1((d + al) / 2.0, d / 2.0, -r2)
+    front = 2.0**al * np.exp(gammaln((d + al) / 2.0) - gammaln(d / 2.0))
+    return front * hyp1f1((d + al) / 2.0, d / 2.0, -r2)
 
 
 @pytest.mark.parametrize("order", ["radial", "constant", "random"])

@@ -87,6 +87,9 @@ def test_initial_conditions():
     assert 0.0 <= modes[0] <= 1.0
     with pytest.raises(ConfigError):
         initial_condition("nope")
+    for dim in (1, 3):
+        with pytest.raises(ConfigError, match="2D only"):
+            initial_condition("bubbles")(np.zeros((2, dim)))
 
 
 def test_alias_names_exist():
