@@ -18,15 +18,18 @@ everything else).  Two evaluation paths are provided:
 The embedded kernel carries offsets -(N-1)..N-1 only, so it is even and its
 spectrum is real: the DCT-I of its nonnegative-offset block, zero-padded to
 L/2 + 1 entries per axis (symmetric convolution).  No embedding is built and
-no complex transform runs to get it.  The apply's transforms are pruned:
-the forward one pads each axis just before transforming it, and the inverse
-one cuts each axis back to N entries right after transforming it, so no
-transform runs on a line that is all zeros or that the interior block never
-reads.  Kernel spectra and the h^(-alpha_q)-scaled Lagrange coefficients
-are built once per operator, so each repeated apply (every Krylov iteration)
-costs one forward and r inverse transforms.  The padded spectrum and its
-product with one kernel spectrum live in two buffers the operator keeps, so
-an apply allocates no full-size padded array.
+no complex transform runs to get it.  Only rows 0..L0/2 of axis 0 are
+stored, as the DCT-I returns them; an apply reads rows L0/2+1..L0-1 as a
+reversed view of rows L0/2-1..1 (the middle axis of 3D is stored whole).
+The apply's transforms are pruned: the forward one pads each axis just
+before transforming it, and the inverse one cuts each axis back to N entries
+right after transforming it, so no transform runs on a line that is all
+zeros or that the interior block never reads.  Kernel spectra and the
+h^(-alpha_q)-scaled Lagrange coefficients are built once per operator, so
+each repeated apply (every Krylov iteration) costs one forward and r inverse
+transforms.  The padded spectrum and its product with one kernel spectrum,
+both of full rfftn shape, live in two buffers the operator keeps, so an
+apply allocates no full-size padded array.
 """
 
 from __future__ import annotations
@@ -70,6 +73,25 @@ def _fast_axis_len(n: int) -> int:
     return 2 * sfft.next_fast_len(n, real=True)
 
 
+def _rfft_shape(pad_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Shape of the rfftn of an array of shape ``pad_shape``."""
+    return pad_shape[:-1] + (pad_shape[-1] // 2 + 1,)
+
+
+def _times_kernel(spec: np.ndarray, kernel: np.ndarray,
+                  out: np.ndarray) -> None:
+    """``spec`` times the full kernel spectrum, written into ``out``.
+
+    ``kernel`` holds rows 0..L0/2 of axis 0; rows L0/2+1..L0-1 of the full
+    spectrum are rows L0/2-1..1 read backwards.  In 1D axis 0 is the rfft
+    axis, which ``kernel`` holds whole.
+    """
+    rows = kernel.shape[0]
+    np.multiply(spec[:rows], kernel, out=out[:rows])
+    if spec.shape[0] > rows:
+        np.multiply(spec[rows:], kernel[rows - 2:0:-1], out=out[rows:])
+
+
 def _forward(u_nd: np.ndarray, pad_shape: tuple[int, ...],
              spec: np.ndarray) -> np.ndarray:
     """Spectrum of ``u_nd`` zero-padded to ``pad_shape``, written into ``spec``.
@@ -107,7 +129,7 @@ class ConstantOrderKernel:
     alpha: float
     grid_shape: tuple[int, ...]
     h: float
-    spectrum: np.ndarray          # real rfftn layout; a mirrored DCT-I
+    spectrum: np.ndarray          # real DCT-I, rows 0..L0/2 of the rfftn layout
     pad_shape: tuple[int, ...]
 
     @classmethod
@@ -129,9 +151,12 @@ class ConstantOrderKernel:
         half = np.zeros(tuple(length // 2 + 1 for length in pad_shape))
         inner = tuple(slice(0, n) for n in grid_shape)
         half[inner] = block[inner]
-        half = sfft.dctn(half, type=1, overwrite_x=True)
-        mirror = [(0, length // 2 - 1) for length in pad_shape[:-1]] + [(0, 0)]
-        spectrum = np.pad(half, mirror, mode="reflect")
+        spectrum = sfft.dctn(half, type=1, overwrite_x=True)
+        # axis 0 stays at half length (_times_kernel mirrors it) and the last
+        # is the rfft axis; only the middle axis of 3D is mirrored out here
+        if dim > 2:
+            middle = [(0, 0), (0, pad_shape[1] // 2 - 1), (0, 0)]
+            spectrum = np.pad(spectrum, middle, mode="reflect")
         return cls(alpha=float(alpha), grid_shape=tuple(grid_shape), h=float(h),
                    spectrum=spectrum, pad_shape=pad_shape)
 
@@ -140,8 +165,8 @@ class ConstantOrderKernel:
         if u_nd.shape != self.grid_shape:
             raise SizeMismatch(f"input {u_nd.shape} != grid {self.grid_shape}")
         spec = _forward(u_nd, self.pad_shape,
-                        np.empty(self.spectrum.shape, dtype=complex))
-        spec *= self.spectrum
+                        np.empty(_rfft_shape(self.pad_shape), dtype=complex))
+        _times_kernel(spec, self.spectrum, spec)
         out = _inverse(spec, self.grid_shape, self.pad_shape)
         return out * self.h ** (-self.alpha)
 
@@ -207,8 +232,8 @@ class VariableOrderOperator:
             # every apply: allocated per apply, these multi-MB arrays are
             # page-faulted in afresh whenever the C allocator has trimmed
             # its heap (up to 4e5 faults per 3D N = 31 solve)
-            self._work = np.empty((2,) + self.kernels[0].spectrum.shape,
-                                  dtype=complex)
+            self._work = np.empty(
+                (2,) + _rfft_shape(self.kernels[0].pad_shape), dtype=complex)
 
     # -- kernel and weight-row construction -------------------------------
 
@@ -249,7 +274,7 @@ class VariableOrderOperator:
         out = np.zeros(shape)
         # fixed ascending-q summation keeps results bitwise reproducible
         for coef, kern in zip(self._rank_maps, self.kernels):
-            np.multiply(spec, kern.spectrum, out=prod)
+            _times_kernel(spec, kern.spectrum, prod)
             term = _inverse(prod, shape, pad_shape)
             term *= coef
             out += term

@@ -244,6 +244,9 @@ def test_config_validation_direct():
     # t_final / dt overflows the step count
     ("evolve", {"dim": 1, "order": "const:1.5", "h": 0.25, "dt": 1e-308,
                 "t_final": 1e308}),
+    # a finite step count past the 2**20-step cap
+    ("evolve", {"dim": 1, "order": "const:1.5", "h": 0.25, "dt": 1e-300,
+                "t_final": 1.0}),
 ])
 def test_exit_code_2_on_library_value_errors(tmp_path, command, cfg, capsys):
     path = write_cfg(tmp_path, "bad.json", cfg)

@@ -6,7 +6,8 @@ import scipy.fft as sfft
 
 import varlap as vl
 from varlap.errors import GridMismatch, InvalidRange, PlanMissing, SizeMismatch
-from varlap.operator import ConstantOrderKernel, _fast_axis_len, fit_loglog_slope
+from varlap.operator import (ConstantOrderKernel, _fast_axis_len, _forward,
+                             _inverse, _rfft_shape, fit_loglog_slope)
 from varlap.presets import order_field
 
 from conftest import gaussian_on, tanh_dec_field, tanh_inc_field
@@ -365,9 +366,65 @@ def test_kernel_spectrum_matches_embedded_rfftn(dim, n):
     block = np.random.default_rng(n + dim).standard_normal((n + 1,) * dim)
     kern = ConstantOrderKernel.from_block(block, shape, 0.1, 1.3)
     ref = _embedded_spectrum(block, shape, kern.pad_shape)
-    assert kern.spectrum.shape == ref.shape
+    rows = kern.pad_shape[0] // 2 + 1
+    tol = 1e-14 * np.abs(ref).max()
+    # stored: rows 0..L0/2 of axis 0, every other axis at its rfftn length
+    assert kern.spectrum.shape == ref[:rows].shape
     assert kern.spectrum.flags.c_contiguous and kern.spectrum.dtype == float
-    assert np.abs(kern.spectrum - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(kern.spectrum - ref[:rows]).max() <= tol
+    # mirroring rows L0/2-1..1 rebuilds the rest of the full spectrum
+    assert np.abs(_full_spectrum(kern) - ref).max() <= tol
+
+
+def _full_spectrum(kern):
+    """The kernel's rfftn-layout spectrum, its axis 0 mirrored out."""
+    if len(kern.pad_shape) == 1:
+        return kern.spectrum
+    return np.concatenate([kern.spectrum, kern.spectrum[-2:0:-1]])
+
+
+def _full_spectrum_apply(op, u):
+    """``op``'s fast apply, multiplying by each full mirrored spectrum."""
+    u = u.copy()
+    if op.mask is not None:
+        u[~op.mask.inside] = 0.0
+    shape, pad_shape = op.grid.shape, op.kernels[0].pad_shape
+    spec = _forward(u.reshape(shape), pad_shape,
+                    np.empty(_rfft_shape(pad_shape), dtype=complex))
+    out = np.zeros(shape)
+    for coef, kern in zip(op._rank_maps, op.kernels):
+        term = _inverse(spec * _full_spectrum(kern), shape, pad_shape)
+        term *= coef
+        out += term
+    out = out.ravel()
+    if op.mask is not None:
+        out[~op.mask.inside] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 17])
+def test_fast_apply_bitwise_with_half_spectra(dim, n):
+    g = vl.build_grid(dim, -1.0, 1.0, n)
+    mask = vl.make_mask(g, lambda p: np.sum(p**2, axis=-1) < 0.64)
+    u = np.random.default_rng(n + dim).standard_normal(g.size)
+    for dmask in (None, mask):
+        op = vl.VariableOrderOperator(g, tanh_inc_field(), rank=5, mask=dmask)
+        assert np.array_equal(op._apply_fast_flat(u), _full_spectrum_apply(op, u))
+    kern = op.kernels[0]
+    ref = _inverse(_forward(u.reshape(g.shape), kern.pad_shape,
+                            np.empty(_rfft_shape(kern.pad_shape), dtype=complex))
+                   * _full_spectrum(kern), g.shape, kern.pad_shape)
+    ref = ref * kern.h ** (-kern.alpha)
+    assert np.array_equal(kern.apply_nd(u.reshape(g.shape)), ref)
+
+
+def test_half_spectra_bytes_3d():
+    # 3D N = 31 pads to 64 per axis: axis 0 keeps 33 rows, the middle axis
+    # is mirrored to 64 and the rfft axis holds 33
+    g = vl.build_grid(3, -1.0, 1.0, 31)
+    op = vl.VariableOrderOperator(g, tanh_inc_field(), rank=7)
+    assert sum(k.spectrum.nbytes for k in op.kernels) == 7 * 33 * 64 * 33 * 8
 
 
 def test_fast_axis_len_even_and_covers_2n():
