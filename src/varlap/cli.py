@@ -51,7 +51,7 @@ def _run_weights(cfg: dict, out_dir: Path) -> None:
     dim = experiments._choice(cfg, "dim", (1, 2, 3), 1)
     n_max = experiments._number(cfg, "n_max", 64, int)
     experiments._check_nodes(2 * n_max + 1, dim)
-    block = operator_block(alpha, dim, n_max, experiments._quadrature(cfg, dim))
+    block = operator_block(alpha, dim, n_max)
     out = experiments._output(cfg, out_dir, "weights.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     dump_csv(block, out)
@@ -77,8 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=["fast", "direct"],
                        help="override apply mode")
         p.add_argument("--rank", type=int, help="override low-rank term count")
-        p.add_argument("--quadrature", type=int,
-                       help="override weight quadrature size")
         p.add_argument("--threads", type=int, default=1,
                        help="FFT worker threads")
     return parser
@@ -88,7 +86,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        for key in ("mode", "rank", "quadrature"):
+        for key in ("mode", "rank"):
             val = getattr(args, key)
             if val is not None:
                 cfg[key] = val

@@ -93,22 +93,6 @@ def _check_nodes(n: int, dim: int) -> int:
     return n
 
 
-#: Most entries an explicit quadrature size m may ask of a weight table,
-#: (m/2 + 1)^dim: enough for the largest default table MAX_NODES admits,
-#: 513^3 at 3D N = 256 (m = 1024), which 2**27 would refuse.
-MAX_TABLE_ENTRIES = 2**28
-
-
-def _quadrature(cfg: dict, dim: int) -> int | None:
-    """The explicit ``cfg["quadrature"]`` or None; ConfigError if its table
-    would exceed MAX_TABLE_ENTRIES."""
-    m = _optional_number(cfg, "quadrature", int)
-    if m is not None and (max(m, 0) // 2 + 1) ** dim > MAX_TABLE_ENTRIES:
-        raise ConfigError(f"quadrature {m} in {dim}D: its weight table exceeds "
-                          f"the limit of {MAX_TABLE_ENTRIES} entries")
-    return m
-
-
 def _grid_for_h(dim: int, lo: float, hi: float, h: float) -> UniformGrid:
     n_float = (hi - lo) / h - 1.0
     n = int(round(n_float)) if math.isfinite(n_float) else 0
@@ -185,17 +169,13 @@ def _h_list(cfg: dict) -> list[float]:
     return hs
 
 
-def _operator_options(cfg: dict, dim: int) -> dict:
-    return {"rank": _optional_number(cfg, "rank", int),
-            "epsilon": _optional_number(cfg, "epsilon"),
-            "quadrature_m": _quadrature(cfg, dim)}
-
-
 def _build_operator(grid: UniformGrid, field, cfg: dict, mask=None
                     ) -> VariableOrderOperator:
+    """The operator of a run on ``grid``: every operator the CLI builds."""
     mode = cfg.get("mode") or ("direct" if grid.dim == 1 else "fast")
     return VariableOrderOperator(grid, field, mode=mode, mask=mask,
-                                 **_operator_options(cfg, grid.dim))
+                                 rank=_optional_number(cfg, "rank", int),
+                                 epsilon=_optional_number(cfg, "epsilon"))
 
 
 def restrict_nested(fine: GridFunction, coarse: UniformGrid) -> np.ndarray:
@@ -267,11 +247,13 @@ def run_elliptic(cfg: dict, out_dir) -> list[ConvergenceRow]:
     rows: list[ConvergenceRow] = []
     if case == 1:
         beta = _number(cfg, "beta", 4.0)
+        if beta < 2.0:               # refused before the reference operator
+            raise ConfigError(f"beta must be >= 2, got {beta}")
         reaction = _number(cfg, "reaction", 1.0)
         fine = _grid_for_h(dim, lo, hi, _number(cfg, "h_ref", 2.0**-9))
         # one reference operator per table; every h samples its data
-        f_ref = manufactured_rhs_case1(fine, base_field, beta, reaction,
-                                       **_operator_options(cfg, dim))
+        ref_op = _build_operator(fine, base_field, {**cfg, "mode": "fast"})
+        f_ref = manufactured_rhs_case1(ref_op, beta, reaction)
         errors = []
         for h in hs:
             grid = _grid_for_h(dim, lo, hi, h)

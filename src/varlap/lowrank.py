@@ -42,10 +42,6 @@ class ChebyshevPlan:
     alpha_min: float
     alpha_max: float
 
-    @property
-    def degenerate(self) -> bool:
-        return self.rank == 1
-
 
 def build_plan(alpha_min: float, alpha_max: float, r: int = DEFAULT_RANK) -> ChebyshevPlan:
     """Chebyshev first-kind nodes of [alpha_min, alpha_max] with weights.
@@ -54,13 +50,14 @@ def build_plan(alpha_min: float, alpha_max: float, r: int = DEFAULT_RANK) -> Che
     node with L_1 identically one.
 
     Raises:
-        InvalidRange: bounds outside (0, 2], inverted interval, or r < 1.
+        InvalidRange: bounds outside (0, 2], inverted interval, or r
+            outside 1..RANK_CAP.
     """
     alpha_min, alpha_max = float(alpha_min), float(alpha_max)
     if not (0.0 < alpha_min <= alpha_max <= 2.0):
         raise InvalidRange(f"interval [{alpha_min}, {alpha_max}] outside (0, 2]")
-    if r < 1:
-        raise InvalidRange(f"rank must be >= 1, got {r}")
+    if not 1 <= r <= RANK_CAP:
+        raise InvalidRange(f"rank must be in 1..{RANK_CAP}, got {r}")
     if alpha_min == alpha_max:
         return ChebyshevPlan(rank=1, nodes=np.array([alpha_min]),
                              bary_weights=np.array([1.0]),

@@ -127,7 +127,6 @@ class ConstantOrderKernel:
     """One constant-order stencil on a grid, ready for FFT circular applies."""
 
     alpha: float
-    grid_shape: tuple[int, ...]
     h: float
     spectrum: np.ndarray          # real DCT-I, rows 0..L0/2 of the rfftn layout
     pad_shape: tuple[int, ...]
@@ -157,18 +156,8 @@ class ConstantOrderKernel:
         if dim > 2:
             middle = [(0, 0), (0, pad_shape[1] // 2 - 1), (0, 0)]
             spectrum = np.pad(spectrum, middle, mode="reflect")
-        return cls(alpha=float(alpha), grid_shape=tuple(grid_shape), h=float(h),
-                   spectrum=spectrum, pad_shape=pad_shape)
-
-    def apply_nd(self, u_nd: np.ndarray) -> np.ndarray:
-        """Toeplitz matvec: pad, convolve circularly, truncate, scale."""
-        if u_nd.shape != self.grid_shape:
-            raise SizeMismatch(f"input {u_nd.shape} != grid {self.grid_shape}")
-        spec = _forward(u_nd, self.pad_shape,
-                        np.empty(_rfft_shape(self.pad_shape), dtype=complex))
-        _times_kernel(spec, self.spectrum, spec)
-        out = _inverse(spec, self.grid_shape, self.pad_shape)
-        return out * self.h ** (-self.alpha)
+        return cls(alpha=float(alpha), h=float(h), spectrum=spectrum,
+                   pad_shape=pad_shape)
 
 
 class VariableOrderOperator:
@@ -182,20 +171,18 @@ class VariableOrderOperator:
         epsilon: if given and ``rank`` is None, pick the smallest rank whose
             measured interpolation error is below epsilon.
         plan: an explicit ChebyshevPlan overriding rank/epsilon.
-        quadrature_m: weight quadrature size in 2D and 3D (default: that of
-            :func:`~varlap.weights.operator_block`); 1D weights are exact.
         mask: optional embedding mask; masked-out nodes contribute zero and
             receive zero in every apply.
 
     Both modes apply the same weights, :func:`~varlap.weights.operator_block`
-    of each order.
+    of each order, which depend only on the order, the dimension and the
+    grid size.
     """
 
     def __init__(self, grid: UniformGrid, field: OrderField,
                  mode: str = "fast", rank: int | None = None,
                  epsilon: float | None = None,
                  plan: ChebyshevPlan | None = None,
-                 quadrature_m: int | None = None,
                  mask: DomainMask | None = None):
         if mode not in ("fast", "direct"):
             raise InvalidRange(f"mode must be fast or direct, got {mode!r}")
@@ -208,7 +195,6 @@ class VariableOrderOperator:
         self.mode = mode
         self.mask = mask
         self.n_max = max(grid.n_per_dim)
-        self.quadrature_m = quadrature_m
         self.interpolation_error: float | None = None
 
         self.plan: ChebyshevPlan | None = None
@@ -239,8 +225,7 @@ class VariableOrderOperator:
 
     def constant_order_kernel(self, alpha: float) -> ConstantOrderKernel:
         """The constant-order kernel of order ``alpha`` on this grid."""
-        block = operator_block(alpha, self.grid.dim, self.n_max,
-                               self.quadrature_m)
+        block = operator_block(alpha, self.grid.dim, self.n_max)
         return ConstantOrderKernel.from_block(block, self.grid.shape,
                                               self.grid.h, alpha)
 
@@ -301,8 +286,7 @@ class VariableOrderOperator:
             order_groups.setdefault(np.float64(alphas[j]).tobytes(), []).append(j)
         for key, nodes_j in order_groups.items():
             alpha = float(np.frombuffer(key, dtype=np.float64)[0])
-            block = operator_block(alpha, self.grid.dim, self.n_max,
-                                   self.quadrature_m)
+            block = operator_block(alpha, self.grid.dim, self.n_max)
             scale = h ** (-alpha)
             for j in nodes_j:
                 jnd = np.unravel_index(j, shape)
@@ -335,9 +319,16 @@ class VariableOrderOperator:
 
 
 def operator_timing(op: VariableOrderOperator, n_reps: int = 5) -> dict:
-    """Wall-clock seconds per fast apply (best of ``n_reps``)."""
+    """Wall-clock seconds per fast apply (best of ``n_reps``).
+
+    Raises:
+        PlanMissing: ``op`` is not a fast operator.
+        InvalidRange: ``n_reps`` < 1.
+    """
     if op.mode != "fast":
         raise PlanMissing("timing is defined for the fast path")
+    if n_reps < 1:
+        raise InvalidRange(f"reps must be >= 1, got {n_reps}")
     u = np.random.default_rng(0).standard_normal(op.grid.size)
     op._apply_fast_flat(u)  # warm caches
     best = math.inf

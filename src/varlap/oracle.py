@@ -32,7 +32,7 @@ from .errors import (
     QuadratureNonConvergent,
     TailTooLarge,
 )
-from .grid import GridFunction, OrderField, UniformGrid, sample_order
+from .grid import GridFunction
 
 __all__ = [
     "gaussian_frac_lap",
@@ -210,29 +210,21 @@ def integral_frac_lap(u, x, alpha: float, d: int,
     return c / 2.0 * (val1 + val2) + tail
 
 
-def manufactured_rhs_case1(grid: UniformGrid, field: OrderField, beta: float,
-                           reaction: float = 1.0,
-                           rank: int | None = None,
-                           epsilon: float | None = None,
-                           quadrature_m: int | None = None) -> GridFunction:
+def manufactured_rhs_case1(op, beta: float,
+                           reaction: float = 1.0) -> GridFunction:
     """Right-hand side for the known-solution elliptic benchmark.
 
     The target solution is ``u = prod_p (1 - x_p^2)^beta`` on the box; the
-    data is the fast discrete operator (plus the reaction term) applied to
-    it on ``grid``, the fine reference grid.  A coarse grid nested in the
-    reference grid takes its data by exact sampling
+    data is ``op``, a :class:`~varlap.operator.VariableOrderOperator` on the
+    fine reference grid, applied to it, plus the reaction term.  A coarse
+    grid nested in the reference grid takes its data by exact sampling
     (``experiments.restrict_nested``).
 
     Raises:
         InvalidRange: beta < 2.
     """
-    from .operator import VariableOrderOperator  # deferred: heavy module
-
     if beta < 2.0:
         raise InvalidRange(f"beta must be >= 2, got {beta}")
-    pts = grid.points()
+    pts = op.grid.points()
     u_ref = np.prod(1.0 - pts**2, axis=-1) ** float(beta)
-    op = VariableOrderOperator(grid, sample_order(field, grid), mode="fast",
-                               rank=rank, epsilon=epsilon,
-                               quadrature_m=quadrature_m)
-    return GridFunction(grid, op._apply_flat(u_ref) + reaction * u_ref)
+    return GridFunction(op.grid, op._apply_flat(u_ref) + reaction * u_ref)

@@ -25,7 +25,7 @@ adds those aliases back in 2D (Navot 1961; Lyness 1976) and leaves about
 1e-11 at m = 4N, N = 63.
 
 :func:`operator_block` is the one place that picks the weights an operator
-applies, and their default quadrature size: the closed form in 1D, the
+applies, and their quadrature size: the closed form in 1D, the
 alias-corrected table in 2D and the plain table in 3D.  The fast kernels,
 the direct rows and ``varlap weights`` all read it.
 
@@ -167,7 +167,8 @@ def _next_pow2(n: int) -> int:
 
 
 def default_quadrature_size(dim: int, n_target: int) -> int:
-    """Quadrature size of the 2D and 3D operator weights at N = ``n_target``.
+    """Quadrature size of the 2D and 3D operator weights at N = ``n_target``,
+    the one size rule of :func:`operator_block`.
 
     In 2D the operator adds the trapezoidal aliases back
     (:func:`alias_corrected_block`), which leaves an error of order
@@ -175,8 +176,8 @@ def default_quadrature_size(dim: int, n_target: int) -> int:
     of 128 serves coarse grids: at N = 7 and m = 32 that error would be
     4e-8, more than the plain m = 512 table used to have.  The plain 3D
     table aliases with error O(m^(-3-alpha)) and keeps a lean multiple,
-    floored at 64 and capped at 512.  The 1D weights are the closed form
-    and need no quadrature.
+    floored at 64 and capped at 512, but never below 2N + 2.  The 1D
+    weights are the closed form and need no quadrature.
     """
     n_target = int(n_target)
     if dim == 2:
@@ -329,18 +330,17 @@ def alias_corrected_block(alpha: float, m: int, n_max: int) -> np.ndarray:
     return block
 
 
-def operator_block(alpha: float, dim: int, n_max: int,
-                   m: int | None = None) -> np.ndarray:
+def operator_block(alpha: float, dim: int, n_max: int) -> np.ndarray:
     """The weights an operator of order ``alpha`` applies, offsets 0..n_max.
 
-    Shape (n_max+1,)*dim.  1D weights are the closed form, exact and free of
-    ``m``; 2D weights are the alias-corrected quadrature and 3D weights the
-    plain one, of size ``m`` or :func:`default_quadrature_size`.
+    Shape (n_max+1,)*dim.  They depend only on ``alpha``, ``dim`` and
+    ``n_max``: 1D weights are the closed form, exact; 2D weights are the
+    alias-corrected quadrature and 3D weights the plain one, both of size
+    :func:`default_quadrature_size`.
 
     Raises:
         InvalidDim: dim not 1, 2 or 3, or n_max < 1.
         OrderOutOfRange: alpha outside (0, 2].
-        QuadratureTooCoarse: m not a power of two >= 4, or m < 2*n_max.
     """
     if dim not in (1, 2, 3):
         raise InvalidDim(f"dim must be 1, 2 or 3, got {dim}")
@@ -355,7 +355,7 @@ def operator_block(alpha: float, dim: int, n_max: int,
         factors[0] = math.gamma(alpha + 1.0) / math.gamma(alpha / 2.0 + 1.0) ** 2
         factors[1:] = (n - alpha / 2.0) / (n + 1.0 + alpha / 2.0)
         return np.cumprod(factors)
-    m = default_quadrature_size(dim, n_max) if m is None else m
+    m = default_quadrature_size(dim, n_max)
     if dim == 2:
         return alias_corrected_block(alpha, m, n_max)
     return weights_nd_fft(alpha, dim, m, target_n=n_max).block_nonneg(n_max)

@@ -121,18 +121,15 @@ def test_criterion_04_fast_direct_equivalence():
     worst_eps = 0.0
     for name in ("alpha1", "alpha2", "alpha3"):
         field = vl.sample_order(order_field(name), g)
-        direct = vl.VariableOrderOperator(g, field, mode="direct",
-                                          quadrature_m=256)
+        direct = vl.VariableOrderOperator(g, field, mode="direct")
         ref = direct.apply(u).values
         scale = np.abs(ref).max()
-        fast7 = vl.VariableOrderOperator(g, field, mode="fast", rank=7,
-                                         quadrature_m=256)
+        fast7 = vl.VariableOrderOperator(g, field, mode="fast", rank=7)
         worst_r7 = max(worst_r7,
                        np.abs(fast7.apply(u).values - ref).max() / scale)
         r_eps, _ = vl.estimate_rank(field.alpha_min, field.alpha_max, g.h,
                                     1e-10, dim=2)
-        fast_eps = vl.VariableOrderOperator(g, field, mode="fast", rank=r_eps,
-                                            quadrature_m=256)
+        fast_eps = vl.VariableOrderOperator(g, field, mode="fast", rank=r_eps)
         worst_eps = max(worst_eps,
                         np.abs(fast_eps.apply(u).values - ref).max() / scale)
     assert worst_r7 <= 1e-6
@@ -150,9 +147,7 @@ def test_criterion_05_quasi_linear_apply():
         for n in ns:
             g = vl.build_grid(dim, -4.0, 4.0, n)
             field = vl.sample_order(order_field("alpha2"), g)
-            m = 2**14 if dim == 1 else None
-            ops.append(vl.VariableOrderOperator(g, field, mode="fast", rank=7,
-                                                quadrature_m=m))
+            ops.append(vl.VariableOrderOperator(g, field, mode="fast", rank=7))
         # the sizes are timed in turn, seven rounds of best-of-3, and the
         # slope is fitted to the medians: one slow spell of the host then
         # moves one sample of every size, not the whole of one size

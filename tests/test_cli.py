@@ -69,7 +69,7 @@ def test_apply_conv_subcommand(tmp_path):
 
 def test_apply_conv_deterministic_output(tmp_path):
     cfg = {"dim": 2, "h_list": [0.5, 0.25], "order": "alpha2",
-           "quadrature": 256, "out": "conv.csv"}
+           "out": "conv.csv"}
     p1 = tmp_path / "run1"
     p2 = tmp_path / "run2"
     experiments.run_apply_convergence(cfg, p1)
@@ -204,7 +204,9 @@ def test_config_validation_direct():
 
 
 @pytest.mark.parametrize("command,cfg", [
-    ("weights", {"alpha": 1.5, "dim": 2, "n_max": 8, "quadrature": 100}),
+    # ranks past lowrank.RANK_CAP = 32
+    ("apply-conv", {"dim": 1, "h_list": [0.5], "order": "alpha2",
+                    "mode": "fast", "rank": 33}),
     ("weights", {"alpha": 3.0, "dim": 1, "n_max": 8}),
     ("apply-conv", {"dim": 2, "h_list": [0.25], "order": "alpha1", "rank": 0}),
     ("elliptic", {"case": 2, "dim": 1, "order": "case2_linear",
@@ -219,7 +221,8 @@ def test_config_validation_direct():
     ("weights", {"alpha": True, "dim": 1, "n_max": 8}),
     ("weights", {"alpha": 1.5, "dim": "abc"}),
     ("weights", {"alpha": 1.5, "dim": 1, "n_max": 2.7}),
-    ("weights", {"alpha": 1.5, "dim": 2, "n_max": 8, "quadrature": "x"}),
+    ("apply-conv", {"dim": 1, "h_list": [0.5], "order": "alpha2",
+                    "mode": "fast", "rank": 100000000}),
     ("evolve", {"kind": "richardson", "dim": 1, "order": "case2_tanh",
                 "h_list": [0.25], "dt_list": ["x"]}),
     ("evolve", {"kind": "richardson", "dim": 1, "order": "case2_tanh",
@@ -233,14 +236,18 @@ def test_config_validation_direct():
     ("weights", {"alpha": 1.5, "dim": 2, "n_max": 0}),
     ("weights", {"alpha": 1.5, "dim": 2, "n_max": -5}),
     ("weights", {"alpha": 1.5, "dim": 3, "n_max": -5}),
-    ("weights", {"alpha": 1.5, "dim": 2, "n_max": 8, "quadrature": 0}),
-    ("weights", {"alpha": 1.5, "dim": 2, "n_max": 8, "quadrature": False}),
+    # no timing is the best of zero repetitions
+    ("bench", {"kind": "apply_sweep", "dim": 1, "order": "alpha2",
+               "n_list": [15, 31], "reps": 0}),
+    ("bench", {"kind": "apply_sweep", "dim": 1, "order": "alpha2",
+               "n_list": [15, 31], "reps": -1}),
     # past the 2**24-node cap: refused before any array is allocated
     ("apply-conv", {"dim": 1, "h_list": [1e-300], "order": "alpha1"}),
     ("apply-conv", {"dim": 1, "h_list": [1e-7], "order": "alpha1"}),
     ("weights", {"alpha": 1.5, "dim": 1, "n_max": 100000000}),
-    # an explicit quadrature whose 524289^2 table would take 2 TiB
-    ("weights", {"alpha": 1.5, "dim": 2, "n_max": 8, "quadrature": 1048576}),
+    # the case-1 reference operator is built like every other one
+    ("elliptic", {"case": 1, "dim": 1, "order": "case1_linear",
+                  "h_list": [0.25], "h_ref": 0.0625, "rank": 33}),
     # t_final / dt overflows the step count
     ("evolve", {"dim": 1, "order": "const:1.5", "h": 0.25, "dt": 1e-308,
                 "t_final": 1e308}),
@@ -278,14 +285,12 @@ def test_node_cap(tmp_path, capsys):
     assert "exceed" in capsys.readouterr().err
 
 
-def test_quadrature_cap():
-    # every default table of a grid the node cap admits stays admitted
-    for dim, n in ((2, 4096), (3, 256)):
-        m = default_quadrature_size(dim, n)
-        assert experiments._quadrature({"quadrature": m}, dim) == m
-        with pytest.raises(ConfigError, match="exceeds"):
-            experiments._quadrature({"quadrature": 2 * m}, dim)
-    assert experiments._quadrature({}, 2) is None
+def test_quadrature_flag_refused(tmp_path):
+    # the weights depend only on order, dimension and grid size
+    cfg = write_cfg(tmp_path, "w.json", {"alpha": 1.5, "dim": 2, "n_max": 8})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["weights", "--config", cfg, "--quadrature", "256"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("key,value", [

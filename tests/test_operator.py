@@ -5,12 +5,18 @@ import pytest
 import scipy.fft as sfft
 
 import varlap as vl
-from varlap.errors import GridMismatch, InvalidRange, PlanMissing, SizeMismatch
+from varlap.errors import GridMismatch, InvalidRange, PlanMissing
 from varlap.operator import (ConstantOrderKernel, _fast_axis_len, _forward,
                              _inverse, _rfft_shape, fit_loglog_slope)
 from varlap.presets import order_field
 
 from conftest import gaussian_on, tanh_dec_field, tanh_inc_field
+
+
+def constant_apply(grid, alpha, u):
+    """The fast apply of the rank-1 operator of constant order ``alpha``."""
+    op = vl.VariableOrderOperator(grid, vl.OrderField.constant(alpha), rank=1)
+    return op._apply_fast_flat(u.ravel()).reshape(grid.shape)
 
 
 def test_alpha2_reduces_to_second_difference():
@@ -27,39 +33,31 @@ def test_alpha2_reduces_to_second_difference():
 
 def test_constant_order_matches_dense_toeplitz():
     g = vl.build_grid(1, 0.0, 1.0, 4)
-    op = vl.VariableOrderOperator(g, vl.OrderField.constant(1.5), mode="fast",
-                                  rank=1)
-    kern = op.constant_order_kernel(1.5)
     table = vl.weights_1d_closed_form(1.5, g.size)
     dense = np.array([[table.value([k - j]) for k in range(4)]
                       for j in range(4)]) * g.h ** -1.5
     rng = np.random.default_rng(0)
     u = rng.standard_normal(4)
-    out = kern.apply_nd(u)
+    out = constant_apply(g, 1.5, u)
     assert np.allclose(out, dense @ u, atol=1e-13)
 
 
 def test_constant_order_delta_gives_matrix_column():
     g = vl.build_grid(1, 0.0, 1.0, 8)
-    op = vl.VariableOrderOperator(g, vl.OrderField.constant(0.7), mode="fast",
-                                  rank=1)
-    kern = op.constant_order_kernel(0.7)
     table = vl.weights_1d_closed_form(0.7, g.size)
     j = 3
     e = np.zeros(8)
     e[j] = 1.0
-    out = kern.apply_nd(e)
+    out = constant_apply(g, 0.7, e)
     col = np.array([table.value([i - j]) for i in range(8)]) * g.h ** -0.7
     assert np.allclose(out, col, atol=1e-12)
 
 
 def test_constant_order_2d_alpha2_is_five_point():
     g = vl.build_grid(2, 0.0, 1.0, 15)
-    op = vl.VariableOrderOperator(g, vl.OrderField.constant(2.0), mode="fast",
-                                  rank=1, quadrature_m=64)
     x = g.axis_nodes(0)
     u2 = np.sin(np.pi * x)[:, None] * np.sin(np.pi * x)[None, :]
-    out = op.constant_order_kernel(2.0).apply_nd(u2)
+    out = constant_apply(g, 2.0, u2)
     pad = np.zeros((17, 17))
     pad[1:-1, 1:-1] = u2
     lap5 = (4.0 * pad[1:-1, 1:-1] - pad[:-2, 1:-1] - pad[2:, 1:-1]
@@ -82,11 +80,10 @@ def test_fast_collapses_at_chebyshev_node(grid_1d):
     field = vl.sample_order(
         vl.OrderField.from_callable(lambda p: np.full(p.shape[0], node),
                                     0.1, 1.9), grid_1d)
-    op = vl.VariableOrderOperator(grid_1d, field, mode="fast", plan=plan,
-                                  quadrature_m=1024)
+    op = vl.VariableOrderOperator(grid_1d, field, mode="fast", plan=plan)
     const = vl.VariableOrderOperator(
         grid_1d, vl.sample_order(vl.OrderField.constant(node), grid_1d),
-        mode="fast", rank=1, quadrature_m=1024)
+        mode="fast", rank=1)
     u = gaussian_on(grid_1d)
     assert np.allclose(op.apply(u).values, const.apply(u).values, atol=1e-12)
     del base
@@ -96,9 +93,8 @@ def test_fast_matches_direct_2d():
     g = vl.build_grid(2, -4.0, 4.0, 31)
     field = vl.sample_order(tanh_inc_field(), g)
     u = gaussian_on(g)
-    direct = vl.VariableOrderOperator(g, field, mode="direct", quadrature_m=128)
-    fast = vl.VariableOrderOperator(g, field, mode="fast", rank=7,
-                                    quadrature_m=128)
+    direct = vl.VariableOrderOperator(g, field, mode="direct")
+    fast = vl.VariableOrderOperator(g, field, mode="fast", rank=7)
     vd = direct.apply(u).values
     vf = fast.apply(u).values
     assert np.abs(vf - vd).max() <= 1e-6 * np.abs(vd).max()
@@ -212,8 +208,6 @@ def test_grid_mismatch_errors(grid_1d):
     other = vl.build_grid(1, -4.0, 4.0, 31)
     with pytest.raises(GridMismatch):
         op.apply(vl.GridFunction.zeros(other))
-    with pytest.raises(SizeMismatch):
-        op.constant_order_kernel(1.0).apply_nd(vl.GridFunction.zeros(other).values_nd)
 
 
 def test_unknown_mode_rejected(grid_1d):
@@ -274,13 +268,12 @@ def test_rank_certificate_bounds_fast_direct_gap():
     g = vl.build_grid(2, -4.0, 4.0, 31)
     field = vl.sample_order(tanh_inc_field(), g)
     u = gaussian_on(g)
-    direct = vl.VariableOrderOperator(g, field, mode="direct", quadrature_m=128)
+    direct = vl.VariableOrderOperator(g, field, mode="direct")
     ref = direct.apply(u).values
     for eps in (1e-4, 1e-7):
         r, measured = vl.estimate_rank(field.alpha_min, field.alpha_max, g.h,
                                        eps, dim=2)
-        fast = vl.VariableOrderOperator(g, field, mode="fast", rank=r,
-                                        quadrature_m=128)
+        fast = vl.VariableOrderOperator(g, field, mode="fast", rank=r)
         gap = np.abs(fast.apply(u).values - ref).max()
         bound = 10.0 * eps * np.abs(u.values).max() * g.h ** -field.alpha_max
         assert gap <= bound
@@ -292,9 +285,8 @@ def test_fast_matches_direct_3d():
         lambda p: 1.0 + 0.5 * np.tanh(np.sum(p, axis=-1)), 0.4, 1.6), g)
     rng = np.random.default_rng(9)
     u = vl.GridFunction(g, rng.standard_normal(g.size))
-    direct = vl.VariableOrderOperator(g, field, mode="direct", quadrature_m=64)
-    fast = vl.VariableOrderOperator(g, field, mode="fast", rank=9,
-                                    quadrature_m=64)
+    direct = vl.VariableOrderOperator(g, field, mode="direct")
+    fast = vl.VariableOrderOperator(g, field, mode="fast", rank=9)
     vd = direct.apply(u).values
     vf = fast.apply(u).values
     assert np.abs(vf - vd).max() <= 1e-5 * np.abs(vd).max()
@@ -314,8 +306,7 @@ def test_pruned_fast_apply_matches_dense(dim, n):
     field = vl.sample_order(vl.OrderField.from_callable(
         lambda p: plan.nodes[np.arange(p.shape[0]) % plan.rank], 0.4, 1.6), g)
     mask = vl.make_mask(g, lambda p: np.sum(p**2, axis=-1) < 0.64)
-    m = 64 if dim > 1 else None
-    direct = vl.VariableOrderOperator(g, field, mode="direct", quadrature_m=m)
+    direct = vl.VariableOrderOperator(g, field, mode="direct")
     u = np.random.default_rng(n).standard_normal(g.size)
     inside = mask.inside.astype(float)
     # the dense matrix stacks the direct apply's rows; in 3D one direct
@@ -328,13 +319,12 @@ def test_pruned_fast_apply_matches_dense(dim, n):
         refs = [direct._apply_flat(u), inside * direct._apply_flat(inside * u)]
     for ref, dmask in zip(refs, (None, mask)):
         fast = vl.VariableOrderOperator(g, field, mode="fast", plan=plan,
-                                        quadrature_m=m, mask=dmask)
+                                        mask=dmask)
         got = fast._apply_flat(u)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     # constant-order apply against the Toeplitz matvec, one row at a time
     alpha = 1.3
-    kern = fast.constant_order_kernel(alpha)
-    nonneg = vl.operator_block(alpha, dim, n, m)
+    nonneg = vl.operator_block(alpha, dim, n)
     offsets = np.abs(np.arange(1 - n, n))
     block = nonneg[np.ix_(*[offsets] * dim)]
     u_nd = u.reshape(g.shape)
@@ -342,7 +332,7 @@ def test_pruned_fast_apply_matches_dense(dim, n):
     for j in np.ndindex(*g.shape):
         win = block[tuple(slice(n - 1 - jp, 2 * n - 1 - jp) for jp in j)]
         toeplitz[j] = np.sum(win * u_nd) * g.h ** -alpha
-    out = kern.apply_nd(u_nd)
+    out = constant_apply(g, alpha, u_nd)
     assert np.abs(out - toeplitz).max() <= 1e-12 * np.abs(toeplitz).max()
 
 
@@ -416,7 +406,7 @@ def test_fast_apply_bitwise_with_half_spectra(dim, n):
                             np.empty(_rfft_shape(kern.pad_shape), dtype=complex))
                    * _full_spectrum(kern), g.shape, kern.pad_shape)
     ref = ref * kern.h ** (-kern.alpha)
-    assert np.array_equal(kern.apply_nd(u.reshape(g.shape)), ref)
+    assert np.array_equal(constant_apply(g, kern.alpha, u), ref)
 
 
 def test_half_spectra_bytes_3d():

@@ -185,7 +185,8 @@ def test_integral_tail_guard():
 def case1_rhs_on(coarse, field, beta=4.0):
     """Case-1 data on [-1, 1]^2 from the h_ref = 2^-7 reference grid."""
     fine = vl.build_grid(2, -1, 1, 255)
-    f_ref = vl.manufactured_rhs_case1(fine, field, beta=beta)
+    op = vl.VariableOrderOperator(fine, field, mode="fast")
+    f_ref = vl.manufactured_rhs_case1(op, beta=beta)
     return vl.GridFunction(coarse, restrict_nested(f_ref, coarse))
 
 
@@ -218,7 +219,8 @@ def test_manufactured_rhs_not_nested():
 def test_manufactured_rhs_rejects_small_beta():
     g = vl.build_grid(1, -1, 1, 7)
     with pytest.raises(InvalidRange):
-        vl.manufactured_rhs_case1(g, vl.OrderField.constant(1.5), beta=1.0)
+        vl.manufactured_rhs_case1(
+            vl.VariableOrderOperator(g, vl.OrderField.constant(1.5)), beta=1.0)
 
 
 def test_definition_equivalence_sample():

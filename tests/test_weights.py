@@ -73,7 +73,7 @@ def test_operator_block_rejects_bad_sizes():
     with pytest.raises(InvalidDim):
         vl.operator_block(1.5, 4, 8)
     with pytest.raises(QuadratureTooCoarse):
-        vl.operator_block(1.5, 2, 8, m=0)
+        vl.weights_nd_fft(1.5, 2, 0)
 
 
 def test_closed_form_rejects_bad_alpha():
@@ -168,6 +168,15 @@ def test_default_2d_quadrature_is_4n():
     assert vl.default_quadrature_size(2, 63) == 256
     assert vl.default_quadrature_size(2, 511) == 2048
     assert vl.default_quadrature_size(2, 1023) == 4096
+
+
+def test_default_3d_quadrature_sizes():
+    # the one 3D size rule: 4N as a power of two, floored at 64 and capped
+    # at 512, but never below 2N + 2; perfbench's cn3d reference was made
+    # at N = 31, m = 128
+    for n, m in ((7, 64), (15, 64), (31, 128), (63, 256), (127, 512),
+                 (255, 512), (256, 1024)):
+        assert vl.default_quadrature_size(3, n) == m
 
 
 @pytest.mark.parametrize("alpha", CORRECTED_ALPHAS)
