@@ -78,13 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override apply mode")
         p.add_argument("--rank", type=int, help="override low-rank term count")
         p.add_argument("--threads", type=int, default=1,
-                       help="FFT worker threads")
+                       help="FFT worker threads (at least 1)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = _load_config(args.config)
         for key in ("mode", "rank"):
             val = getattr(args, key)
@@ -98,7 +100,7 @@ def main(argv=None) -> int:
             "evolve": lambda: experiments.run_evolve(cfg, out_dir),
             "bench": lambda: experiments.run_bench(cfg, out_dir),
         }[args.command]
-        with sfft.set_workers(max(1, args.threads)):
+        with sfft.set_workers(args.threads):
             runner()
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

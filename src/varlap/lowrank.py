@@ -43,6 +43,15 @@ class ChebyshevPlan:
     alpha_max: float
 
 
+def check_rank_options(rank: int | None = None,
+                       epsilon: float | None = None) -> None:
+    """Raise InvalidRange for a rank outside 1..RANK_CAP or epsilon <= 0."""
+    if rank is not None and not 1 <= rank <= RANK_CAP:
+        raise InvalidRange(f"rank must be in 1..{RANK_CAP}, got {rank}")
+    if epsilon is not None and epsilon <= 0.0:
+        raise InvalidRange(f"epsilon must be positive, got {epsilon}")
+
+
 def build_plan(alpha_min: float, alpha_max: float, r: int = DEFAULT_RANK) -> ChebyshevPlan:
     """Chebyshev first-kind nodes of [alpha_min, alpha_max] with weights.
 
@@ -56,8 +65,7 @@ def build_plan(alpha_min: float, alpha_max: float, r: int = DEFAULT_RANK) -> Che
     alpha_min, alpha_max = float(alpha_min), float(alpha_max)
     if not (0.0 < alpha_min <= alpha_max <= 2.0):
         raise InvalidRange(f"interval [{alpha_min}, {alpha_max}] outside (0, 2]")
-    if not 1 <= r <= RANK_CAP:
-        raise InvalidRange(f"rank must be in 1..{RANK_CAP}, got {r}")
+    check_rank_options(rank=r)
     if alpha_min == alpha_max:
         return ChebyshevPlan(rank=1, nodes=np.array([alpha_min]),
                              bary_weights=np.array([1.0]),
@@ -155,8 +163,7 @@ def estimate_rank(alpha_min: float, alpha_max: float, h: float,
     Raises:
         RankCapExceeded: no r <= 32 meets the tolerance.
     """
-    if epsilon <= 0.0:
-        raise InvalidRange(f"epsilon must be positive, got {epsilon}")
+    check_rank_options(epsilon=epsilon)
     if alpha_min == alpha_max:
         return 1, 0.0
     for r in range(1, RANK_CAP + 1):

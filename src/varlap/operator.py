@@ -47,6 +47,7 @@ from .lowrank import (
     DEFAULT_RANK,
     ChebyshevPlan,
     build_plan,
+    check_rank_options,
     estimate_rank,
     rank_coefficients,
 )
@@ -190,6 +191,7 @@ class VariableOrderOperator:
             field = sample_order(field, grid)
         if mask is not None and mask.grid.shape != grid.shape:
             raise GridMismatch("mask grid does not match operator grid")
+        check_rank_options(rank, epsilon)     # direct mode ignores both, but checks them
         self.grid = grid
         self.field = field
         self.mode = mode

@@ -6,11 +6,10 @@ embedding mask are pinned to zero through identity rows, keeping the system
 square and nonsingular.  Linear systems are solved matrix-free by BiCGSTAB
 with a zero initial guess by default.  Elliptic and phase-field solves are
 right preconditioned by the tau-algebra (DST-I) model of a constant-order
-block.  For the elliptic solves its inverse is Lagrange interpolated in the
-order over three Chebyshev nodes of the sampled range; the phase-field
-steps keep one mean order, shifted by the mean of their diagonal.  In a
-preconditioned solve an initial guess x0 is a correction start: the Krylov
-iteration solves for ``u - x0``.  Crank-Nicolson solves stay
+block, which BiCGSTAB applies inside its recurrence.  For the elliptic
+solves its inverse is Lagrange interpolated in the order over three
+Chebyshev nodes of the sampled range; the phase-field steps keep one mean
+order, shifted by the mean of their diagonal.  Crank-Nicolson solves stay
 unpreconditioned: their identity-dominated systems converge in a few dozen
 half-steps already, and a shift model made the ``bench_tanh`` step slower.
 
@@ -64,7 +63,12 @@ MAX_STEPS = 2**20
 
 @dataclass(frozen=True)
 class KrylovConfig:
-    """BiCGSTAB controls; defaults reproduce iterate-to-stagnation behavior."""
+    """BiCGSTAB controls; defaults reproduce iterate-to-stagnation behavior.
+
+    ``x0`` is the start (zero if None); ``preconditioner`` is a right
+    preconditioner M^-1 that :func:`bicgstab` applies.  The solve entry
+    points set it themselves; a value here reaches direct calls only.
+    """
 
     tol: float = 1e-14
     max_iter: int = 5000
@@ -72,6 +76,7 @@ class KrylovConfig:
     max_restarts: int = 8
     accept_relres: float = 1e-6
     x0: np.ndarray | None = None
+    preconditioner: LinearMap | None = None
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -97,13 +102,13 @@ class KrylovResult:
 
 def bicgstab(apply_a: LinearMap, rhs: np.ndarray,
              config: KrylovConfig | None = None) -> KrylovResult:
-    """BiCGSTAB for a general linear map.
+    """BiCGSTAB for a general linear map, right preconditioned by
+    ``config.preconditioner`` (M^-1) if one is given.
 
-    Right preconditioning is left to the caller: hand in ``A M^-1`` and map
-    the returned iterate through ``M^-1`` (``_solve_preconditioned`` does
-    this for the elliptic and phase-field solves; Crank-Nicolson calls this
-    function plainly); the monitored residual is then the true residual of
-    that iterate.
+    The recurrence is van der Vorst's (SIAM J. Sci. Stat. Comput. 13(2),
+    1992) with the search direction and half-step residual mapped through
+    M^-1 before A; iterates and residuals are those of x, so ``config.x0``
+    is the start and a restart recomputes the true residual.
 
     Iterations are counted in half-steps: every full sweep applies the
     operator twice and produces two iterates, and the count increments at
@@ -123,6 +128,7 @@ def bicgstab(apply_a: LinearMap, rhs: np.ndarray,
     b = np.asarray(rhs, dtype=float).ravel()
     n = b.size
     x = np.zeros(n) if cfg.x0 is None else np.array(cfg.x0, dtype=float).ravel()
+    m_inv = cfg.preconditioner if cfg.preconditioner is not None else (lambda v: v)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return KrylovResult(x=np.zeros(n), iterations=0, relres=0.0,
@@ -151,13 +157,14 @@ def bicgstab(apply_a: LinearMap, rhs: np.ndarray,
             break
         beta = (rho / rho_old) * (alpha / omega)
         p = r + beta * (p - omega * v)
-        v = apply_a(p)
+        p_hat = m_inv(p)
+        v = apply_a(p_hat)
         denom = float(r_hat @ v)
         if abs(denom) < 1e-300:
             status = "breakdown"
             break
         alpha = rho / denom
-        s = x + alpha * p          # half-step iterate
+        s = x + alpha * p_hat      # half-step iterate
         res_half = r - alpha * v
         half = 2 * it - 1
         half_norm = float(np.linalg.norm(res_half)) / b_norm
@@ -170,7 +177,8 @@ def bicgstab(apply_a: LinearMap, rhs: np.ndarray,
             x, relres = s, half_norm
             status = "converged"
             break
-        t = apply_a(res_half)
+        s_hat = m_inv(res_half)
+        t = apply_a(s_hat)
         tt = float(t @ t)
         if tt == 0.0:
             status = "breakdown"
@@ -179,7 +187,7 @@ def bicgstab(apply_a: LinearMap, rhs: np.ndarray,
         if omega == 0.0:
             status = "breakdown"
             break
-        x = s + omega * res_half
+        x = s + omega * s_hat
         r = res_half - omega * t
         rho_old = rho
         half = 2 * it
@@ -327,61 +335,36 @@ def _tau_inverse(op: VariableOrderOperator, scale: float = 1.0,
     return inverse
 
 
-def _solve_preconditioned(apply_a: LinearMap, inverse: LinearMap,
-                          rhs: np.ndarray,
-                          config: KrylovConfig | None) -> KrylovResult:
-    """Right-preconditioned BiCGSTAB: solve ``A M^-1 y = rhs``, return ``M^-1 y``.
-
-    ``inverse`` is the ``M^-1`` of ``_tau_inverse``; the residuals are those
-    of the returned iterate.  An initial guess x0 enters as a correction:
-    BiCGSTAB runs from zero on ``A M^-1 y = rhs - A x0`` and the solve returns
-    ``x0 + M^-1 y``, with tolerance and residuals still relative to ||rhs||.
-    """
-    cfg = config or KrylovConfig()
-    b = np.asarray(rhs, dtype=float).ravel()
-    b_norm = float(np.linalg.norm(b))
-
-    # composed here, not passed to bicgstab, so bicgstab keeps the
-    # (apply_a, rhs, config) form that perfbench/tracing.py wraps
-    def apply_am(y: np.ndarray) -> np.ndarray:
-        return apply_a(inverse(y))
-
-    if cfg.x0 is None or b_norm == 0.0:     # a zero rhs is solved by u = 0
-        result = bicgstab(apply_am, b, replace(cfg, x0=None))
-        return replace(result, x=inverse(result.x))
-    x0 = np.asarray(cfg.x0, dtype=float).ravel()
-    r0 = b - apply_a(x0)
-    ratio = float(np.linalg.norm(r0)) / b_norm
-    inner = replace(cfg, x0=None, tol=cfg.tol / ratio if ratio > 0.0 else cfg.tol)
-    result = bicgstab(apply_am, r0, inner)
-    return replace(result, x=x0 + inverse(result.x), relres=result.relres * ratio,
-                   residuals=[r * ratio for r in result.residuals])
+def _solve(what: str, op: VariableOrderOperator, apply_a: LinearMap,
+           rhs: np.ndarray, krylov: KrylovConfig | None,
+           inverse: LinearMap | None) -> tuple[GridFunction, KrylovResult]:
+    """BiCGSTAB on ``apply_a u = rhs`` with rhs zeroed on masked rows and
+    M^-1 = ``inverse``; raises SolverFailure unless the result is ``ok``."""
+    result = bicgstab(apply_a, _masked_rhs(rhs, op.mask),
+                      replace(krylov or KrylovConfig(), preconditioner=inverse))
+    if not result.ok:
+        raise SolverFailure(f"{what} ended with status {result.status}, "
+                            f"relative residual {result.relres:.3e}")
+    return GridFunction(op.grid, result.x), result
 
 
 def solve_elliptic(problem: EllipticProblem,
                    config: KrylovConfig | None = None) -> SolveOutcome:
     """Solve the elliptic scheme by right-preconditioned BiCGSTAB.
 
-    BiCGSTAB runs on ``A M^-1 y = f`` with M^-1 the unshifted tau inverse of
-    ``_tau_inverse`` and returns ``u = M^-1 y``, so its residuals are those
-    of u.  A ``config.x0`` is a correction start: the iteration solves for
-    ``u - x0``.  The reaction term stays out of M; masked nodes stay at zero.
+    M^-1 is the unshifted tau inverse of ``_tau_inverse``, in place of any
+    ``config.preconditioner``; the reaction term stays out of M.  Masked
+    nodes stay at zero.
 
     Raises:
         SolverFailure: the Krylov iteration broke down or left a residual
-            above 1e-8 relative.
+            above ``config.accept_relres``.
     """
     op = problem.operator
     diag = problem.b.values if problem.b is not None else None
-    rhs = _masked_rhs(problem.f.values, op.mask)
-    result = _solve_preconditioned(_pinned_map(op, diag), _tau_inverse(op), rhs,
-                                   config)
-    if not result.ok:
-        raise SolverFailure(
-            f"elliptic solve ended with status {result.status}, "
-            f"relative residual {result.relres:.3e}"
-        )
-    return SolveOutcome(u=GridFunction(op.grid, result.x), krylov=result)
+    u, result = _solve("elliptic solve", op, _pinned_map(op, diag),
+                       problem.f.values, config, _tau_inverse(op))
+    return SolveOutcome(u=u, krylov=result)
 
 
 @dataclass(frozen=True)
@@ -419,7 +402,8 @@ def step_crank_nicolson(u_prev: GridFunction, stepper: TimeStepper,
                         b: GridFunction | None = None) -> tuple[GridFunction, KrylovResult]:
     """One Crank-Nicolson step of ``u_t + L u = f`` with L = diffusion*A + b.
 
-    Solves ``(I + dt/2 L) u_next = (I - dt/2 L) u_prev + dt f(t + dt/2)``.
+    Solves ``(I + dt/2 L) u_next = (I - dt/2 L) u_prev + dt f(t + dt/2)``
+    by plain BiCGSTAB: any ``stepper.krylov.preconditioner`` is dropped.
     """
     op = operator
     dt = stepper.dt
@@ -428,18 +412,10 @@ def step_crank_nicolson(u_prev: GridFunction, stepper: TimeStepper,
     explicit = _pinned_map(op, -diag if diag is not None else None,
                            scale_a=-stepper.diffusion * dt / 2.0, shift=1.0)
     rhs = explicit(u_prev.values)
-    if op.mask is not None:
-        rhs[~op.mask.inside] = 0.0
     if stepper.source is not None:
         rhs = rhs + dt * np.asarray(
             stepper.source(op.grid.points(), t + dt / 2.0), dtype=float).ravel()
-        rhs = _masked_rhs(rhs, op.mask)
-    result = bicgstab(lhs, rhs, stepper.krylov)
-    if not result.ok:
-        raise SolverFailure(
-            f"Crank-Nicolson step failed: {result.status}, relres {result.relres:.3e}"
-        )
-    return GridFunction(op.grid, result.x), result
+    return _solve("Crank-Nicolson step", op, lhs, rhs, stepper.krylov, None)
 
 
 def _step_allen_cahn_bootstrap(w: GridFunction, stepper: TimeStepper,
@@ -457,12 +433,8 @@ def _step_allen_cahn_bootstrap(w: GridFunction, stepper: TimeStepper,
     rhs = (w.values
            - dt / 2.0 * stepper.diffusion * op._apply_flat(w.values)
            - (dt / stepper.kappa**2) * (phys**3 - phys))
-    rhs = _masked_rhs(rhs, op.mask)
     tau = _tau_inverse(op, scale=stepper.diffusion * dt / 2.0, shift=1.0)
-    result = _solve_preconditioned(lhs, tau, rhs, stepper.krylov)
-    if not result.ok:
-        raise SolverFailure(f"bootstrap step failed: {result.status}")
-    return GridFunction(op.grid, result.x), result
+    return _solve("bootstrap step", op, lhs, rhs, stepper.krylov, tau)
 
 
 def step_allen_cahn_three_level(u_nm1: GridFunction, u_n: GridFunction,
@@ -495,15 +467,9 @@ def step_allen_cahn_three_level(u_nm1: GridFunction, u_n: GridFunction,
            - dt * stepper.diffusion * op._apply_flat(u_nm1.values)
            - mu * q * u_nm1.values
            + 2.0 * mu * (q + phys))
-    rhs = _masked_rhs(rhs, op.mask)
     q_mean = float(np.mean(q if op.mask is None else q[op.mask.inside]))
     tau = _tau_inverse(op, scale=stepper.diffusion * dt, shift=1.0 + mu * q_mean)
-    result = _solve_preconditioned(lhs, tau, rhs, stepper.krylov)
-    if not result.ok:
-        raise SolverFailure(
-            f"three-level step failed: {result.status}, relres {result.relres:.3e}"
-        )
-    return GridFunction(op.grid, result.x), result
+    return _solve("three-level step", op, lhs, rhs, stepper.krylov, tau)
 
 
 def positive_component_count(u: GridFunction) -> int:

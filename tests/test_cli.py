@@ -254,12 +254,45 @@ def test_config_validation_direct():
     # a finite step count past the 2**20-step cap
     ("evolve", {"dim": 1, "order": "const:1.5", "h": 0.25, "dt": 1e-300,
                 "t_final": 1.0}),
+    # rank and epsilon are checked for the default 1D direct operator too
+    ("apply-conv", {"dim": 1, "h_list": [0.5], "order": "alpha2",
+                    "rank": 100000000}),
+    ("apply-conv", {"dim": 1, "h_list": [0.5], "order": "alpha2", "rank": 0}),
+    ("apply-conv", {"dim": 1, "h_list": [0.5], "order": "alpha2",
+                    "epsilon": -1}),
 ])
 def test_exit_code_2_on_library_value_errors(tmp_path, command, cfg, capsys):
     path = write_cfg(tmp_path, "bad.json", cfg)
     assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_refused(tmp_path, threads, capsys):
+    path = write_cfg(tmp_path, "w.json", {"alpha": 1.5, "dim": 1, "n_max": 8})
+    code = cli.main(["weights", "--config", path, "--out", str(tmp_path),
+                     "--threads", threads])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "weights.csv").exists()
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("elliptic", {"case": 2, "dim": 2, "order": "case2_linear",
+                  "h_list": [0.25, 0.125], "max_iter": 1}),
+    ("evolve", {"kind": "single", "dim": 1, "box": [-1, 1],
+                "order": "case2_tanh", "h": 0.125, "dt": 0.05,
+                "t_final": 0.1, "max_iter": 1}),
+])
+def test_exit_code_3_on_solver_failure(tmp_path, command, cfg, capsys):
+    # one BiCGSTAB sweep cannot reach the acceptance residual
+    path = write_cfg(tmp_path, "short.json", cfg)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_orders_skip_zero_errors():

@@ -9,6 +9,7 @@ from varlap.solver import (
     _masked_rhs,
     _pinned_map,
     _step_allen_cahn_bootstrap,
+    _tau_inverse,
     positive_component_count,
     write_observer_csv,
 )
@@ -54,17 +55,43 @@ def test_bicgstab_best_iterate_monotone_record():
     assert best_so_far[-1] <= 1e-13
 
 
+def test_bicgstab_right_preconditioner_dense_nonsymmetric():
+    # a nonsymmetric system with a diagonal spread over three decades: the
+    # Jacobi inverse as M^-1 reaches the dense solution in fewer half-steps
+    rng = np.random.default_rng(11)
+    n = 40
+    d = np.logspace(0.0, 3.0, n)
+    a = np.diag(d) + 0.3 * np.sqrt(np.outer(d, d)) * rng.uniform(-1, 1, (n, n)) / n
+    b = rng.standard_normal(n)
+    cfg = vl.KrylovConfig(tol=1e-13)
+    plain = vl.bicgstab(lambda u: a @ u, b, cfg)
+    pre = vl.bicgstab(lambda u: a @ u, b, replace(cfg, preconditioner=lambda v: v / d))
+    exact = np.linalg.solve(a, b)
+    assert pre.status == "converged"
+    assert np.abs(pre.x - exact).max() / np.abs(exact).max() <= 1e-10
+    assert pre.iterations < plain.iterations, (pre.iterations, plain.iterations)
+
+
 def test_bicgstab_counts_restarts_on_plateau():
     # tol below reach: the residual floors, and each stagnation window spent
-    # without progress triggers one restart from the best iterate
+    # without progress triggers one restart from the best iterate.  A right
+    # preconditioner (here a diagonal scaling, which plateaus like the plain
+    # solve; the tau inverse converges to an exact zero residual) restarts
+    # from the true residual of x, so the returned relres is that of the
+    # returned x, up to the recursive residual's drift below the 1e-14 floor
     g = vl.build_grid(1, -1.0, 1.0, 63)
     op = vl.VariableOrderOperator(g, sampled_const(g, 1.5), mode="fast", rank=1)
-    for max_restarts in (0, 3):
-        cfg = vl.KrylovConfig(tol=1e-300, stagnation_window=2,
-                              max_restarts=max_restarts)
-        res = vl.bicgstab(op._apply_flat, np.ones(g.size), cfg)
-        assert res.status == "stagnated"
-        assert res.restarts == max_restarts
+    b = np.ones(g.size)
+    w = 1.0 + 0.5 * np.cos(np.pi * g.points()[:, 0])
+    for m_inv in (None, lambda v: w * v):
+        for max_restarts in (0, 3):
+            cfg = vl.KrylovConfig(tol=1e-300, stagnation_window=2,
+                                  max_restarts=max_restarts, preconditioner=m_inv)
+            res = vl.bicgstab(op._apply_flat, b, cfg)
+            assert res.status == "stagnated"
+            assert res.restarts == max_restarts
+            true = np.linalg.norm(b - op._apply_flat(res.x)) / np.linalg.norm(b)
+            assert abs(res.relres - true) <= 1e-12, (res.relres, true)
 
 
 def _elliptic_case(kind):
@@ -243,20 +270,23 @@ def test_preconditioned_solves_take_initial_guess():
 
 
 def test_cn_step_runs_plain_bicgstab():
-    # the shifted Crank-Nicolson system gets no preconditioner: the step is
-    # bit for bit one plain BiCGSTAB solve on the pinned map
+    # the shifted Crank-Nicolson system gets no preconditioner, not even one
+    # carried by stepper.krylov: the step is bit for bit one plain BiCGSTAB
+    # solve on the pinned map
     g = vl.build_grid(3, -1.0, 1.0, 15)
     op = vl.VariableOrderOperator(
         g, vl.sample_order(order_field("bench_tanh"), g), mode="fast")
     u0 = vl.GridFunction(g, np.cos(np.pi * g.points()[:, 0] / 2.0))
     stepper = vl.TimeStepper(dt=1.0 / 16.0, t_final=1.0 / 16.0)
-    u1, res = vl.step_crank_nicolson(u0, stepper, op)
     half = stepper.dt / 2.0
     rhs = _pinned_map(op, None, scale_a=-half, shift=1.0)(u0.values)
     plain = vl.bicgstab(_pinned_map(op, None, scale_a=half, shift=1.0), rhs,
                         stepper.krylov)
-    assert res.iterations == plain.iterations
-    assert np.array_equal(u1.values, plain.x)
+    tau = _tau_inverse(op, scale=half, shift=1.0)
+    for krylov in (stepper.krylov, replace(stepper.krylov, preconditioner=tau)):
+        u1, res = vl.step_crank_nicolson(u0, replace(stepper, krylov=krylov), op)
+        assert res.iterations == plain.iterations
+        assert np.array_equal(u1.values, plain.x)
 
 
 def test_elliptic_zero_data_zero_solution():
