@@ -69,8 +69,8 @@ from .weights import (
     check_decay,
     default_quadrature_size,
     operator_block,
+    signed_block,
     symbol,
-    weights_1d_closed_form,
     weights_nd_fft,
 )
 

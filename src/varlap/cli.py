@@ -8,7 +8,8 @@ Subcommands mirror the experiment kinds:
     varlap evolve     --config evolve.json    [--out DIR]
     varlap bench      --config bench.json     [--out DIR]
 
-Configs are JSON objects; command-line flags override the matching keys.
+Configs are JSON objects; ``--mode`` and ``--rank`` override the matching
+keys on every subcommand that builds an operator, which is all but weights.
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
 
@@ -23,7 +24,6 @@ import scipy.fft as sfft
 
 from . import experiments
 from .errors import ConfigError, SolverFailure, VarlapError
-from .weights import dump_csv, operator_block
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,19 +45,6 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _run_weights(cfg: dict, out_dir: Path) -> None:
-    """Write the weights the operator applies, every signed offset to n_max."""
-    alpha = experiments._number(cfg, "alpha", None)
-    dim = experiments._choice(cfg, "dim", (1, 2, 3), 1)
-    n_max = experiments._number(cfg, "n_max", 64, int)
-    experiments._check_nodes(2 * n_max + 1, dim)
-    block = operator_block(alpha, dim, n_max)
-    out = experiments._output(cfg, out_dir, "weights.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    dump_csv(block, out)
-    print(f"wrote {out} (alpha={alpha}, dim={dim}, offsets to {n_max})")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varlap",
@@ -74,11 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--mode", choices=["fast", "direct"],
-                       help="override apply mode")
-        p.add_argument("--rank", type=int, help="override low-rank term count")
         p.add_argument("--threads", type=int, default=1,
                        help="FFT worker threads (at least 1)")
+        if name != "weights":
+            p.add_argument("--mode", choices=["fast", "direct"],
+                           help="override apply mode")
+            p.add_argument("--rank", type=int,
+                           help="override low-rank term count")
     return parser
 
 
@@ -89,12 +78,12 @@ def main(argv=None) -> int:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = _load_config(args.config)
         for key in ("mode", "rank"):
-            val = getattr(args, key)
+            val = getattr(args, key, None)
             if val is not None:
                 cfg[key] = val
         out_dir = Path(args.out)
         runner = {
-            "weights": lambda: _run_weights(cfg, out_dir),
+            "weights": lambda: experiments.run_weights(cfg, out_dir),
             "apply-conv": lambda: experiments.run_apply_convergence(cfg, out_dir),
             "elliptic": lambda: experiments.run_elliptic(cfg, out_dir),
             "evolve": lambda: experiments.run_evolve(cfg, out_dir),

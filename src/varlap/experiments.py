@@ -2,9 +2,10 @@
 
 Each runner takes a plain dict (usually parsed from a JSON config file),
 validates it, runs the experiment, writes one CSV under the output directory,
-and returns the rows it wrote.  Error columns follow the convergence
-convention: the observed order is ``log2(E(2h)/E(h))`` and is empty on the
-first row.
+and returns the rows it wrote.  A key that is absent or null takes its
+default; any other value, false, 0 and "" included, is checked.  Error
+columns follow the convergence convention: the observed order is
+``log2(E(2h)/E(h))`` and is empty on the first row.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ from .solver import (
     step_crank_nicolson,
     write_observer_csv,
 )
+from .weights import dump_csv, operator_block
 
 __all__ = [
     "ConvergenceRow",
+    "run_weights",
     "run_apply_convergence",
     "run_elliptic",
     "run_evolve",
@@ -72,8 +75,14 @@ def _convergence_csv(path: Path, rows: list[ConvergenceRow]) -> None:
                 [[_fmt(r.h), _fmt(r.e_inf), _fmt(r.order)] for r in rows])
 
 
+def _get(cfg: dict, key: str, default=None):
+    """``cfg[key]``, or ``default`` when the key is absent or null."""
+    val = cfg.get(key)
+    return default if val is None else val
+
+
 def _box(cfg: dict, default: tuple[float, float]) -> tuple[float, float]:
-    box = cfg.get("box", list(default))
+    box = _get(cfg, "box", list(default))
     if (not isinstance(box, (list, tuple)) or len(box) != 2
             or not all(_is_number(v) for v in box)):
         raise ConfigError(f"box must be [lower, upper], got {box!r}")
@@ -94,7 +103,7 @@ def _check_nodes(n: int, dim: int) -> int:
 
 
 def _grid_for_h(dim: int, lo: float, hi: float, h: float) -> UniformGrid:
-    n_float = (hi - lo) / h - 1.0
+    n_float = (hi - lo) / h - 1.0 if h else math.nan
     n = int(round(n_float)) if math.isfinite(n_float) else 0
     if n < 1 or abs(n_float - n) > 1e-9:
         raise ConfigError(f"step {h} does not fit the box [{lo}, {hi}]")
@@ -112,7 +121,7 @@ def _is_number(v, kind=float) -> bool:
 
 def _number(cfg: dict, key: str, default, kind=float):
     """``cfg[key]`` (or ``default``) as a finite ``kind``; ConfigError otherwise."""
-    val = cfg.get(key, default)
+    val = _get(cfg, key, default)
     if not _is_number(val, kind):
         raise ConfigError(f"{key} must be a finite {kind.__name__}, got {val!r}")
     return kind(val)
@@ -120,7 +129,7 @@ def _number(cfg: dict, key: str, default, kind=float):
 
 def _positive_list(cfg: dict, key: str, default=None, kind=float) -> list:
     """``cfg[key]`` (or ``default``) as a nonempty list of positive ``kind``s."""
-    vals = cfg.get(key, default)
+    vals = _get(cfg, key, default)
     if (not isinstance(vals, list) or not vals
             or not all(_is_number(v, kind) and v > 0 for v in vals)):
         raise ConfigError(f"{key} must be a nonempty list of positive "
@@ -135,7 +144,7 @@ def _optional_number(cfg: dict, key: str, kind=float):
 
 def _choice(cfg: dict, key: str, choices: tuple[int, ...], default=None) -> int:
     """``cfg[key]`` (or ``default``) as one of the integers ``choices``."""
-    val = cfg.get(key, default)
+    val = _get(cfg, key, default)
     if not _is_number(val, int) or val not in choices:
         raise ConfigError(f"{key} must be one of "
                           f"{', '.join(map(str, choices))}, got {val!r}")
@@ -144,14 +153,14 @@ def _choice(cfg: dict, key: str, choices: tuple[int, ...], default=None) -> int:
 
 def _order(cfg: dict):
     spec = cfg.get("order")
-    if not spec:
+    if spec is None:
         raise ConfigError("missing order field spec")
     return order_field(spec)
 
 
 def _output(cfg: dict, out_dir, default: str) -> Path:
     """Path of the CSV a runner writes: ``cfg["out"]`` under ``out_dir``."""
-    name = cfg.get("out", default)
+    name = _get(cfg, "out", default)
     if not isinstance(name, str) or not name:
         raise ConfigError(f"out must be a file name, got {name!r}")
     return Path(out_dir) / name
@@ -172,7 +181,7 @@ def _h_list(cfg: dict) -> list[float]:
 def _build_operator(grid: UniformGrid, field, cfg: dict, mask=None
                     ) -> VariableOrderOperator:
     """The operator of a run on ``grid``: every operator the CLI builds."""
-    mode = cfg.get("mode") or ("direct" if grid.dim == 1 else "fast")
+    mode = _get(cfg, "mode", "direct" if grid.dim == 1 else "fast")
     return VariableOrderOperator(grid, field, mode=mode, mask=mask,
                                  rank=_optional_number(cfg, "rank", int),
                                  epsilon=_optional_number(cfg, "epsilon"))
@@ -192,6 +201,23 @@ def restrict_nested(fine: GridFunction, coarse: UniformGrid) -> np.ndarray:
     if vals.shape != coarse.shape:
         raise NotNested("restriction shape mismatch")
     return vals.ravel()
+
+
+# -- weights ------------------------------------------------------------------
+
+def run_weights(cfg: dict, out_dir) -> np.ndarray:
+    """Write the weights the operator applies, every signed offset to n_max;
+    returns their nonnegative-offset block."""
+    alpha = _number(cfg, "alpha", None)
+    dim = _choice(cfg, "dim", (1, 2, 3), 1)
+    n_max = _number(cfg, "n_max", 64, int)
+    _check_nodes(2 * n_max + 1, dim)
+    block = operator_block(alpha, dim, n_max)
+    out = _output(cfg, out_dir, "weights.csv")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    dump_csv(block, out)
+    print(f"wrote {out} (alpha={alpha}, dim={dim}, offsets to {n_max})")
+    return block
 
 
 # -- apply convergence --------------------------------------------------------
@@ -281,7 +307,7 @@ def run_elliptic(cfg: dict, out_dir) -> list[ConvergenceRow]:
 def _stepper_from_cfg(cfg: dict, dt: float) -> TimeStepper:
     try:
         return TimeStepper(
-            scheme=cfg.get("scheme", "crank_nicolson"),
+            scheme=_get(cfg, "scheme", "crank_nicolson"),
             dt=dt,
             t_final=_number(cfg, "t_final", 0.5),
             kappa=_number(cfg, "kappa", 0.01),
@@ -294,46 +320,51 @@ def _stepper_from_cfg(cfg: dict, dt: float) -> TimeStepper:
 
 def run_evolve(cfg: dict, out_dir):
     """Evolve an initial state; single run with observers, or a Richardson
-    convergence table over simultaneous (h, dt) halvings."""
+    convergence table over simultaneous (h, dt) halvings.
+
+    Every run is built, and so validated, before anything is written.
+    """
     dim = _choice(cfg, "dim", (1, 2, 3), 2)
     lo, hi = _box(cfg, (-4.0, 4.0))
     base_field = _order(cfg)
-    kind = cfg.get("kind", "single")
-    out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
+    kind = _get(cfg, "kind", "single")
+    if kind not in ("single", "richardson"):
+        raise ConfigError(f"evolve kind must be single or richardson, got {kind!r}")
 
-    def run_one(h: float, dt: float, frames=None):
+    def set_up(h: float, dt: float):
+        """The stepper, operator and initial state of one run."""
         grid = _grid_for_h(dim, lo, hi, h)
         mask = None
-        if cfg.get("mask"):
+        if cfg.get("mask") is not None:
             mask = make_mask(grid, parse_predicate(cfg["mask"]))
         field = sample_order(base_field, grid)
         op = _build_operator(grid, field, cfg, mask=mask)
         stepper = _stepper_from_cfg(cfg, dt)
-        ic = initial_condition(cfg.get("ic", "gaussian"), kappa=stepper.kappa)
+        ic = initial_condition(_get(cfg, "ic", "gaussian"), kappa=stepper.kappa)
         u0_vals = np.asarray(ic(grid.points()), dtype=float).ravel()
         if mask is not None:
             u0_vals[~mask.inside] = 0.0
-        u0 = GridFunction(grid, u0_vals)
-        frame_every = _number(cfg, "frame_every", 0, int) if frames else 0
-        return evolve(stepper, op, u0, frame_dir=frames, frame_every=frame_every)
+        return stepper, op, GridFunction(grid, u0_vals)
 
     if kind == "single":
-        out = _output(cfg, out_path, "evolve.csv")
-        frames = None
-        if cfg.get("frame_every"):
-            frames = out_path / "frames"
-            frames.mkdir(exist_ok=True)
-        h = _number(cfg, "h", 0.0) or None
-        if h is None:
+        out = _output(cfg, out_dir, "evolve.csv")
+        if cfg.get("h") is None:
             raise ConfigError("single evolve needs h")
-        record = run_one(h, _number(cfg, "dt", h), frames=frames)
+        h = _number(cfg, "h", None)
+        frame_every = _number(cfg, "frame_every", 0, int)
+        if frame_every < 0:
+            raise ConfigError(f"frame_every must be >= 0, got {frame_every}")
+        run = set_up(h, _number(cfg, "dt", h))
+        frames = None
+        if frame_every:
+            frames = Path(out_dir) / "frames"
+            frames.mkdir(parents=True, exist_ok=True)
+        record = evolve(*run, frame_dir=frames, frame_every=frame_every)
+        out.parent.mkdir(parents=True, exist_ok=True)
         write_observer_csv(record, out)
         return record
 
-    if kind != "richardson":
-        raise ConfigError(f"evolve kind must be single or richardson, got {kind!r}")
-    out = _output(cfg, out_path, "evolve_richardson.csv")
+    out = _output(cfg, out_dir, "evolve_richardson.csv")
     hs = _h_list(cfg)
     dts = _positive_list(cfg, "dt_list", hs)
     if len(dts) != len(hs):
@@ -341,7 +372,7 @@ def run_evolve(cfg: dict, out_dir):
     finals = []
     grids = []
     for h, dt in zip(hs + [hs[-1] / 2.0], dts + [dts[-1] / 2.0]):
-        rec = run_one(h, dt)
+        rec = evolve(*set_up(h, dt))
         finals.append(rec.final)
         grids.append(rec.final.grid)
     errors = []
@@ -364,9 +395,9 @@ def run_bench(cfg: dict, out_dir):
     kind "cn3d": one Crank-Nicolson step per (N, dt) pair on [-1,1]^3,
     reporting wall time and BiCGSTAB iteration count.  kind "apply_sweep":
     seconds per fast apply over a grid-size sweep plus the fitted log-log
-    slope.
+    slope, which is None unless the sweep has two distinct sizes.
     """
-    kind = cfg.get("kind", "cn3d")
+    kind = _get(cfg, "kind", "cn3d")
     base_field = _order(cfg)
 
     if kind == "cn3d":
@@ -383,7 +414,7 @@ def run_bench(cfg: dict, out_dir):
             field = sample_order(base_field, grid)
             op = _build_operator(grid, field, cfg)
             stepper = _stepper_from_cfg({**cfg, "t_final": dt}, dt)
-            ic = initial_condition(cfg.get("ic", "cos_modes"))
+            ic = initial_condition(_get(cfg, "ic", "cos_modes"))
             u0 = GridFunction(grid, ic(grid.points()))
             t0 = time.perf_counter()
             _, res = step_crank_nicolson(u0, stepper, op)
@@ -407,7 +438,8 @@ def run_bench(cfg: dict, out_dir):
         op = _build_operator(grid, field, {**cfg, "mode": "fast"})
         timing = operator_timing(op, n_reps=reps)
         rows.append([n, timing["seconds_per_apply"]])
-    slope = fit_loglog_slope([r[0] for r in rows], [r[1] for r in rows])
+    slope = (fit_loglog_slope(ns, [r[1] for r in rows])
+             if len(set(ns)) > 1 else None)
     _write_rows(out, ["n", "seconds_per_apply"],
                 [[r[0], _fmt(r[1])] for r in rows])
     return {"rows": rows, "slope": slope}

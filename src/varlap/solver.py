@@ -394,6 +394,8 @@ class TimeStepper:
                                f"exceeds the limit of {MAX_STEPS} steps")
         if self.scheme == "allen_cahn" and self.kappa <= 0.0:
             raise InvalidRange("Allen-Cahn needs kappa > 0")
+        if self.diffusion < 0.0:
+            raise InvalidRange("diffusion coefficient must be nonnegative")
 
 
 def step_crank_nicolson(u_prev: GridFunction, stepper: TimeStepper,

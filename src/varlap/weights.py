@@ -12,8 +12,9 @@ dimension the trapezoidal rule on the periodic cell turns the whole table
 into one inverse DFT of the sampled symbol.
 
 The symbol is even in every component of eta, so the inverse DFT reduces to a
-type-I cosine transform on the nonnegative quadrant, and every table stores
-only that quadrant; the rest follows by evenness.  Weights are even
+type-I cosine transform on the nonnegative quadrant.  Every weight array here
+is such a nonnegative-offset block, entry n the weight at offset n; the rest
+follows by evenness (:func:`signed_block`).  Weights are even
 (a_n = a_-n), have a positive center and nonpositive tails, sum to zero over
 the full periodic table (the symbol vanishes at eta = 0), and decay like
 |n|^(-d-alpha).
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,9 +52,9 @@ __all__ = [
     "WeightTable",
     "DecayReport",
     "symbol",
-    "weights_1d_closed_form",
     "weights_nd_fft",
     "alias_corrected_block",
+    "signed_block",
     "operator_block",
     "check_decay",
     "dump_csv",
@@ -84,52 +84,16 @@ def _check_alpha(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Stencil weights of one constant order, indexed periodically.
+    """Trapezoidal weights of one constant order at quadrature size m.
 
-    ``values`` is the nonnegative quadrant of shape (m//2+1,)*dim: the entry
-    at multi-index n is the weight at offset n.  The full period-m table
-    follows by evenness, with offset -n equal to offset n and offsets
-    aliased modulo m.
+    ``values`` is the nonnegative-offset block of offsets 0..m/2 per axis;
+    the full period-m table follows by evenness and aliasing modulo m.
     """
 
     alpha: float
     dim: int
     m: int
     values: np.ndarray
-
-    @property
-    def max_offset(self) -> int:
-        """Largest |n| per axis at which a stored value exists."""
-        return self.m // 2
-
-    def value(self, n) -> float:
-        """Weight at signed multi-index ``n`` (periodic indexing)."""
-        n = np.atleast_1d(np.asarray(n, dtype=int))
-        if n.size != self.dim:
-            raise InvalidDim(f"index has {n.size} components, table has {self.dim}")
-        wrapped = (n + self.m // 2) % self.m - self.m // 2
-        return float(self.values[tuple(np.abs(wrapped))])
-
-    def block_nonneg(self, kmax: int) -> np.ndarray:
-        """Weights at offsets 0..kmax per axis, shape (kmax+1,)*dim."""
-        if kmax > self.max_offset:
-            raise QuadratureTooCoarse(
-                f"offset {kmax} exceeds table range {self.max_offset}"
-            )
-        sl = (slice(0, kmax + 1),) * self.dim
-        return np.array(self.values[sl])
-
-    def signed_block(self, kmax: int) -> np.ndarray:
-        """Weights at offsets -kmax..kmax, shape (2*kmax+1,)*dim.
-
-        Axis position i corresponds to offset i - kmax.
-        """
-        if kmax > self.max_offset:
-            raise QuadratureTooCoarse(
-                f"offset {kmax} exceeds table range {self.max_offset}"
-            )
-        idx = np.abs(np.arange(-kmax, kmax + 1))
-        return self.values[np.ix_(*([idx] * self.dim))]
 
     def total_sum(self) -> float:
         """Sum of all m**dim periodic values."""
@@ -142,24 +106,17 @@ class WeightTable:
         return float(out)
 
 
-def weights_1d_closed_form(alpha: float, n_max: int) -> WeightTable:
-    """1D weights at offsets 0..n_max+1 from the closed form (period 2*n_max+2).
+def signed_block(block: np.ndarray, kmax: int | None = None) -> np.ndarray:
+    """Weights at offsets -kmax..kmax per axis from a block of offsets 0..K.
 
-    The closed form is ``a_n = (-1)^n Gamma(alpha+1) /
-    (Gamma(alpha/2+n+1) Gamma(alpha/2-n+1))``; direct Gamma evaluation hits
-    poles and negative arguments for n >= 2, so successive values use
-
-        a_0 = Gamma(alpha+1) / Gamma(alpha/2+1)^2,
-        a_{n+1} = a_n * (n - alpha/2) / (n + 1 + alpha/2),
-
-    which is pole-free and exact at alpha = 2 (stencil 2, -1, 0, ...).  The
-    values are those of :func:`operator_block` in 1D.
+    ``kmax`` defaults to K; axis position i of the result is offset i - kmax.
     """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise InvalidDim(f"n_max must be >= 1, got {n_max}")
-    return WeightTable(alpha=_check_alpha(alpha), dim=1, m=2 * n_max + 2,
-                       values=operator_block(alpha, 1, n_max + 1))
+    k = block.shape[0] - 1
+    kmax = k if kmax is None else int(kmax)
+    if kmax > k:
+        raise QuadratureTooCoarse(f"offset {kmax} exceeds block range {k}")
+    idx = np.abs(np.arange(-kmax, kmax + 1))
+    return block[np.ix_(*([idx] * block.ndim))]
 
 
 def _next_pow2(n: int) -> int:
@@ -316,7 +273,7 @@ def alias_corrected_block(alpha: float, m: int, n_max: int) -> np.ndarray:
         QuadratureTooCoarse: m not a power of two >= 4, or m < 2*n_max.
     """
     table = weights_nd_fft(alpha, 2, m, target_n=n_max)
-    block = table.block_nonneg(n_max)
+    block = table.values[(slice(0, n_max + 1),) * 2].copy()
     alpha = table.alpha
     if alpha == 2.0:
         return block
@@ -348,7 +305,11 @@ def operator_block(alpha: float, dim: int, n_max: int) -> np.ndarray:
     if n_max < 1:
         raise InvalidDim(f"n_max must be >= 1, got {n_max}")
     if dim == 1:
-        # the recurrence of weights_1d_closed_form as one running product
+        # The closed form a_n = (-1)^n Gamma(alpha+1) / (Gamma(alpha/2+n+1)
+        # Gamma(alpha/2-n+1)) hits Gamma poles for n >= 2.  The recurrence
+        #     a_0 = Gamma(alpha+1) / Gamma(alpha/2+1)^2,
+        #     a_{n+1} = a_n (n - alpha/2) / (n + 1 + alpha/2)
+        # is pole-free and exact at alpha = 2 (stencil 2, -1, 0, ...).
         alpha = _check_alpha(alpha)
         n = np.arange(n_max, dtype=float)
         factors = np.empty(n_max + 1)
@@ -358,7 +319,8 @@ def operator_block(alpha: float, dim: int, n_max: int) -> np.ndarray:
     m = default_quadrature_size(dim, n_max)
     if dim == 2:
         return alias_corrected_block(alpha, m, n_max)
-    return weights_nd_fft(alpha, dim, m, target_n=n_max).block_nonneg(n_max)
+    table = weights_nd_fft(alpha, dim, m, target_n=n_max)
+    return table.values[(slice(0, n_max + 1),) * dim].copy()
 
 
 @dataclass(frozen=True)
@@ -377,26 +339,24 @@ class DecayReport:
         return self.ratio_max / self.ratio_min if self.ratio_min > 0 else math.inf
 
 
-def check_decay(table: WeightTable) -> DecayReport:
-    """Measure the tail decay of a 1D table.
+def check_decay(alpha: float, n_max: int) -> DecayReport:
+    """Tail decay of the 1D weights ``operator_block(alpha, 1, n_max)``.
 
-    Returns min and max of |a_n| n^(alpha+1) over 4 <= n <= n_max/2; for a
-    well-behaved table both are finite, positive, and within a factor ~10 of
-    each other.  At alpha = 2 the tail vanishes identically and the report is
-    flagged degenerate instead.
+    Returns min and max of |a_n| n^(alpha+1) over 4 <= n <= n_max/2; for
+    well-behaved weights both are finite, positive, and within a factor ~10
+    of each other.  At alpha = 2 the tail vanishes identically and the report
+    is flagged degenerate instead.  Refuses n_max < 16 with InvalidDim.
     """
-    if table.dim != 1:
-        raise InvalidDim("decay check applies to 1D tables")
-    n_hi = table.max_offset // 2
+    alpha = _check_alpha(alpha)
+    n_hi = int(n_max) // 2
     if n_hi < 8:
-        raise InvalidDim("table too short for a decay check (need n_max >= 16)")
+        raise InvalidDim("weights too short for a decay check (need n_max >= 16)")
+    block = operator_block(alpha, 1, n_max)
     n = np.arange(4, n_hi + 1)
-    tail = table.values[4: n_hi + 1]
-    scaled = np.abs(tail) * n.astype(float) ** (table.alpha + 1.0)
-    center = abs(table.value([0]))
-    if scaled.max() < 1e-13 * max(center, 1.0):
-        return DecayReport(table.alpha, 4, n_hi, 0.0, 0.0, degenerate=True)
-    return DecayReport(table.alpha, 4, n_hi,
+    scaled = np.abs(block[4: n_hi + 1]) * n.astype(float) ** (alpha + 1.0)
+    if scaled.max() < 1e-13 * max(abs(block[0]), 1.0):
+        return DecayReport(alpha, 4, n_hi, 0.0, 0.0, degenerate=True)
+    return DecayReport(alpha, 4, n_hi,
                        float(scaled.min()), float(scaled.max()),
                        degenerate=False)
 
@@ -409,8 +369,10 @@ def dump_csv(block: np.ndarray, path) -> None:
     the last index fastest.
     """
     kmax = block.shape[0] - 1
+    signed = signed_block(block)
+    offsets = np.indices(signed.shape).reshape(block.ndim, -1).T - kmax
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"n_{p + 1}" for p in range(block.ndim)] + ["value"])
-        for idx in itertools.product(range(-kmax, kmax + 1), repeat=block.ndim):
-            writer.writerow([*idx, f"{block[tuple(map(abs, idx))]:.12e}"])
+        writer.writerows([*n, f"{v:.12e}"] for n, v in
+                         zip(offsets.tolist(), signed.ravel().tolist()))

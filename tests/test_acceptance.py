@@ -39,18 +39,18 @@ def conv_run(dim, h_list, order, **cfg):
 def test_criterion_01_weight_correctness():
     t0 = time.monotonic()
     for alpha in (0.5, 1.0, 1.5):
-        table = vl.weights_1d_closed_form(alpha, 64)
+        table = vl.operator_block(alpha, 1, 64)
         f = lambda eta: 2.0**alpha / math.pi * math.sin(eta / 2.0) ** alpha
         worst = 0.0
         for n in range(65):
             ref, _ = quad(f, 0.0, math.pi, weight="cos", wvar=float(n),
                           epsabs=1e-13, epsrel=1e-13, limit=400)
-            worst = max(worst, abs(table.value([n]) - ref))
+            worst = max(worst, abs(table[n] - ref))
         assert worst <= 1e-10, f"alpha={alpha}: {worst:.2e}"
-    t2 = vl.weights_1d_closed_form(2.0, 64)
-    assert abs(t2.value([0]) - 2.0) <= 1e-14
-    assert abs(t2.value([1]) + 1.0) <= 1e-14
-    assert max(abs(t2.value([n])) for n in range(2, 65)) <= 1e-14
+    t2 = vl.operator_block(2.0, 1, 64)
+    assert abs(t2[0] - 2.0) <= 1e-14
+    assert abs(t2[1] + 1.0) <= 1e-14
+    assert max(abs(t2[n]) for n in range(2, 65)) <= 1e-14
     _report(1, time.monotonic() - t0, 1.0,
             "closed-form weights vs oscillatory quadrature, |n| <= 64")
 
@@ -62,7 +62,7 @@ def test_criterion_02_weight_property_suite():
     for alpha, dim in combos:
         m = 1024 if dim == 1 else 256
         table = vl.weights_nd_fft(alpha, dim, m)
-        block = table.signed_block(m // 4)
+        block = vl.signed_block(table.values, m // 4)
         center = (m // 4,) * dim
         assert block[center] > 0.0
         off = block.copy()
@@ -72,7 +72,7 @@ def test_criterion_02_weight_property_suite():
                            atol=1e-12)
         assert abs(table.total_sum()) <= 1e-12, (alpha, dim)
         if dim == 1 and alpha < 2.0:
-            rep = vl.check_decay(vl.weights_1d_closed_form(alpha, 256))
+            rep = vl.check_decay(alpha, 256)
             assert not rep.degenerate
             assert rep.ratio_min > 0.0 and math.isfinite(rep.ratio_max)
             assert rep.spread <= 10.0, (alpha, rep.spread)

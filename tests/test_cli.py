@@ -50,7 +50,7 @@ def test_weights_2d_csv_is_operator_block(tmp_path, dim):
     if dim == 2:
         # the 2D weights carry the alias correction the plain table lacks
         plain = weights_nd_fft(alpha, 2, default_quadrature_size(2, n))
-        assert np.abs(block - plain.block_nonneg(n)).max() > 1e-9
+        assert np.abs(block - plain.values[:n + 1, :n + 1]).max() > 1e-9
 
 
 def test_apply_conv_subcommand(tmp_path):
@@ -260,6 +260,13 @@ def test_config_validation_direct():
     ("apply-conv", {"dim": 1, "h_list": [0.5], "order": "alpha2", "rank": 0}),
     ("apply-conv", {"dim": 1, "h_list": [0.5], "order": "alpha2",
                     "epsilon": -1}),
+    # a negative diffusion grows the max norm 1 -> 5.2e5 in two steps
+    ("evolve", {"kind": "single", "dim": 1, "order": "const:1.5", "h": 0.5,
+                "dt": 0.5, "t_final": 1.0, "diffusion": -1}),
+    # a zero step is refused, not divided by
+    ("evolve", {"kind": "single", "dim": 1, "order": "const:1.5", "h": 0}),
+    ("elliptic", {"case": 1, "dim": 1, "order": "case1_linear",
+                  "h_list": [0.25], "h_ref": 0}),
 ])
 def test_exit_code_2_on_library_value_errors(tmp_path, command, cfg, capsys):
     path = write_cfg(tmp_path, "bad.json", cfg)
@@ -318,12 +325,36 @@ def test_node_cap(tmp_path, capsys):
     assert "exceed" in capsys.readouterr().err
 
 
-def test_quadrature_flag_refused(tmp_path):
-    # the weights depend only on order, dimension and grid size
+@pytest.mark.parametrize("flag,value", [
+    ("--quadrature", "256"), ("--mode", "fast"), ("--rank", "40"),
+], ids=["--quadrature", "--mode", "--rank"])
+def test_quadrature_flag_refused(tmp_path, flag, value):
+    # the weights depend only on order, dimension and grid size, so weights
+    # takes none of the flags that shape an operator
     cfg = write_cfg(tmp_path, "w.json", {"alpha": 1.5, "dim": 2, "n_max": 8})
     with pytest.raises(SystemExit) as exc:
-        cli.main(["weights", "--config", cfg, "--quadrature", "256"])
+        cli.main(["weights", "--config", cfg, flag, value])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "nope"},
+    {"kind": "single", "h": None, "frame_every": 1},
+    {"kind": "single", "frame_every": -1},
+    {"kind": "single", "frame_every": True},
+    {"kind": "single", "dt": -0.5, "frame_every": 1},
+    {"kind": "single", "out": "", "frame_every": 1},
+    {"kind": "single", "h": 0.3, "frame_every": 1},
+], ids=["kind", "no-h", "frame_every-negative", "frame_every-bool",
+        "dt-negative", "out-empty", "h-off-box"])
+def test_evolve_refuses_before_writing(tmp_path, cfg, capsys):
+    path = write_cfg(tmp_path, "bad.json", {"dim": 1, "box": [-1, 1],
+                                            "order": "const:1.5", "h": 0.5,
+                                            "t_final": 1.0, **cfg})
+    out = tmp_path / "run"
+    assert cli.main(["evolve", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key,value", [
@@ -354,8 +385,17 @@ _CASE2_2D = {"case": 2, "dim": 2, "order": "case2_linear", "h_list": [0.25]}
     ("elliptic", {**_CASE2_2D, "epsilon": "x"}),
     ("evolve", {**_SINGLE_EVOLVE, "out": 5}),
     ("elliptic", {**_CASE2_2D, "rank": True}),
+    # only an absent or null key takes the default
+    ("evolve", {**_SINGLE_EVOLVE, "mode": False}),
+    ("apply-conv", {"dim": 2, "h_list": [0.25], "order": "alpha1", "mode": 0}),
+    ("elliptic", {**_CASE2_2D, "mode": ""}),
+    ("elliptic", {**_CASE2_2D, "mode": []}),
+    ("evolve", {**_SINGLE_EVOLVE, "mask": ""}),
+    ("evolve", {**_SINGLE_EVOLVE, "mask": 0}),
+    ("evolve", {**_SINGLE_EVOLVE, "frame_every": False}),
 ], ids=["dim-bool", "order-int", "mask-int", "rank-str", "epsilon-str",
-        "out-int", "rank-bool"])
+        "out-int", "rank-bool", "mode-false", "mode-zero", "mode-empty",
+        "mode-list", "mask-empty", "mask-zero", "frame_every-false"])
 def test_exit_code_2_on_config_types(tmp_path, command, cfg, capsys):
     path = write_cfg(tmp_path, "bad.json", cfg)
     assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 2
@@ -388,20 +428,25 @@ _CONV_CONFIGS = st.fixed_dictionaries({
 })
 
 
-@given(cfg=_CONV_CONFIGS)
-@settings(max_examples=300, deadline=None, derandomize=True)
-def test_apply_conv_fuzz_exits_cleanly(cfg):
-    # every config either runs or is refused with a one-line message
+def _exits_cleanly(command: str, cfg: dict) -> None:
+    """Run one fuzz config: it runs, stops on a solver failure or is refused
+    with a one-line message, and never prints a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         path = write_cfg(Path(tmp), "fuzz.json", cfg)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["apply-conv", "--config", path, "--out", tmp])
+            code = cli.main([command, "--config", path, "--out", tmp])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("config error:")
+
+
+@given(cfg=_CONV_CONFIGS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_apply_conv_fuzz_exits_cleanly(cfg):
+    _exits_cleanly("apply-conv", cfg)
 
 
 def _often(valid):
@@ -440,15 +485,67 @@ _EVOLVE_CONFIGS = st.fixed_dictionaries({
 @given(cfg=_EVOLVE_CONFIGS)
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_evolve_fuzz_exits_cleanly(cfg):
-    # every config either runs, stops on a solver failure or is refused
-    # with a one-line message
-    with tempfile.TemporaryDirectory() as tmp:
-        path = write_cfg(Path(tmp), "fuzz.json", cfg)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["evolve", "--config", path, "--out", tmp])
-    assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
-    if code == 2:
-        assert err.getvalue().startswith("config error:")
+    _exits_cleanly("evolve", cfg)
+
+
+# offsets to n_max <= 16 only
+_WEIGHTS_CONFIGS = st.fixed_dictionaries({
+    "alpha": _often([0.3, 1.0, 1.5, 2.0, 2.5]),
+    "dim": _often([1, 2, 3]),
+    "n_max": _often([1, 2, 4, 8, 16]),
+}, optional={"out": _often(["w.csv", "sub/w.csv"])})
+
+
+@given(cfg=_WEIGHTS_CONFIGS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_weights_fuzz_exits_cleanly(cfg):
+    _exits_cleanly("weights", cfg)
+
+
+# tiny grids only: h_list from 1.0 and 0.5 on [-1, 1] or [0, 1], plus the
+# case-2 finest run at 0.25, gives N <= 7; h_ref is always set, since its
+# default 2**-9 would build a 1023-node axis, and null takes that default
+_ELLIPTIC_CONFIGS = st.fixed_dictionaries({
+    "case": _often([1, 2]),
+    "dim": _often([1, 2, 3]),
+    "box": _often([[-1, 1], [0, 1]]),
+    "order": _often(["case1_linear", "case2_linear", "case2_tanh",
+                     "const:1.5", "expr:x1"]),
+    "h_list": _often([[1.0], [0.5], [1.0, 0.5]]),
+    "h_ref": st.sampled_from([0.25] * 60
+                             + [v for v in _WRONG if v is not None]),
+}, optional={
+    "beta": _often([2.0, 4.0]),
+    "reaction": _often([0.0, 1.0]),
+    "tol": _often([1e-10, 1e-6]),
+    "max_iter": _often([50, 2]),
+    "mode": _often(["fast", "direct"]),
+    "rank": _often([1, 3]),
+})
+
+
+@given(cfg=_ELLIPTIC_CONFIGS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_elliptic_fuzz_exits_cleanly(cfg):
+    _exits_cleanly("elliptic", cfg)
+
+
+# n_list sets every grid: N <= 7 per axis
+_BENCH_CONFIGS = st.fixed_dictionaries({
+    "kind": _often(["cn3d", "apply_sweep"]),
+    "order": _often(["bench_const16", "bench_tanh", "alpha1", "const:1.5"]),
+    "n_list": _often([[3], [7], [3, 7], [7, 3]]),
+}, optional={
+    "dim": _often([1, 2, 3]),
+    "dt_list": _often([[0.25], [0.25, 0.125]]),
+    "reps": _often([1, 2]),
+    "mode": _often(["fast", "direct"]),
+    "rank": _often([1, 3]),
+    "max_iter": _often([50, 2]),
+})
+
+
+@given(cfg=_BENCH_CONFIGS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_bench_fuzz_exits_cleanly(cfg):
+    _exits_cleanly("bench", cfg)

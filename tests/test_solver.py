@@ -364,6 +364,13 @@ def test_cn_identity_without_operator():
     assert np.allclose(u1.values, u0.values, atol=1e-13)
 
 
+def test_time_stepper_rejects_negative_diffusion():
+    # a negative diffusion runs the heat equation backwards: Crank-Nicolson
+    # then grows the max norm by orders of magnitude per step
+    with pytest.raises(vl.InvalidRange, match="diffusion"):
+        vl.TimeStepper(dt=0.5, t_final=1.0, diffusion=-1.0)
+
+
 def test_cn_fixed_point_is_steady_elliptic_solution():
     g = vl.build_grid(1, -1.0, 1.0, 31)
     field = sampled_const(g, 1.5)

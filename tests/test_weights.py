@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -35,23 +36,23 @@ def test_symbol_values():
 
 
 def test_closed_form_alpha2_is_second_difference():
-    t = vl.weights_1d_closed_form(2.0, 8)
-    assert t.value([0]) == pytest.approx(2.0, abs=1e-14)
-    assert t.value([1]) == pytest.approx(-1.0, abs=1e-14)
-    assert t.value([-1]) == pytest.approx(-1.0, abs=1e-14)
+    t = vl.signed_block(vl.operator_block(2.0, 1, 8))      # offsets -8..8
+    assert t[8] == pytest.approx(2.0, abs=1e-14)
+    assert t[9] == pytest.approx(-1.0, abs=1e-14)
+    assert t[7] == pytest.approx(-1.0, abs=1e-14)
     for n in range(2, 9):
-        assert abs(t.value([n])) <= 1e-14
+        assert abs(t[8 + n]) <= 1e-14
 
 
 def test_closed_form_alpha1_values():
-    t = vl.weights_1d_closed_form(1.0, 4)
-    assert t.value([0]) == pytest.approx(4.0 / math.pi, rel=1e-14)
-    assert t.value([1]) == pytest.approx(-4.0 / (3.0 * math.pi), rel=1e-14)
+    t = vl.operator_block(1.0, 1, 4)
+    assert t[0] == pytest.approx(4.0 / math.pi, rel=1e-14)
+    assert t[1] == pytest.approx(-4.0 / (3.0 * math.pi), rel=1e-14)
 
 
 def test_closed_form_matches_quadrature_oracle():
-    t = vl.weights_1d_closed_form(0.7, 8)
-    assert t.value([5]) == pytest.approx(quad_oracle_1d(0.7, 5), abs=1e-10)
+    t = vl.operator_block(0.7, 1, 8)
+    assert t[5] == pytest.approx(quad_oracle_1d(0.7, 5), abs=1e-10)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.99, 2.0])
@@ -62,7 +63,6 @@ def test_closed_form_matches_scalar_recurrence(alpha):
         a.append(a[n] * (n - alpha / 2.0) / (n + 1.0 + alpha / 2.0))
     tol = 1e-15 * a[0]
     assert np.abs(vl.operator_block(alpha, 1, n_max) - a).max() <= tol
-    assert np.abs(vl.weights_1d_closed_form(alpha, n_max - 1).values - a).max() <= tol
 
 
 def test_operator_block_rejects_bad_sizes():
@@ -78,9 +78,9 @@ def test_operator_block_rejects_bad_sizes():
 
 def test_closed_form_rejects_bad_alpha():
     with pytest.raises(OrderOutOfRange):
-        vl.weights_1d_closed_form(0.0, 4)
+        vl.operator_block(0.0, 1, 4)
     with pytest.raises(OrderOutOfRange):
-        vl.weights_1d_closed_form(2.2, 4)
+        vl.operator_block(2.2, 1, 4)
 
 
 # the trapezoid rule aliases the |n|^(-1-alpha) tail, so the attainable
@@ -88,26 +88,26 @@ def test_closed_form_rejects_bad_alpha():
 # by that, not by rounding
 @pytest.mark.parametrize("alpha,tol", [(0.3, 1e-5), (1.0, 1e-8), (1.7, 1e-8)])
 def test_fft_matches_closed_form_1d(alpha, tol):
-    cf = vl.weights_1d_closed_form(alpha, 64)
+    cf = vl.operator_block(alpha, 1, 64)
     ft = vl.weights_nd_fft(alpha, 1, 2**14)
-    diff = max(abs(ft.value([n]) - cf.value([n])) for n in range(65))
+    diff = np.abs(ft.values[:65] - cf).max()
     assert diff <= tol
     assert diff <= 20.0 * float(2**14) ** (-1.0 - alpha)
 
 
 def test_fft_alpha1_known_values():
-    t = vl.weights_nd_fft(1.0, 1, 2**14)
-    assert t.value([0]) == pytest.approx(4.0 / math.pi, abs=1e-8)
-    assert t.value([1]) == pytest.approx(-4.0 / (3.0 * math.pi), abs=1e-8)
+    t = vl.weights_nd_fft(1.0, 1, 2**14).values
+    assert t[0] == pytest.approx(4.0 / math.pi, abs=1e-8)
+    assert t[1] == pytest.approx(-4.0 / (3.0 * math.pi), abs=1e-8)
 
 
 def test_fft_2d_alpha2_is_five_point():
-    t = vl.weights_nd_fft(2.0, 2, 64)
-    assert t.value([0, 0]) == pytest.approx(4.0, abs=1e-12)
-    for n in ([1, 0], [-1, 0], [0, 1], [0, -1]):
-        assert t.value(n) == pytest.approx(-1.0, abs=1e-12)
-    assert abs(t.value([1, 1])) <= 1e-12
-    assert abs(t.value([2, 0])) <= 1e-12
+    t = vl.signed_block(vl.weights_nd_fft(2.0, 2, 64).values, 2)
+    assert t[2, 2] == pytest.approx(4.0, abs=1e-12)     # offset (0, 0)
+    for n in ((3, 2), (1, 2), (2, 3), (2, 1)):
+        assert t[n] == pytest.approx(-1.0, abs=1e-12)
+    assert abs(t[3, 3]) <= 1e-12
+    assert abs(t[4, 2]) <= 1e-12
 
 
 def test_fft_2d_zero_sum():
@@ -137,7 +137,8 @@ def test_dct_path_matches_ifft_path():
         k = m // 4
         idx = np.arange(-k, k + 1) % m
         ref_block = ref.real[np.ix_(*([idx] * dim))]
-        assert np.allclose(table.signed_block(k), ref_block, atol=1e-13)
+        assert np.allclose(vl.signed_block(table.values, k), ref_block,
+                           atol=1e-13)
         assert table.total_sum() == pytest.approx(ref.real.sum(), abs=1e-12)
 
 
@@ -148,7 +149,7 @@ def test_dct_path_matches_ifft_path():
 def test_sign_symmetry_zero_sum(alpha, dim):
     m = 512 if dim == 1 else 128
     t = vl.weights_nd_fft(alpha, dim, m)
-    block = t.signed_block(m // 4)
+    block = vl.signed_block(t.values, m // 4)
     k = m // 4
     center = (k,) * dim
     assert block[center] > 0.0
@@ -188,7 +189,7 @@ def test_alias_corrected_block_converged_at_4n(alpha):
     m = vl.default_quadrature_size(2, n)
     ref = alias_corrected_block(alpha, 8 * m, n)
     err = np.abs(alias_corrected_block(alpha, m, n) - ref).max()
-    plain_16n = vl.weights_nd_fft(alpha, 2, 1024).block_nonneg(n)
+    plain_16n = vl.weights_nd_fft(alpha, 2, 1024).values[:n + 1, :n + 1]
     assert err <= 1e-11
     assert err < np.abs(plain_16n - ref).max()
 
@@ -197,8 +198,8 @@ def test_alias_corrected_block_matches_fine_plain_table():
     # independent of the correction's own formula: at alpha = 1.5 the plain
     # table at m = 4096 aliases by about 1e-13
     n, alpha = 63, 1.5
-    fine = vl.weights_nd_fft(alpha, 2, 4096).block_nonneg(n)
-    coarse = vl.weights_nd_fft(alpha, 2, 256).block_nonneg(n)
+    fine = vl.weights_nd_fft(alpha, 2, 4096).values[:n + 1, :n + 1]
+    coarse = vl.weights_nd_fft(alpha, 2, 256).values[:n + 1, :n + 1]
     assert np.abs(alias_corrected_block(alpha, 256, n) - fine).max() <= 1e-12
     assert np.abs(coarse - fine).max() > 1e-9
 
@@ -215,7 +216,7 @@ def test_alias_corrected_block_sign_symmetry(alpha):
 
 def test_alias_corrected_block_alpha2_is_plain():
     block = alias_corrected_block(2.0, 64, 15)
-    plain = vl.weights_nd_fft(2.0, 2, 64).block_nonneg(15)
+    plain = vl.weights_nd_fft(2.0, 2, 64).values[:16, :16]
     assert block.tobytes() == plain.tobytes()
     assert block[0, 0] == pytest.approx(4.0, abs=1e-12)
 
@@ -229,25 +230,42 @@ def test_clear_weight_cache_empties_alias_geometry():
 
 def test_decay_alpha1_brackets_known_constant():
     # a_n = -(4/pi)/(4n^2 - 1) at alpha = 1, so |a_n| n^2 decreases to 1/pi
-    t = vl.weights_1d_closed_form(1.0, 512)
-    rep = check_decay(t)
+    t = vl.operator_block(1.0, 1, 512)
+    rep = check_decay(1.0, 512)
     assert not rep.degenerate
     assert 1.0 / math.pi <= rep.ratio_min <= 1.01 / math.pi
     assert rep.ratio_max <= 1.1 / math.pi
-    tail = [abs(t.value([n])) * n**2 for n in range(64, 257)]
+    tail = [abs(t[n]) * n**2 for n in range(64, 257)]
     assert max(abs(v - 1.0 / math.pi) for v in tail) < 0.01
     exact = [4.0 / math.pi / (4.0 * n**2 - 1.0) for n in (3, 10, 40)]
     for n, e in zip((3, 10, 40), exact):
-        assert abs(t.value([n])) == pytest.approx(e, rel=1e-12)
+        assert abs(t[n]) == pytest.approx(e, rel=1e-12)
+
+
+def test_decay_refuses_short_weights():
+    check_decay(0.5, 16)
+    with pytest.raises(InvalidDim):
+        check_decay(0.5, 15)
+
+
+def test_signed_block_expands_nonneg_offsets():
+    block = np.arange(9.0).reshape(3, 3)            # offsets 0..2 per axis
+    full = vl.signed_block(block)
+    assert full.shape == (5, 5)
+    assert full[0, 3] == block[2, 1]                # offset (-2, 1)
+    assert np.array_equal(full, full[::-1, ::-1])
+    assert np.array_equal(vl.signed_block(block, 1), full[1:4, 1:4])
+    with pytest.raises(QuadratureTooCoarse):
+        vl.signed_block(block, 3)
 
 
 def test_decay_alpha2_degenerate():
-    rep = check_decay(vl.weights_1d_closed_form(2.0, 64))
+    rep = check_decay(2.0, 64)
     assert rep.degenerate
 
 
 def test_decay_alpha_half_bounded_spread():
-    rep = check_decay(vl.weights_1d_closed_form(0.5, 256))
+    rep = check_decay(0.5, 256)
     assert rep.ratio_min > 0.0
     assert rep.spread <= 10.0
 
@@ -256,8 +274,7 @@ def test_closed_form_partial_sums_positive_decreasing():
     alpha = 0.8
     sums = []
     for n_max in (16, 32, 64, 128):
-        t = vl.weights_1d_closed_form(alpha, n_max)
-        sums.append(sum(t.value([n]) for n in range(-n_max, n_max + 1)))
+        sums.append(vl.signed_block(vl.operator_block(alpha, 1, n_max)).sum())
     assert all(s > 0 for s in sums)
     assert all(a > b for a, b in zip(sums, sums[1:]))
 
@@ -265,10 +282,24 @@ def test_closed_form_partial_sums_positive_decreasing():
 def test_dump_csv(tmp_path):
     t = vl.weights_nd_fft(1.5, 2, 64)
     path = tmp_path / "w.csv"
-    dump_csv(t.block_nonneg(2), path)
+    dump_csv(t.values[:3, :3], path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n_1,n_2,value"
     assert len(lines) == 1 + 5 * 5
     first = lines[1].split(",")
     assert first[:2] == ["-2", "-2"]
-    assert float(first[2]) == pytest.approx(t.value([-2, -2]), rel=1e-10)
+    assert float(first[2]) == pytest.approx(t.values[2, 2], rel=1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dump_csv_matches_row_loop(tmp_path, dim):
+    # reference: one row per signed offset, last index fastest, each value
+    # read from the block at the offset's absolute values
+    block = vl.operator_block(1.3, dim, 3)
+    path = tmp_path / "w.csv"
+    dump_csv(block, path)
+    expected = ",".join([f"n_{p + 1}" for p in range(dim)] + ["value"]) + "\r\n"
+    for idx in itertools.product(range(-3, 4), repeat=dim):
+        value = block[tuple(abs(i) for i in idx)]
+        expected += ",".join([*map(str, idx), f"{value:.12e}"]) + "\r\n"
+    assert path.read_bytes() == expected.encode()
