@@ -10,7 +10,8 @@ Subcommands mirror the experiment kinds:
 
 Configs are JSON objects; ``--mode`` and ``--rank`` override the matching
 keys on every subcommand that builds an operator, which is all but weights.
-Exit codes: 0 success, 2 configuration error, 3 solver failure.
+Exit codes: 0 success, 2 configuration error (an ``--out`` that cannot be
+written included), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -97,6 +98,12 @@ def main(argv=None) -> int:
     except VarlapError as exc:
         # every other library error is raised by a config value
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # the config reader raises ConfigError; any other OSError comes from
+        # writing under --out, e.g. one that names an existing file
+        print(f"config error: cannot write under --out {args.out}: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 

@@ -159,9 +159,14 @@ def _order(cfg: dict):
 
 
 def _output(cfg: dict, out_dir, default: str) -> Path:
-    """Path of the CSV a runner writes: ``cfg["out"]`` under ``out_dir``."""
+    """Path of the CSV a runner writes: ``cfg["out"]`` under ``out_dir``.
+
+    ``out`` must be a bare file name, so every output stays under ``out_dir``:
+    no directory part, not absolute, and neither ``.`` nor ``..``.
+    """
     name = _get(cfg, "out", default)
-    if not isinstance(name, str) or not name:
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or Path(name).name != name):
         raise ConfigError(f"out must be a file name, got {name!r}")
     return Path(out_dir) / name
 

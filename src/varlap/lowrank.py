@@ -53,10 +53,8 @@ def check_rank_options(rank: int | None = None,
 
 
 def build_plan(alpha_min: float, alpha_max: float, r: int = DEFAULT_RANK) -> ChebyshevPlan:
-    """Chebyshev first-kind nodes of [alpha_min, alpha_max] with weights.
-
-    A degenerate interval (alpha_min == alpha_max) collapses to the single
-    node with L_1 identically one.
+    """Chebyshev first-kind nodes of the order interval [alpha_min, alpha_max]
+    with weights, by :func:`chebyshev_plan`.
 
     Raises:
         InvalidRange: bounds outside (0, 2], inverted interval, or r
@@ -66,20 +64,30 @@ def build_plan(alpha_min: float, alpha_max: float, r: int = DEFAULT_RANK) -> Che
     if not (0.0 < alpha_min <= alpha_max <= 2.0):
         raise InvalidRange(f"interval [{alpha_min}, {alpha_max}] outside (0, 2]")
     check_rank_options(rank=r)
-    if alpha_min == alpha_max:
-        return ChebyshevPlan(rank=1, nodes=np.array([alpha_min]),
+    return chebyshev_plan(alpha_min, alpha_max, r)
+
+
+def chebyshev_plan(lo: float, hi: float, r: int) -> ChebyshevPlan:
+    """Chebyshev first-kind nodes of any interval lo <= hi with weights.
+
+    A degenerate interval (lo == hi) collapses to the single node with L_1
+    identically one.
+    """
+    lo, hi = float(lo), float(hi)
+    if lo == hi:
+        return ChebyshevPlan(rank=1, nodes=np.array([lo]),
                              bary_weights=np.array([1.0]),
-                             alpha_min=alpha_min, alpha_max=alpha_max)
+                             alpha_min=lo, alpha_max=hi)
     r = int(r)
     k = np.arange(1, r + 1)
     theta = (2.0 * k - 1.0) * np.pi / (2.0 * r)
     # cos(theta) is decreasing; flip for ascending nodes
     ref = np.cos(theta)[::-1]
-    nodes = 0.5 * (alpha_min + alpha_max) + 0.5 * (alpha_max - alpha_min) * ref
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * ref
     # first-kind barycentric weights up to a common factor: (-1)^q sin(theta_q)
     w = ((-1.0) ** k * np.sin(theta))[::-1]
     return ChebyshevPlan(rank=r, nodes=nodes, bary_weights=w,
-                         alpha_min=alpha_min, alpha_max=alpha_max)
+                         alpha_min=lo, alpha_max=hi)
 
 
 def eval_lagrange(plan: ChebyshevPlan, t) -> np.ndarray:

@@ -6,10 +6,10 @@ embedding mask are pinned to zero through identity rows, keeping the system
 square and nonsingular.  Linear systems are solved matrix-free by BiCGSTAB
 with a zero initial guess by default.  Elliptic and phase-field solves are
 right preconditioned by the tau-algebra (DST-I) model of a constant-order
-block, which BiCGSTAB applies inside its recurrence.  For the elliptic
-solves its inverse is Lagrange interpolated in the order over three
-Chebyshev nodes of the sampled range; the phase-field steps keep one mean
-order, shifted by the mean of their diagonal.  Crank-Nicolson solves stay
+block, which BiCGSTAB applies inside its recurrence.  Its inverse is
+Lagrange interpolated in the order over three Chebyshev nodes of the sampled
+range and, for the phase-field steps, in their diagonal shift over two
+Chebyshev nodes of its range.  Crank-Nicolson solves stay
 unpreconditioned: their identity-dominated systems converge in a few dozen
 half-steps already, and a shift model made the ``bench_tanh`` step slower.
 
@@ -33,7 +33,7 @@ from scipy import ndimage
 
 from .errors import GridMismatch, InvalidRange, SolverFailure
 from .grid import DomainMask, GridFunction
-from .lowrank import build_plan, eval_lagrange
+from .lowrank import build_plan, chebyshev_plan, eval_lagrange
 from .operator import VariableOrderOperator
 from .weights import symbol
 
@@ -54,7 +54,8 @@ __all__ = [
 
 LinearMap = Callable[[np.ndarray], np.ndarray]
 
-TAU_ORDER_NODES = 3  # Chebyshev order nodes of the unshifted tau inverse
+TAU_ORDER_NODES = 3  # Chebyshev order nodes of the tau inverse
+TAU_SHIFT_NODES = 2  # Chebyshev shift nodes of the tau inverse
 
 #: Most time steps ``t_final / dt`` may ask for.  The longest march the tests
 #: and benchmarks run, the phase-field criterion, takes 200.
@@ -288,46 +289,62 @@ def _masked_rhs(rhs: np.ndarray, mask: DomainMask | None) -> np.ndarray:
 
 
 def _tau_inverse(op: VariableOrderOperator, scale: float = 1.0,
-                 shift: float = 0.0) -> LinearMap:
-    """``M^-1`` for the tau model M of ``shift*I + scale*A``.
+                 shift: float | np.ndarray = 0.0) -> LinearMap:
+    """``M^-1`` for the tau model M of ``diag(shift) + scale*A``.
 
     S is the orthonormal DST-I, its own inverse; it diagonalizes the tau
     (sine-algebra) approximation of a constant-order Toeplitz block, whose
-    eigenvalues are the weight symbol ``Lam = (sum_p 4 sin^2(theta_p/2))^(a/2)``
+    eigenvalues are ``h^(-a) Lam^(a/2)`` with ``Lam = sum_p 4 sin^2(theta_p/2)``
     at ``theta_k = k pi / (N_p + 1)``.
 
-    With no shift, the frozen-order inverse ``S Lam^(-a/2) S`` is Lagrange
-    interpolated in a over ``TAU_ORDER_NODES`` Chebyshev nodes alpha_p of the
-    sampled order range, the split the operator uses for its own rank sum:
-    ``M^-1 v = S sum_p Lam^(-alpha_p/2) S (L_p(alpha_j) h^alpha_j v_j / scale)``.
-    The per-node scaling h^(-alpha_j) is undone exactly; a constant order
-    collapses the sum to its one node.  With a shift, one order a, the
-    geometric mean of the sampled order, and one scale h^(-a) fit better:
-    ``M^-1 v = S (shift + scale h^(-a) Lam)^-1 S v``.  The map is the
-    identity on masked rows.
+    The frozen-coefficient inverse ``S (sigma + scale h^(-a) Lam^(a/2))^-1 S``
+    is Lagrange interpolated in the order a over ``TAU_ORDER_NODES``
+    Chebyshev nodes alpha_p of the sampled range, the split the operator uses
+    for its own rank sum, and in the shift sigma over ``TAU_SHIFT_NODES``
+    Chebyshev nodes sigma_s of the shift's range on unmasked nodes:
+
+        M^-1 v = sum_s L_s(sigma_j) S sum_p (sigma_s h^alpha_p
+                 + scale Lam^(alpha_p/2))^-1 S (L_p(alpha_j) h^alpha_j v_j).
+
+    The order weights act before the transforms, so h^(-alpha_j) is undone
+    exactly and the order sum costs one DST per order node; the shift weights
+    act after them, one inverse DST per shift node.  A constant order or
+    shift collapses its sum to one node.  The map is the identity on masked
+    rows.
     """
     shape = op.grid.shape
     alphas = op.field.sampled
+    h = op.grid.h
     thetas = [np.pi * np.arange(1, n + 1) / (n + 1) for n in shape]
-    theta = np.stack(np.meshgrid(*thetas, indexing="ij"), axis=-1)
-    lam = symbol(theta, 1.0)
-    if shift == 0.0:
-        plan = build_plan(alphas.min(), alphas.max(), TAU_ORDER_NODES)
-        inv_lams = [lam ** (-a / 2.0) / scale for a in plan.nodes]
-        # row p: L_p(alpha_j) h^alpha_j
-        node_weights = np.ascontiguousarray(
-            eval_lagrange(plan, alphas).T * op.grid.h ** alphas)
-    else:
-        abar = float(np.exp(np.mean(np.log(alphas))))
-        inv_lams = [1.0 / (shift + scale * op.grid.h ** (-abar) * lam ** (abar / 2.0))]
-        node_weights = np.ones((1, alphas.size))
+    lam = symbol(np.stack(np.meshgrid(*thetas, indexing="ij"), axis=-1), 1.0)
+    order_plan = build_plan(alphas.min(), alphas.max(), TAU_ORDER_NODES)
+    # row p: L_p(alpha_j) h^alpha_j
+    order_weights = np.ascontiguousarray(
+        eval_lagrange(order_plan, alphas).T * h ** alphas)
+    sigma = np.broadcast_to(np.asarray(shift, dtype=float), alphas.shape)
+    inside = sigma if op.mask is None else sigma[op.mask.inside]
+    lo, hi = inside.min(), inside.max()
+    shift_plan = chebyshev_plan(lo, hi, TAU_SHIFT_NODES)
+    # rows L_s(sigma_j) but the last, which is one minus their sum; masked
+    # nodes may lie outside the range and are clipped (their rows are pinned)
+    shift_weights = np.ascontiguousarray(
+        eval_lagrange(shift_plan, np.clip(sigma, lo, hi)).T[:-1])
+    inv_lams = []  # row p: (sigma_s h^alpha_p + scale Lam^(alpha_p/2))^-1 over s
+    for a in order_plan.nodes:
+        scaled = scale * lam ** (a / 2.0)
+        inv_lams.append([1.0 / (s * h ** a + scaled) for s in shift_plan.nodes])
     outside = None if op.mask is None else ~op.mask.inside
 
     def inverse(v: np.ndarray) -> np.ndarray:
-        acc = sum(inv_lam * sfft.dstn((c * v).reshape(shape), type=1, norm="ortho",
-                                      overwrite_x=True)
-                  for inv_lam, c in zip(inv_lams, node_weights))
-        out = sfft.dstn(acc, type=1, norm="ortho", overwrite_x=True).ravel()
+        accs = [0.0] * len(shift_plan.nodes)
+        for c, invs in zip(order_weights, inv_lams):
+            v_hat = sfft.dstn((c * v).reshape(shape), type=1, norm="ortho",
+                              overwrite_x=True)
+            accs = [acc + inv * v_hat for acc, inv in zip(accs, invs)]
+        outs = [sfft.dstn(acc, type=1, norm="ortho", overwrite_x=True).ravel()
+                for acc in accs]
+        out = sum((w * (o - outs[-1]) for w, o in zip(shift_weights, outs)),
+                  outs[-1])
         if outside is not None:
             out[outside] = v[outside]
         return out
@@ -457,7 +474,7 @@ def step_allen_cahn_three_level(u_nm1: GridFunction, u_n: GridFunction,
     The nonnegative implicit factor q keeps the scheme stable at dt ~
     kappa^2; fully explicit or fully averaged treatments of the double-well
     term are leapfrog-unstable there.  The solve is right preconditioned by
-    the tau model with shift 1 + mu mean(q) over the unmasked nodes.
+    the tau model with the per-node shift 1 + mu q.
     """
     op = operator
     dt = stepper.dt
@@ -469,8 +486,7 @@ def step_allen_cahn_three_level(u_nm1: GridFunction, u_n: GridFunction,
            - dt * stepper.diffusion * op._apply_flat(u_nm1.values)
            - mu * q * u_nm1.values
            + 2.0 * mu * (q + phys))
-    q_mean = float(np.mean(q if op.mask is None else q[op.mask.inside]))
-    tau = _tau_inverse(op, scale=stepper.diffusion * dt, shift=1.0 + mu * q_mean)
+    tau = _tau_inverse(op, scale=stepper.diffusion * dt, shift=1.0 + mu * q)
     return _solve("three-level step", op, lhs, rhs, stepper.krylov, tau)
 
 

@@ -275,6 +275,45 @@ def test_exit_code_2_on_library_value_errors(tmp_path, command, cfg, capsys):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+_SMALL_RUNS = [
+    ("weights", {"alpha": 1.5, "dim": 1, "n_max": 8}),
+    ("apply-conv", {"dim": 1, "h_list": [0.5], "order": "alpha1"}),
+    ("elliptic", {"case": 2, "dim": 1, "order": "case2_linear",
+                  "h_list": [0.25]}),
+    ("evolve", {"kind": "single", "dim": 1, "box": [-1, 1],
+                "order": "const:1.5", "h": 0.5, "dt": 0.5, "t_final": 0.5}),
+    ("bench", {"kind": "cn3d", "order": "bench_const16", "n_list": [3],
+               "dt_list": [0.25]}),
+]
+
+
+@pytest.mark.parametrize("command,cfg", _SMALL_RUNS,
+                         ids=[c for c, _ in _SMALL_RUNS])
+def test_out_naming_a_file_refused(tmp_path, command, cfg, capsys):
+    # every subcommand makes its output directory; a file in the way is a
+    # one-line config error, and the file is left as it was
+    path = write_cfg(tmp_path, "run.json", cfg)
+    assert cli.main([command, "--config", path, "--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert json.loads(Path(path).read_text()) == cfg
+
+
+@pytest.mark.parametrize("out", ["../up.csv", "sub/x.csv", "..", ".", "ABS"],
+                         ids=["dotdot", "subdir", "parent", "here", "absolute"])
+def test_config_out_stays_under_out_dir(tmp_path, out, capsys):
+    # the config's out is a bare file name: a relative or absolute path
+    # would write outside --out
+    target = str(tmp_path / "escaped.csv") if out == "ABS" else out
+    path = write_cfg(tmp_path, "w.json", {"alpha": 1.5, "dim": 1, "n_max": 8,
+                                          "out": target})
+    run_dir = tmp_path / "results"
+    assert cli.main(["weights", "--config", path, "--out", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json"]
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_below_one_refused(tmp_path, threads, capsys):
     path = write_cfg(tmp_path, "w.json", {"alpha": 1.5, "dim": 1, "n_max": 8})

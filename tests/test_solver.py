@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 import varlap as vl
 from varlap.presets import initial_condition, order_field
 from varlap.solver import (
+    TAU_ORDER_NODES,
     _masked_rhs,
     _pinned_map,
     _step_allen_cahn_bootstrap,
@@ -235,6 +237,67 @@ def test_preconditioner_cuts_three_level_iterations():
     assert res.status == "converged" and plain.status == "converged"
     assert 2 * res.iterations <= plain.iterations, (res.iterations,
                                                     plain.iterations)
+
+
+def _sine_symbol(shape):
+    """``sum_p 4 sin^2(theta_p / 2)`` at the DST-I angles of ``shape``."""
+    thetas = np.meshgrid(*[np.pi * np.arange(1, n + 1) / (n + 1) for n in shape],
+                         indexing="ij")
+    return sum(4.0 * np.sin(t / 2.0) ** 2 for t in thetas)
+
+
+def _dst(x, shape):
+    return sfft.dstn(x.reshape(shape), type=1, norm="ortho").ravel()
+
+
+@pytest.mark.parametrize("dim, n", [(1, 31), (2, 15), (3, 7)])
+def test_tau_inverse_exact_on_constant_order_and_shift(dim, n):
+    # one order and one shift: the map is the exact inverse of the tau
+    # model S (shift + scale h^-alpha Lam^(alpha/2)) S
+    g = vl.build_grid(dim, -1.0, 1.0, n)
+    op = vl.VariableOrderOperator(g, sampled_const(g, 1.3), mode="fast")
+    alpha, scale, shift = 1.3, 0.05, 0.7
+    eig = shift + scale * g.h ** -alpha * _sine_symbol(g.shape) ** (alpha / 2.0)
+    v = np.random.default_rng(dim).standard_normal(g.size)
+    model_v = _dst(eig * _dst(v, g.shape).reshape(g.shape), g.shape)
+    for sigma in (shift, np.full(g.size, shift)):
+        out = _tau_inverse(op, scale=scale, shift=sigma)(model_v)
+        assert np.abs(out - v).max() <= 1e-12 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("kind", ["case2_linear", "corner08"])
+def test_unshifted_tau_inverse_is_order_interpolated_formula(kind):
+    # with no shift the map is the order-interpolated inverse
+    # S sum_p Lam^(-alpha_p/2) S (L_p(alpha_j) h^alpha_j v_j / scale)
+    g = vl.build_grid(2, -1.0, 1.0, 31)
+    op = vl.VariableOrderOperator(g, vl.sample_order(order_field(kind), g),
+                                  mode="fast")
+    alphas, scale = op.field.sampled, 0.5
+    plan = vl.build_plan(alphas.min(), alphas.max(), TAU_ORDER_NODES)
+    weights = vl.eval_lagrange(plan, alphas).T * g.h ** alphas
+    lam = _sine_symbol(g.shape)
+    v = np.random.default_rng(2).standard_normal(g.size)
+    ref = _dst(sum(lam ** (-a / 2.0) / scale * _dst(c * v, g.shape).reshape(g.shape)
+                   for a, c in zip(plan.nodes, weights)), g.shape)
+    out = _tau_inverse(op, scale=scale, shift=0.0)(v)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_shift_interpolated_tau_half_steps():
+    # interpolating the inverse in the per-node shift 1 + mu q as well as in
+    # the order: 20 three-level and 14 bootstrap half-steps with the shift
+    # frozen at 1 + mu mean(q), on the set-up of
+    # test_preconditioner_cuts_three_level_iterations
+    g = vl.build_grid(2, 0.0, 1.0, 63)
+    op = vl.VariableOrderOperator(
+        g, vl.sample_order(order_field("phase_middle"), g), mode="fast")
+    w = initial_condition("bubbles", kappa=0.02)(g.points()) + 1.0
+    stepper = vl.TimeStepper(scheme="allen_cahn", dt=4e-4, t_final=4e-4,
+                             kappa=0.02)
+    ((_, boot), _, _), ((_, three), _, _) = _allen_cahn_systems(op, w, w, stepper)
+    assert boot.status == "converged" and three.status == "converged"
+    assert boot.iterations <= 8, boot.iterations
+    assert three.iterations <= 13, three.iterations
 
 
 def test_preconditioned_solves_take_initial_guess():
