@@ -14,7 +14,8 @@ adaptively integrates the symmetrized hypersingular integral
     (c_{d,alpha}/2) * int [2u(x) - u(x+y) - u(x-y)] / |y|^{d+alpha} dy,
 
 whose integrand is O(|y|^{2-d-alpha}) near the origin and therefore needs no
-principal-value machinery.
+principal-value machinery.  The quadrature oracle imports ``scipy.integrate``
+on first use, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, hyp1f1
 
 from .errors import (
@@ -147,6 +147,8 @@ def integral_frac_lap(u, x, alpha: float, d: int,
         QuadratureNonConvergent: adaptive quadrature error above ``tol``.
         OrderOutOfRange: alpha outside (0, 2) (the constant is singular at 2).
     """
+    from scipy.integrate import quad
+
     d = int(d)
     if d not in (1, 2, 3):
         raise InvalidDim(f"dimension must be 1, 2 or 3, got {d}")

@@ -30,8 +30,10 @@ applies, and their quadrature size: the closed form in 1D, the
 alias-corrected table in 2D and the plain table in 3D.  The fast kernels,
 the direct rows and ``varlap weights`` all read it.
 
-Tables are built afresh on every call; a 2D N = 511 table (m = 2048) is
-8.4 MB and takes about 35-40 ms.  The one cache is the order-free geometry of
+Tables are built afresh on every call.  An operator's table keeps only its
+offsets 0..N per axis, and each axis of the transform stops there, so a 2D
+N = 511 table (m = 2048) is 2.1 MB and takes about 30 ms, against 8.4 MB and
+35-45 ms for the whole quadrant.  The one cache is the order-free geometry of
 the 2D alias sum, which :func:`clear_weight_cache` drops.
 """
 
@@ -41,11 +43,12 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import InvalidDim, OrderOutOfRange, QuadratureTooCoarse
+from .errors import InvalidDim, OrderOutOfRange, QuadratureTooCoarse, SizeMismatch
 from .oracle import normalization_constant
 
 __all__ = [
@@ -82,12 +85,23 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_offset(value, name: str) -> int:
+    try:
+        n = index(value)
+    except TypeError:
+        raise InvalidDim(f"{name} must be an integer, got {value!r}") from None
+    if n < 0:
+        raise InvalidDim(f"{name} must be >= 0, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class WeightTable:
     """Trapezoidal weights of one constant order at quadrature size m.
 
-    ``values`` is the nonnegative-offset block of offsets 0..m/2 per axis;
-    the full period-m table follows by evenness and aliasing modulo m.
+    ``values`` is the nonnegative-offset block of offsets 0..K per axis:
+    K = m/2 for the whole table, from which the period-m table follows by
+    evenness and aliasing modulo m, or the ``target_n`` it was cut at.
     """
 
     alpha: float
@@ -96,7 +110,10 @@ class WeightTable:
     values: np.ndarray
 
     def total_sum(self) -> float:
-        """Sum of all m**dim periodic values."""
+        """Sum of all m**dim periodic values; a cut table raises SizeMismatch."""
+        if self.values.shape[0] != self.m // 2 + 1:
+            raise SizeMismatch(f"table cut below offset m/2 = {self.m // 2} "
+                               "has no periodic sum")
         # multiplicity 2 everywhere except the self-symmetric planes 0 and m/2
         w = np.full(self.m // 2 + 1, 2.0)
         w[0] = w[-1] = 1.0
@@ -110,9 +127,11 @@ def signed_block(block: np.ndarray, kmax: int | None = None) -> np.ndarray:
     """Weights at offsets -kmax..kmax per axis from a block of offsets 0..K.
 
     ``kmax`` defaults to K; axis position i of the result is offset i - kmax.
+    A negative or non-integer kmax raises InvalidDim, one above K
+    QuadratureTooCoarse.
     """
     k = block.shape[0] - 1
-    kmax = k if kmax is None else int(kmax)
+    kmax = k if kmax is None else _check_offset(kmax, "kmax")
     if kmax > k:
         raise QuadratureTooCoarse(f"offset {kmax} exceeds block range {k}")
     idx = np.abs(np.arange(-kmax, kmax + 1))
@@ -151,17 +170,24 @@ def weights_nd_fft(alpha: float, dim: int, m: int,
     d-dimensional inverse DFT of the samples approximates the true Fourier
     coefficients with aliasing error O(M^(-d-alpha)).  Because the symbol is
     even in every component, that inverse DFT is a type-I DCT of the samples
-    on the nonnegative quadrant, and only that quadrant is computed and
-    stored.
+    on the nonnegative quadrant, and only that quadrant is computed.
+
+    Without ``target_n`` the whole quadrant, offsets 0..m/2 per axis, is
+    kept.  With it only offsets 0..target_n are: axis 0 is transformed
+    whole, and each later axis only on the lines the earlier cuts kept
+    (pruned output, Markel 1971), in place.  The kept weights are bitwise
+    those of the whole table.
 
     Args:
         alpha: order in (0, 2].
         dim: 1, 2 or 3.
         m: quadrature size per dimension, a power of two >= 4.
-        target_n: interior node count the table must serve; enforces m >= 2*N.
+        target_n: interior node count the table serves, a nonnegative
+            integer; enforces m >= 2*N and keeps offsets 0..N per axis.
 
     Raises:
         OrderOutOfRange: alpha outside (0, 2].
+        InvalidDim: dim not 1, 2 or 3, or target_n negative or not an integer.
         QuadratureTooCoarse: m not a power of two >= 4, or m < 2*target_n.
     """
     alpha = _check_alpha(alpha)
@@ -170,20 +196,28 @@ def weights_nd_fft(alpha: float, dim: int, m: int,
     m = int(m)
     if m < 4 or (m & (m - 1)) != 0:
         raise QuadratureTooCoarse(f"quadrature size must be a power of two >= 4, got {m}")
-    if target_n is not None and m < 2 * int(target_n):
-        raise QuadratureTooCoarse(
-            f"quadrature size {m} < 2*N = {2 * int(target_n)}"
-        )
+    keep = m // 2 + 1
+    if target_n is not None:
+        target_n = _check_offset(target_n, "target_n")
+        if m < 2 * target_n:
+            raise QuadratureTooCoarse(f"quadrature size {m} < 2*N = {2 * target_n}")
+        keep = target_n + 1
 
     eta = 2.0 * np.pi * np.arange(m // 2 + 1) / m
     s = 4.0 * np.sin(eta / 2.0) ** 2
     acc = s
     for _ in range(dim - 1):
         acc = acc[..., None] + s
-    # in place throughout: at m = 4096 in 2D each copy is 34 MB
+    # in place throughout, each dct writing into its view: at m = 4096 in
+    # 2D each copy is 34 MB
     acc **= alpha / 2.0
-    vals = sfft.dctn(acc, type=1, overwrite_x=True)
-    vals /= m**dim
+    for ax in range(dim):
+        sfft.dct(acc[(slice(0, keep),) * ax], type=1, axis=ax, overwrite_x=True)
+    # a cut block divides into a compact copy, which lets the quadrant go
+    if keep <= m // 2:
+        vals = acc[(slice(0, keep),) * dim] / m**dim
+    else:
+        vals = np.divide(acc, m**dim, out=acc)
     return WeightTable(alpha=alpha, dim=dim, m=m, values=vals)
 
 
@@ -273,7 +307,7 @@ def alias_corrected_block(alpha: float, m: int, n_max: int) -> np.ndarray:
         QuadratureTooCoarse: m not a power of two >= 4, or m < 2*n_max.
     """
     table = weights_nd_fft(alpha, 2, m, target_n=n_max)
-    block = table.values[(slice(0, n_max + 1),) * 2].copy()
+    block = table.values
     alpha = table.alpha
     if alpha == 2.0:
         return block
@@ -319,8 +353,7 @@ def operator_block(alpha: float, dim: int, n_max: int) -> np.ndarray:
     m = default_quadrature_size(dim, n_max)
     if dim == 2:
         return alias_corrected_block(alpha, m, n_max)
-    table = weights_nd_fft(alpha, dim, m, target_n=n_max)
-    return table.values[(slice(0, n_max + 1),) * dim].copy()
+    return weights_nd_fft(alpha, dim, m, target_n=n_max).values
 
 
 @dataclass(frozen=True)

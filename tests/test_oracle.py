@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -233,3 +237,14 @@ def test_definition_equivalence_sample():
             a = vl.integral_frac_lap(gaussian, x=x, alpha=alpha, d=d)
             b = vl.gaussian_frac_lap(x if d > 1 else float(x[0]), alpha, d)
             assert a == pytest.approx(b, abs=1e-5)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only the quadrature oracle needs scipy.integrate; it imports it on use
+    path = [str(Path(vl.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = ("import sys, varlap, varlap.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

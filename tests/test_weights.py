@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.integrate import quad
 
 import varlap as vl
-from varlap.errors import InvalidDim, OrderOutOfRange, QuadratureTooCoarse
+from varlap.errors import InvalidDim, OrderOutOfRange, QuadratureTooCoarse, SizeMismatch
 from varlap.weights import (
     _alias_geometry,
     alias_corrected_block,
@@ -122,6 +123,33 @@ def test_fft_rejects_bad_sizes():
         vl.weights_nd_fft(1.0, 1, 64, target_n=40)
     with pytest.raises(OrderOutOfRange):
         vl.weights_nd_fft(2.5, 1, 64)
+
+
+@pytest.mark.parametrize("target_n", [-5, -1, 2.7, 8.0, "8"])
+def test_fft_rejects_bad_target_n(target_n):
+    with pytest.raises(InvalidDim):
+        vl.weights_nd_fft(1.5, 2, 64, target_n=target_n)
+
+
+@pytest.mark.parametrize("dim,m", [(1, 64), (2, 64), (3, 32)])
+@pytest.mark.parametrize("alpha", [0.3, 1.37, 2.0])
+def test_cut_table_is_leading_block_of_whole(dim, m, alpha):
+    # reference: one d-dimensional DCT-I of the whole quadrant of samples
+    s = 4.0 * np.sin(np.pi * np.arange(m // 2 + 1) / m) ** 2
+    samples = sum(np.expand_dims(s, tuple(q for q in range(dim) if q != p))
+                  for p in range(dim))
+    whole = sfft.dctn(samples ** (alpha / 2.0), type=1) / m**dim
+    assert np.array_equal(vl.weights_nd_fft(alpha, dim, m).values, whole)
+    for n in (1, m // 4, m // 2):
+        cut = vl.weights_nd_fft(alpha, dim, m, target_n=n).values
+        assert cut.shape == (n + 1,) * dim
+        assert np.array_equal(cut, whole[(slice(0, n + 1),) * dim])
+
+
+def test_total_sum_refuses_cut_table():
+    assert abs(vl.weights_nd_fft(1.5, 2, 64, target_n=32).total_sum()) <= 1e-12
+    with pytest.raises(SizeMismatch):
+        vl.weights_nd_fft(1.5, 2, 64, target_n=16).total_sum()
 
 
 def test_dct_path_matches_ifft_path():
@@ -257,6 +285,13 @@ def test_signed_block_expands_nonneg_offsets():
     assert np.array_equal(vl.signed_block(block, 1), full[1:4, 1:4])
     with pytest.raises(QuadratureTooCoarse):
         vl.signed_block(block, 3)
+    assert vl.signed_block(block, np.int64(0)).shape == (1, 1)
+
+
+@pytest.mark.parametrize("kmax", [-1, 2.7, 1.0])
+def test_signed_block_refuses_bad_kmax(kmax):
+    with pytest.raises(InvalidDim):
+        vl.signed_block(np.arange(9.0).reshape(3, 3), kmax)
 
 
 def test_decay_alpha2_degenerate():
