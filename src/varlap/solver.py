@@ -3,15 +3,16 @@
 The elliptic scheme solves ``(-Lap_h)^{alpha_j/2} u_j + b_j u_j = f_j`` on the
 interior nodes with the extended zero condition outside; nodes excluded by an
 embedding mask are pinned to zero through identity rows, keeping the system
-square and nonsingular.  Linear systems are solved matrix-free by BiCGSTAB
-with a zero initial guess by default.  Elliptic and phase-field solves are
-right preconditioned by the tau-algebra (DST-I) model of a constant-order
-block, which BiCGSTAB applies inside its recurrence.  Its inverse is
-Lagrange interpolated in the order over three Chebyshev nodes of the sampled
-range and, for the phase-field steps, in their diagonal shift over two
-Chebyshev nodes of its range.  Crank-Nicolson solves stay
-unpreconditioned: their identity-dominated systems converge in a few dozen
-half-steps already, and a shift model made the ``bench_tanh`` step slower.
+square and nonsingular.  Every time step solves, pinned the same way,
+``(sigma I + c A) w_next = ((2 - sigma) I - c A) w_old + g``; the schemes
+differ only in c, sigma and g.  Systems are solved matrix-free by BiCGSTAB,
+from zero by default.  Elliptic and phase-field solves are right
+preconditioned by the tau-algebra (DST-I) model of a constant-order block,
+its inverse Lagrange interpolated in the order over three Chebyshev nodes of
+the sampled range and, for the phase-field steps, in sigma over two
+Chebyshev nodes of its range.  Crank-Nicolson solves stay unpreconditioned:
+their identity-dominated systems converge in a few dozen half-steps, and a
+shift model made the ``bench_tanh`` step slower.
 
 A requested tolerance below double-precision reach is treated as "iterate to
 stagnation": the solver stops once the relative residual is at ``tol`` or no
@@ -80,8 +81,8 @@ class KrylovConfig:
     preconditioner: LinearMap | None = None
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise InvalidRange("tolerance must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise InvalidRange("tolerance must be positive and finite")
         if self.max_iter < 1:
             raise InvalidRange("max_iter must be >= 1")
 
@@ -262,17 +263,16 @@ class SolveOutcome:
     krylov: KrylovResult
 
 
-def _pinned_map(op: VariableOrderOperator, diag: np.ndarray | None,
-                scale_a: float = 1.0, shift: float = 0.0) -> LinearMap:
-    """Linear map u -> shift*u + scale_a*(A u) + diag*u, identity on masked rows."""
+def _pinned_map(op: VariableOrderOperator, scale: float,
+                sigma: float | np.ndarray = 0.0) -> LinearMap:
+    """Linear map u -> scale*(A u) + sigma*u, identity on masked rows."""
     mask = op.mask
+    diagonal = np.ndim(sigma) > 0 or sigma != 0.0
 
     def apply_a(u: np.ndarray) -> np.ndarray:
-        out = scale_a * op._apply_flat(u)
-        if diag is not None:
-            out += diag * u
-        if shift != 0.0:
-            out = out + shift * u
+        out = scale * op._apply_flat(u)
+        if diagonal:
+            out += sigma * u
         if mask is not None:
             out[~mask.inside] = u[~mask.inside]
         return out
@@ -378,8 +378,8 @@ def solve_elliptic(problem: EllipticProblem,
             above ``config.accept_relres``.
     """
     op = problem.operator
-    diag = problem.b.values if problem.b is not None else None
-    u, result = _solve("elliptic solve", op, _pinned_map(op, diag),
+    sigma = problem.b.values if problem.b is not None else 0.0
+    u, result = _solve("elliptic solve", op, _pinned_map(op, 1.0, sigma),
                        problem.f.values, config, _tau_inverse(op))
     return SolveOutcome(u=u, krylov=result)
 
@@ -390,7 +390,8 @@ class TimeStepper:
 
     ``scheme`` is "crank_nicolson" or "allen_cahn" (the three-level linearized
     scheme; ``kappa`` is its interface width, unused otherwise).  ``source``
-    maps (points, t) to values; ``diffusion`` scales the operator.
+    maps (points, t) to values, for Crank-Nicolson only; ``diffusion`` scales
+    the operator.
     """
 
     scheme: str = "crank_nicolson"
@@ -409,51 +410,52 @@ class TimeStepper:
         if not self.t_final / self.dt <= MAX_STEPS:
             raise InvalidRange(f"t_final / dt = {self.t_final / self.dt:.3g} "
                                f"exceeds the limit of {MAX_STEPS} steps")
-        if self.scheme == "allen_cahn" and self.kappa <= 0.0:
-            raise InvalidRange("Allen-Cahn needs kappa > 0")
-        if self.diffusion < 0.0:
-            raise InvalidRange("diffusion coefficient must be nonnegative")
+        if not math.isfinite(self.kappa) or (self.scheme == "allen_cahn"
+                                             and self.kappa <= 0.0):
+            raise InvalidRange("kappa must be finite, and > 0 for Allen-Cahn")
+        if self.scheme == "allen_cahn" and self.source is not None:
+            raise InvalidRange("the Allen-Cahn scheme takes no source")
+        if not 0.0 <= self.diffusion < math.inf:
+            raise InvalidRange("diffusion coefficient must be finite and >= 0")
+
+
+def _implicit_step(what: str, op: VariableOrderOperator, w_old: GridFunction,
+                   c: float, sigma: float | np.ndarray, g: float | np.ndarray,
+                   krylov: KrylovConfig, precondition: bool = True
+                   ) -> tuple[GridFunction, KrylovResult]:
+    """Solve ``(sigma I + c A) w_next = ((2 - sigma) I - c A) w_old + g``, the
+    system of every time step, pinned on masked rows; right preconditioned by
+    its tau model, or plain whatever ``krylov`` holds if not ``precondition``."""
+    rhs = _pinned_map(op, -c, 2.0 - sigma)(w_old.values) + g
+    inverse = _tau_inverse(op, scale=c, shift=sigma) if precondition else None
+    return _solve(what, op, _pinned_map(op, c, sigma), rhs, krylov, inverse)
 
 
 def step_crank_nicolson(u_prev: GridFunction, stepper: TimeStepper,
                         operator: VariableOrderOperator,
-                        t: float = 0.0,
-                        b: GridFunction | None = None) -> tuple[GridFunction, KrylovResult]:
-    """One Crank-Nicolson step of ``u_t + L u = f`` with L = diffusion*A + b.
-
-    Solves ``(I + dt/2 L) u_next = (I - dt/2 L) u_prev + dt f(t + dt/2)``
-    by plain BiCGSTAB: any ``stepper.krylov.preconditioner`` is dropped.
-    """
-    op = operator
+                        t: float = 0.0) -> tuple[GridFunction, KrylovResult]:
+    """One Crank-Nicolson step of ``u_t + diffusion*A u = f``: the step
+    system with c = diffusion*dt/2, sigma = 1, g = dt f(t + dt/2), solved by
+    plain BiCGSTAB."""
     dt = stepper.dt
-    diag = dt / 2.0 * b.values if b is not None else None
-    lhs = _pinned_map(op, diag, scale_a=stepper.diffusion * dt / 2.0, shift=1.0)
-    explicit = _pinned_map(op, -diag if diag is not None else None,
-                           scale_a=-stepper.diffusion * dt / 2.0, shift=1.0)
-    rhs = explicit(u_prev.values)
-    if stepper.source is not None:
-        rhs = rhs + dt * np.asarray(
-            stepper.source(op.grid.points(), t + dt / 2.0), dtype=float).ravel()
-    return _solve("Crank-Nicolson step", op, lhs, rhs, stepper.krylov, None)
+    g = 0.0 if stepper.source is None else dt * np.asarray(
+        stepper.source(operator.grid.points(), t + dt / 2.0), dtype=float).ravel()
+    return _implicit_step("Crank-Nicolson step", operator, u_prev,
+                          stepper.diffusion * dt / 2.0, 1.0, g, stepper.krylov,
+                          precondition=False)
 
 
 def _step_allen_cahn_bootstrap(w: GridFunction, stepper: TimeStepper,
                                operator: VariableOrderOperator
                                ) -> tuple[GridFunction, KrylovResult]:
-    """First phase-field step: Crank-Nicolson with the nonlinearity explicit.
-
-    ``w`` is in the shifted variable (physical phase + 1), as for
-    ``step_allen_cahn_three_level``, which needs two levels to start from.
-    """
-    op = operator
+    """First phase-field step, in the shifted variable w = phi + 1 of
+    ``step_allen_cahn_three_level``: Crank-Nicolson with the nonlinearity
+    explicit, g = -(dt/kappa^2)(phi^3 - phi), tau preconditioned."""
     dt = stepper.dt
-    lhs = _pinned_map(op, None, scale_a=stepper.diffusion * dt / 2.0, shift=1.0)
     phys = w.values - 1.0
-    rhs = (w.values
-           - dt / 2.0 * stepper.diffusion * op._apply_flat(w.values)
-           - (dt / stepper.kappa**2) * (phys**3 - phys))
-    tau = _tau_inverse(op, scale=stepper.diffusion * dt / 2.0, shift=1.0)
-    return _solve("bootstrap step", op, lhs, rhs, stepper.krylov, tau)
+    return _implicit_step("bootstrap step", operator, w, stepper.diffusion * dt / 2.0,
+                          1.0, -(dt / stepper.kappa**2) * (phys**3 - phys),
+                          stepper.krylov)
 
 
 def step_allen_cahn_three_level(u_nm1: GridFunction, u_n: GridFunction,
@@ -465,8 +467,8 @@ def step_allen_cahn_three_level(u_nm1: GridFunction, u_n: GridFunction,
     All arguments are in the shifted variable (physical phase + 1), which
     carries the homogeneous exterior condition.  The cubic is linearized
     about the middle level, u^3 ~ (u^n)^2 * u-averaged, while the mild -u
-    part stays explicit; with mu = dt/kappa^2 and q = (u^n)^2 the update
-    solves
+    part stays explicit; with mu = dt/kappa^2 and q = (u^n)^2 this is the
+    step system with c = dt, sigma = 1 + mu q and g = 2 mu (q + u^n):
 
         (I + dt A + mu diag(q)) w^{n+1}
             = (I - dt A - mu diag(q)) w^{n-1} + 2 mu (q + u^n).
@@ -474,20 +476,14 @@ def step_allen_cahn_three_level(u_nm1: GridFunction, u_n: GridFunction,
     The nonnegative implicit factor q keeps the scheme stable at dt ~
     kappa^2; fully explicit or fully averaged treatments of the double-well
     term are leapfrog-unstable there.  The solve is right preconditioned by
-    the tau model with the per-node shift 1 + mu q.
+    the tau model with the per-node shift sigma.
     """
-    op = operator
     dt = stepper.dt
     mu = dt / stepper.kappa**2
     phys = u_n.values - 1.0
     q = phys**2
-    lhs = _pinned_map(op, mu * q, scale_a=stepper.diffusion * dt, shift=1.0)
-    rhs = (u_nm1.values
-           - dt * stepper.diffusion * op._apply_flat(u_nm1.values)
-           - mu * q * u_nm1.values
-           + 2.0 * mu * (q + phys))
-    tau = _tau_inverse(op, scale=stepper.diffusion * dt, shift=1.0 + mu * q)
-    return _solve("three-level step", op, lhs, rhs, stepper.krylov, tau)
+    return _implicit_step("three-level step", operator, u_nm1, stepper.diffusion * dt,
+                          1.0 + mu * q, 2.0 * mu * (q + phys), stepper.krylov)
 
 
 def positive_component_count(u: GridFunction) -> int:
@@ -540,11 +536,14 @@ def evolve(stepper: TimeStepper, operator: VariableOrderOperator,
     For the phase-field scheme ``u0`` and all recorded states are physical
     (phase in [-1, 1]); the shifted variable is managed internally and the
     first step is bootstrapped by one Crank-Nicolson step with the
-    nonlinearity taken explicitly.  Frames, when requested, are written as
-    flat row-major text arrays, one file per step.
+    nonlinearity taken explicitly.  Masked nodes read the exterior value -1
+    from row 0 on, whatever ``u0`` holds there.  Frames, when requested, are
+    written as flat row-major text arrays, one file per step.
     """
     if u0.grid.shape != operator.grid.shape:
         raise GridMismatch("initial data grid does not match operator grid")
+    if stepper.scheme == "allen_cahn" and operator.mask is not None:
+        u0 = GridFunction(operator.grid, np.where(operator.mask.inside, u0.values, -1.0))
     n_steps = int(round(stepper.t_final / stepper.dt))
     rows = [_observe(u0, 0, 0.0, 0, 0.0)]
     _dump_frame(frame_dir, frame_every, 0, u0)

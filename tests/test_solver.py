@@ -133,7 +133,7 @@ def test_preconditioned_solve_matches_plain_bicgstab(kind):
         operator=op, f=vl.GridFunction(op.grid, f),
         b=None if b is None else vl.GridFunction(op.grid, b))
     out = vl.solve_elliptic(prob)
-    plain = vl.bicgstab(_pinned_map(op, b), f)
+    plain = vl.bicgstab(_pinned_map(op, 1.0, 0.0 if b is None else b), f)
     assert plain.status == "converged"
     gap = np.abs(out.u.values - plain.x).max() / np.abs(plain.x).max()
     assert gap <= 1e-10, gap
@@ -149,7 +149,7 @@ def test_preconditioner_cuts_case2_linear_iterations():
     f = np.ones(g.size)
     out = vl.solve_elliptic(vl.EllipticProblem(operator=op,
                                                f=vl.GridFunction(g, f)))
-    plain = vl.bicgstab(_pinned_map(op, None), f)
+    plain = vl.bicgstab(_pinned_map(op, 1.0), f)
     assert out.krylov.status == "converged" and out.krylov.restarts == 0
     assert 5 * out.krylov.iterations <= plain.iterations, (
         out.krylov.iterations, plain.iterations)
@@ -178,10 +178,10 @@ def test_initial_guess_residuals_relative_to_rhs():
                               b=vl.GridFunction(g, b))
     cfg = vl.KrylovConfig(tol=1e-10, x0=x0)
     res = vl.solve_elliptic(prob, cfg).krylov
-    start = np.linalg.norm(f - _pinned_map(op, b)(x0)) / np.linalg.norm(f)
+    start = np.linalg.norm(f - _pinned_map(op, 1.0, b)(x0)) / np.linalg.norm(f)
     assert res.residuals[0] == pytest.approx(start, rel=1e-12)
     assert res.status == "converged" and res.relres <= cfg.tol
-    true = np.linalg.norm(f - _pinned_map(op, b)(res.x)) / np.linalg.norm(f)
+    true = np.linalg.norm(f - _pinned_map(op, 1.0, b)(res.x)) / np.linalg.norm(f)
     assert true <= 10 * cfg.tol, true
 
 
@@ -191,12 +191,12 @@ def _allen_cahn_systems(op, w_prev, w_cur, stepper):
     phys = w_cur - 1.0
     q = phys**2
     boot = (_step_allen_cahn_bootstrap(vl.GridFunction(op.grid, w_cur), stepper, op),
-            _pinned_map(op, None, scale_a=dt / 2.0, shift=1.0),
+            _pinned_map(op, dt / 2.0, 1.0),
             w_cur - dt / 2.0 * op._apply_flat(w_cur) - mu * (phys**3 - phys))
     three = (vl.step_allen_cahn_three_level(vl.GridFunction(op.grid, w_prev),
                                             vl.GridFunction(op.grid, w_cur),
                                             stepper, op),
-             _pinned_map(op, mu * q, scale_a=dt, shift=1.0),
+             _pinned_map(op, dt, 1.0 + mu * q),
              w_prev - dt * op._apply_flat(w_prev) - mu * q * w_prev
              + 2.0 * mu * (q + phys))
     return [(res, lhs, _masked_rhs(rhs, op.mask)) for res, lhs, rhs in (boot, three)]
@@ -342,8 +342,8 @@ def test_cn_step_runs_plain_bicgstab():
     u0 = vl.GridFunction(g, np.cos(np.pi * g.points()[:, 0] / 2.0))
     stepper = vl.TimeStepper(dt=1.0 / 16.0, t_final=1.0 / 16.0)
     half = stepper.dt / 2.0
-    rhs = _pinned_map(op, None, scale_a=-half, shift=1.0)(u0.values)
-    plain = vl.bicgstab(_pinned_map(op, None, scale_a=half, shift=1.0), rhs,
+    rhs = _pinned_map(op, -half, 1.0)(u0.values)
+    plain = vl.bicgstab(_pinned_map(op, half, 1.0), rhs,
                         stepper.krylov)
     tau = _tau_inverse(op, scale=half, shift=1.0)
     for krylov in (stepper.krylov, replace(stepper.krylov, preconditioner=tau)):
@@ -432,6 +432,25 @@ def test_time_stepper_rejects_negative_diffusion():
     # then grows the max norm by orders of magnitude per step
     with pytest.raises(vl.InvalidRange, match="diffusion"):
         vl.TimeStepper(dt=0.5, t_final=1.0, diffusion=-1.0)
+    with pytest.raises(vl.InvalidRange, match="diffusion"):
+        vl.TimeStepper(dt=0.5, t_final=1.0, diffusion=float("nan"))
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: vl.KrylovConfig(tol=float("inf")), "tolerance"),
+    (lambda: vl.KrylovConfig(tol=float("nan")), "tolerance"),
+    (lambda: vl.TimeStepper(diffusion=float("inf")), "diffusion"),
+    (lambda: vl.TimeStepper(kappa=float("nan")), "kappa"),
+    (lambda: vl.TimeStepper(scheme="allen_cahn", kappa=float("inf")), "kappa"),
+    (lambda: vl.TimeStepper(scheme="allen_cahn",
+                            source=lambda pts, t: np.full(len(pts), 1e6)), "source"),
+], ids=["tol_inf", "tol_nan", "diffusion_inf", "kappa_nan", "kappa_inf",
+        "allen_cahn_source"])
+def test_configs_reject_invalid_values(make, match):
+    # a tol of inf would return x = 0 as "converged" after no iteration, and
+    # the phase-field steps have no source term that could take a source
+    with pytest.raises(vl.InvalidRange, match=match):
+        make()
 
 
 def test_cn_fixed_point_is_steady_elliptic_solution():
@@ -516,6 +535,35 @@ def test_evolve_masked_diffusion_max_norm_non_increasing():
     rec = vl.evolve(stepper, op, vl.GridFunction(g, ones))
     mx = rec.column("max_norm")
     assert all(b <= a + 1e-10 for a, b in zip(mx, mx[1:]))
+
+
+def test_evolve_masked_allen_cahn_holds_exterior_value(tmp_path):
+    # masked nodes read the exterior value -1 in every row, row 0 included,
+    # whatever the initial data holds there; inside nodes do not see it
+    g = vl.build_grid(2, 0.0, 1.0, 15)
+    mask = vl.make_mask(g, lambda p: np.sum((p - 0.5) ** 2, axis=-1) < 0.16)
+    op = vl.VariableOrderOperator(
+        g, vl.sample_order(order_field("phase_middle"), g), mode="fast", mask=mask)
+    stepper = vl.TimeStepper(scheme="allen_cahn", dt=1e-3, t_final=3e-3,
+                             kappa=0.05)
+    u0 = initial_condition("bubbles", kappa=0.05)(g.points())
+    runs = []
+    for outside in (0.0, 0.7):
+        vals = u0.copy()
+        vals[~mask.inside] = outside
+        frames = tmp_path / f"frames_{outside}"
+        frames.mkdir()
+        runs.append(vl.evolve(stepper, op, vl.GridFunction(g, vals),
+                              frame_dir=frames, frame_every=1))
+        for path in sorted(frames.glob("frame_*.txt")):
+            frame = np.loadtxt(path).ravel()
+            assert np.all(frame[~mask.inside] == -1.0), path.name
+            assert np.array_equal(frame[mask.inside], np.loadtxt(
+                tmp_path / "frames_0.0" / path.name).ravel()[mask.inside])
+    assert np.array_equal(runs[0].final.values, runs[1].final.values)
+    assert runs[0].column("mass") == runs[1].column("mass")
+    mass = runs[0].column("mass")
+    assert abs(mass[1] - mass[0]) <= 0.1 * abs(mass[0]), mass
 
 
 def test_component_count():
