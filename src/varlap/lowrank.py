@@ -13,6 +13,7 @@ numerically stable, and exactly cardinal at the nodes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +46,13 @@ class ChebyshevPlan:
 
 def check_rank_options(rank: int | None = None,
                        epsilon: float | None = None) -> None:
-    """Raise InvalidRange for a rank outside 1..RANK_CAP or epsilon <= 0."""
-    if rank is not None and not 1 <= rank <= RANK_CAP:
-        raise InvalidRange(f"rank must be in 1..{RANK_CAP}, got {rank}")
-    if epsilon is not None and epsilon <= 0.0:
+    """Raise InvalidRange for a rank that is not an integer in 1..RANK_CAP
+    or an epsilon that is not > 0 (NaN included)."""
+    if rank is not None and (isinstance(rank, bool)
+                             or not isinstance(rank, numbers.Integral)
+                             or not 1 <= rank <= RANK_CAP):
+        raise InvalidRange(f"rank must be an integer in 1..{RANK_CAP}, got {rank!r}")
+    if epsilon is not None and not epsilon > 0.0:
         raise InvalidRange(f"epsilon must be positive, got {epsilon}")
 
 

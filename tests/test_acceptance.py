@@ -292,7 +292,7 @@ def test_phase_field_coalescence_events():
     field = vl.sample_order(order_field("phase_middle"), g)
     op = vl.VariableOrderOperator(g, field, mode="fast")
     # every step, through the annihilation, converges to the default
-    # tolerance (relative residual <= 1e-14, no restarts)
+    # tolerance (relative residual <= 1e-14)
     stepper = vl.TimeStepper(scheme="allen_cahn", dt=1e-4, t_final=0.02,
                              kappa=0.01)
     u0 = vl.GridFunction(g, initial_condition("bubbles", kappa=0.01)(g.points()))

@@ -216,6 +216,19 @@ def test_unknown_mode_rejected(grid_1d):
                                  mode="fastest")
 
 
+@pytest.mark.parametrize("options", [
+    {"rank": 0}, {"rank": 33}, {"rank": 2.5}, {"rank": True},
+    {"epsilon": 0.0}, {"epsilon": float("nan")},
+], ids=["rank_0", "rank_33", "rank_fraction", "rank_bool", "epsilon_0",
+        "epsilon_nan"])
+def test_rank_options_rejected(grid_1d, options):
+    # a rank of 2.5 would build a rank-2 plan, and a NaN epsilon would sweep
+    # every rank up to the cap before failing
+    with pytest.raises(InvalidRange, match=next(iter(options))):
+        vl.VariableOrderOperator(grid_1d, vl.OrderField.constant(1.0),
+                                 mode="direct", **options)
+
+
 def test_plan_missing():
     g = vl.build_grid(1, 0.0, 1.0, 7)
     op = vl.VariableOrderOperator(g, vl.OrderField.constant(1.0), mode="direct")
