@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvalidRange, NotNested
-from .grid import GridFunction, UniformGrid, build_grid, make_mask, sample_order
+from .grid import GridFunction, UniformGrid, build_grid, make_mask
+from .lowrank import DEFAULT_RANK
 from .operator import VariableOrderOperator, fit_loglog_slope, operator_timing
 from .oracle import gaussian_frac_lap, manufactured_rhs_case1
 from .presets import initial_condition, order_field, parse_predicate
@@ -70,9 +71,16 @@ def _fmt(x) -> str:
     return "" if x is None else f"{x:.6e}"
 
 
-def _convergence_csv(path: Path, rows: list[ConvergenceRow]) -> None:
-    _write_rows(path, ["h", "E_inf", "order"],
-                [[_fmt(r.h), _fmt(r.e_inf), _fmt(r.order)] for r in rows])
+def _table(path: Path, hs: list[float], errors: list[float],
+           dts: list[float] | None = None) -> list[ConvergenceRow]:
+    """Write the convergence table of ``errors`` at steps ``hs`` and return
+    its rows; a Richardson table lists its time steps ``dts`` too."""
+    orders = _orders(errors)
+    steps = [hs] if dts is None else [hs, dts]
+    _write_rows(path, ["h", "dt"][:len(steps)] + ["E_inf", "order"],
+                [[_fmt(x) for x in row] for row in zip(*steps, errors, orders)])
+    return [ConvergenceRow(h=h, e_inf=e, order=o)
+            for h, e, o in zip(hs, errors, orders)]
 
 
 def _get(cfg: dict, key: str, default=None):
@@ -137,11 +145,6 @@ def _positive_list(cfg: dict, key: str, default=None, kind=float) -> list:
     return [kind(v) for v in vals]
 
 
-def _optional_number(cfg: dict, key: str, kind=float):
-    """``cfg[key]`` as a finite ``kind``, or None when absent or null."""
-    return None if cfg.get(key) is None else _number(cfg, key, None, kind)
-
-
 def _choice(cfg: dict, key: str, choices: tuple[int, ...], default=None) -> int:
     """``cfg[key]`` (or ``default``) as one of the integers ``choices``."""
     val = _get(cfg, key, default)
@@ -185,11 +188,11 @@ def _h_list(cfg: dict) -> list[float]:
 
 def _build_operator(grid: UniformGrid, field, cfg: dict, mask=None
                     ) -> VariableOrderOperator:
-    """The operator of a run on ``grid``: every operator the CLI builds."""
+    """The operator of a run on ``grid``, which samples the config's order
+    ``field`` there: every operator the CLI builds."""
     mode = _get(cfg, "mode", "direct" if grid.dim == 1 else "fast")
     return VariableOrderOperator(grid, field, mode=mode, mask=mask,
-                                 rank=_optional_number(cfg, "rank", int),
-                                 epsilon=_optional_number(cfg, "epsilon"))
+                                 rank=_number(cfg, "rank", DEFAULT_RANK, int))
 
 
 def restrict_nested(fine: GridFunction, coarse: UniformGrid) -> np.ndarray:
@@ -206,6 +209,13 @@ def restrict_nested(fine: GridFunction, coarse: UniformGrid) -> np.ndarray:
     if vals.shape != coarse.shape:
         raise NotNested("restriction shape mismatch")
     return vals.ravel()
+
+
+def _halving_gaps(sols: list[GridFunction]) -> list[float]:
+    """Step-halving differences ``||u_h - u_{h/2}||_inf`` on each coarser grid
+    of a run list whose steps halve from one entry to the next."""
+    return [float(np.abs(coarse.values - restrict_nested(fine, coarse.grid)).max())
+            for coarse, fine in zip(sols, sols[1:])]
 
 
 # -- weights ------------------------------------------------------------------
@@ -235,20 +245,15 @@ def run_apply_convergence(cfg: dict, out_dir) -> list[ConvergenceRow]:
     base_field = _order(cfg)
     out = _output(cfg, out_dir, "apply_conv.csv")
     grids = [_grid_for_h(dim, lo, hi, h) for h in hs]
-    rows: list[ConvergenceRow] = []
     errors: list[float] = []
     for grid in grids:
-        field = sample_order(base_field, grid)
-        op = _build_operator(grid, field, cfg)
+        op = _build_operator(grid, base_field, cfg)
         pts = grid.points()
         u = GridFunction(grid, np.exp(-np.sum(pts**2, axis=-1)))
         v = op.apply(u)
-        exact = gaussian_frac_lap(pts, field.sampled, dim)
+        exact = gaussian_frac_lap(pts, op.field.sampled, dim)
         errors.append(float(np.abs(v.values - exact).max()))
-    for h, e, o in zip(hs, errors, _orders(errors)):
-        rows.append(ConvergenceRow(h=h, e_inf=e, order=o))
-    _convergence_csv(out, rows)
-    return rows
+    return _table(out, hs, errors)
 
 
 # -- elliptic solves ----------------------------------------------------------
@@ -269,13 +274,11 @@ def run_elliptic(cfg: dict, out_dir) -> list[ConvergenceRow]:
     out = _output(cfg, out_dir, f"elliptic_case{case}.csv")
 
     def solve_on(grid: UniformGrid, f_vals: np.ndarray, reaction: float):
-        field = sample_order(base_field, grid)
-        op = _build_operator(grid, field, cfg)
+        op = _build_operator(grid, base_field, cfg)
         b = GridFunction(grid, np.full(grid.size, reaction)) if reaction else None
         problem = EllipticProblem(operator=op, f=GridFunction(grid, f_vals), b=b)
         return solve_elliptic(problem, krylov).u
 
-    rows: list[ConvergenceRow] = []
     if case == 1:
         beta = _number(cfg, "beta", 4.0)
         if beta < 2.0:               # refused before the reference operator
@@ -296,15 +299,9 @@ def run_elliptic(cfg: dict, out_dir) -> list[ConvergenceRow]:
     else:
         reaction = _number(cfg, "reaction", 0.0)
         grids = [_grid_for_h(dim, lo, hi, h) for h in hs + [hs[-1] / 2.0]]
-        sols = [solve_on(g, np.ones(g.size), reaction) for g in grids]
-        errors = []
-        for i, h in enumerate(hs):
-            fine_on_coarse = restrict_nested(sols[i + 1], grids[i])
-            errors.append(float(np.abs(sols[i].values - fine_on_coarse).max()))
-    for h, e, o in zip(hs, errors, _orders(errors)):
-        rows.append(ConvergenceRow(h=h, e_inf=e, order=o))
-    _convergence_csv(out, rows)
-    return rows
+        errors = _halving_gaps([solve_on(g, np.ones(g.size), reaction)
+                                for g in grids])
+    return _table(out, hs, errors)
 
 
 # -- time-dependent runs --------------------------------------------------------
@@ -342,14 +339,10 @@ def run_evolve(cfg: dict, out_dir):
         mask = None
         if cfg.get("mask") is not None:
             mask = make_mask(grid, parse_predicate(cfg["mask"]))
-        field = sample_order(base_field, grid)
-        op = _build_operator(grid, field, cfg, mask=mask)
+        op = _build_operator(grid, base_field, cfg, mask=mask)
         stepper = _stepper_from_cfg(cfg, dt)
         ic = initial_condition(_get(cfg, "ic", "gaussian"), kappa=stepper.kappa)
-        u0_vals = np.asarray(ic(grid.points()), dtype=float).ravel()
-        if mask is not None:
-            u0_vals[~mask.inside] = 0.0
-        return stepper, op, GridFunction(grid, u0_vals)
+        return stepper, op, GridFunction.from_callable(grid, ic)
 
     if kind == "single":
         out = _output(cfg, out_dir, "evolve.csv")
@@ -374,22 +367,9 @@ def run_evolve(cfg: dict, out_dir):
     dts = _positive_list(cfg, "dt_list", hs)
     if len(dts) != len(hs):
         raise ConfigError("dt_list must pair with h_list")
-    finals = []
-    grids = []
-    for h, dt in zip(hs + [hs[-1] / 2.0], dts + [dts[-1] / 2.0]):
-        rec = evolve(*set_up(h, dt))
-        finals.append(rec.final)
-        grids.append(rec.final.grid)
-    errors = []
-    for i in range(len(hs)):
-        fine_on_coarse = restrict_nested(finals[i + 1], grids[i])
-        errors.append(float(np.abs(finals[i].values - fine_on_coarse).max()))
-    rows = [ConvergenceRow(h=h, e_inf=e, order=o)
-            for h, e, o in zip(hs, errors, _orders(errors))]
-    _write_rows(out, ["h", "dt", "E_inf", "order"],
-                [[_fmt(h), _fmt(dt), _fmt(r.e_inf), _fmt(r.order)]
-                 for h, dt, r in zip(hs, dts, rows)])
-    return rows
+    finals = [evolve(*set_up(h, dt)).final
+              for h, dt in zip(hs + [hs[-1] / 2.0], dts + [dts[-1] / 2.0])]
+    return _table(out, hs, _halving_gaps(finals), dts)
 
 
 # -- benchmarks -----------------------------------------------------------------
@@ -416,8 +396,7 @@ def run_bench(cfg: dict, out_dir):
         rows = []
         for n, dt in zip(ns, dts):
             grid = build_grid(dim, lo, hi, n)
-            field = sample_order(base_field, grid)
-            op = _build_operator(grid, field, cfg)
+            op = _build_operator(grid, base_field, cfg)
             stepper = _stepper_from_cfg({**cfg, "t_final": dt}, dt)
             ic = initial_condition(_get(cfg, "ic", "cos_modes"))
             u0 = GridFunction(grid, ic(grid.points()))
@@ -439,8 +418,7 @@ def run_bench(cfg: dict, out_dir):
     rows = []
     for n in ns:
         grid = build_grid(dim, lo, hi, n)
-        field = sample_order(base_field, grid)
-        op = _build_operator(grid, field, {**cfg, "mode": "fast"})
+        op = _build_operator(grid, base_field, {**cfg, "mode": "fast"})
         timing = operator_timing(op, n_reps=reps)
         rows.append([n, timing["seconds_per_apply"]])
     slope = (fit_loglog_slope(ns, [r[1] for r in rows])

@@ -171,16 +171,16 @@ def build_grid(dim: int,
     quadrature assumes an isotropic step).
 
     Raises:
-        InvalidDim: dim not in {1, 2, 3} or a node count < 1.
+        InvalidDim: dim not in {1, 2, 3} or a node count not an integer >= 1.
         InvalidBox: lower >= upper, non-finite bounds, or unequal steps.
     """
     if dim not in (1, 2, 3):
         raise InvalidDim(f"dim must be 1, 2 or 3, got {dim}")
     lo = tuple(float(v) for v in np.broadcast_to(lower, (dim,)))
     hi = tuple(float(v) for v in np.broadcast_to(upper, (dim,)))
-    ns = tuple(int(v) for v in np.broadcast_to(n_per_dim, (dim,)))
-    if any(n < 1 for n in ns):
-        raise InvalidDim(f"need at least one interior node per dim, got {ns}")
+    ns = tuple(np.broadcast_to(n_per_dim, (dim,)).tolist())
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in ns):
+        raise InvalidDim(f"node counts must be integers >= 1, got {ns}")
     if not all(np.isfinite(lo)) or not all(np.isfinite(hi)):
         raise InvalidBox("box bounds must be finite")
     if any(a >= b for a, b in zip(lo, hi)):

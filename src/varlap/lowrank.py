@@ -44,16 +44,13 @@ class ChebyshevPlan:
     alpha_max: float
 
 
-def check_rank_options(rank: int | None = None,
-                       epsilon: float | None = None) -> None:
-    """Raise InvalidRange for a rank that is not an integer in 1..RANK_CAP
-    or an epsilon that is not > 0 (NaN included)."""
+def check_rank(rank: int | None) -> None:
+    """Raise InvalidRange unless rank is None (the default) or an integer
+    in 1..RANK_CAP."""
     if rank is not None and (isinstance(rank, bool)
                              or not isinstance(rank, numbers.Integral)
                              or not 1 <= rank <= RANK_CAP):
         raise InvalidRange(f"rank must be an integer in 1..{RANK_CAP}, got {rank!r}")
-    if epsilon is not None and not epsilon > 0.0:
-        raise InvalidRange(f"epsilon must be positive, got {epsilon}")
 
 
 def build_plan(alpha_min: float, alpha_max: float, r: int = DEFAULT_RANK) -> ChebyshevPlan:
@@ -67,7 +64,7 @@ def build_plan(alpha_min: float, alpha_max: float, r: int = DEFAULT_RANK) -> Che
     alpha_min, alpha_max = float(alpha_min), float(alpha_max)
     if not (0.0 < alpha_min <= alpha_max <= 2.0):
         raise InvalidRange(f"interval [{alpha_min}, {alpha_max}] outside (0, 2]")
-    check_rank_options(rank=r)
+    check_rank(r)
     return chebyshev_plan(alpha_min, alpha_max, r)
 
 
@@ -175,7 +172,8 @@ def estimate_rank(alpha_min: float, alpha_max: float, h: float,
     Raises:
         RankCapExceeded: no r <= 32 meets the tolerance.
     """
-    check_rank_options(epsilon=epsilon)
+    if not epsilon > 0.0:                 # NaN included
+        raise InvalidRange(f"epsilon must be positive, got {epsilon}")
     if alpha_min == alpha_max:
         return 1, 0.0
     for r in range(1, RANK_CAP + 1):

@@ -47,8 +47,7 @@ from .lowrank import (
     DEFAULT_RANK,
     ChebyshevPlan,
     build_plan,
-    check_rank_options,
-    estimate_rank,
+    check_rank,
     rank_coefficients,
 )
 from .weights import operator_block
@@ -168,10 +167,10 @@ class VariableOrderOperator:
         grid: interior-node grid.
         field: order field; sampled on ``grid`` (resampled if not).
         mode: "fast" (rank decomposition, default) or "direct".
-        rank: number of Chebyshev nodes for the fast path (default 7).
-        epsilon: if given and ``rank`` is None, pick the smallest rank whose
-            measured interpolation error is below epsilon.
-        plan: an explicit ChebyshevPlan overriding rank/epsilon.
+        rank: number of Chebyshev nodes for the fast path (default 7);
+            :func:`~varlap.lowrank.estimate_rank` gives the smallest rank
+            that meets an error target.
+        plan: an explicit ChebyshevPlan overriding rank.
         mask: optional embedding mask; masked-out nodes contribute zero and
             receive zero in every apply.
 
@@ -182,7 +181,6 @@ class VariableOrderOperator:
 
     def __init__(self, grid: UniformGrid, field: OrderField,
                  mode: str = "fast", rank: int | None = None,
-                 epsilon: float | None = None,
                  plan: ChebyshevPlan | None = None,
                  mask: DomainMask | None = None):
         if mode not in ("fast", "direct"):
@@ -191,22 +189,17 @@ class VariableOrderOperator:
             field = sample_order(field, grid)
         if mask is not None and mask.grid.shape != grid.shape:
             raise GridMismatch("mask grid does not match operator grid")
-        check_rank_options(rank, epsilon)     # direct mode ignores both, but checks them
+        check_rank(rank)     # direct mode ignores it, but checks it
         self.grid = grid
         self.field = field
         self.mode = mode
         self.mask = mask
         self.n_max = max(grid.n_per_dim)
-        self.interpolation_error: float | None = None
 
         self.plan: ChebyshevPlan | None = None
         self.kernels: list[ConstantOrderKernel] = []
         if mode == "fast":
             if plan is None:
-                if rank is None and epsilon is not None:
-                    rank, err = estimate_rank(field.alpha_min, field.alpha_max,
-                                              grid.h, epsilon, grid.dim)
-                    self.interpolation_error = err
                 plan = build_plan(field.alpha_min, field.alpha_max,
                                   rank if rank is not None else DEFAULT_RANK)
             self.plan = plan

@@ -154,8 +154,10 @@ def _validate(tree: ast.AST, src: str) -> None:
         if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_CALLS:
                 raise ConfigError(f"disallowed function in expression {src!r}")
-            if node.keywords:
-                raise ConfigError("keyword arguments not allowed in expressions")
+            # a second positional argument of a ufunc is its output array
+            if node.keywords or not node.args or (
+                    len(node.args) > 1 and node.func.id not in ("max", "min")):
+                raise ConfigError(f"bad arguments to {node.func.id} in {src!r}")
         if isinstance(node, ast.Name) and node.id not in _ALLOWED_NAMES \
                 and node.id not in _ALLOWED_CALLS:
             raise ConfigError(f"unknown name {node.id!r} in expression {src!r}")
@@ -174,6 +176,14 @@ def _compile_expression(src: str, dtype=float
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {src!r}: {exc}") from exc
     _validate(tree, src)
+    # float constants: 9**9**9 overflows at once instead of building a
+    # 370-million-digit integer
+    try:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant):
+                node.value = float(node.value)
+    except OverflowError as exc:
+        raise ConfigError(f"constant too large in expression {src!r}") from exc
     code = compile(tree, "<expression>", "eval")
 
     def fn(pts: np.ndarray) -> np.ndarray:
@@ -183,7 +193,13 @@ def _compile_expression(src: str, dtype=float
             env["x2"] = pts[..., 1]
         if pts.shape[-1] > 2:
             env["x3"] = pts[..., 2]
-        out = eval(code, {"__builtins__": {}}, {**_ALLOWED_CALLS, **env})
+        try:
+            out = eval(code, {"__builtins__": {}}, {**_ALLOWED_CALLS, **env})
+        except ArithmeticError as exc:
+            raise ConfigError(f"expression {src!r} overflows or divides by zero"
+                              ) from exc
+        if np.iscomplexobj(out):
+            raise ConfigError(f"expression {src!r} takes complex values")
         return np.broadcast_to(np.asarray(out).astype(dtype), pts.shape[:-1]).copy()
 
     return fn

@@ -87,14 +87,14 @@ class KrylovConfig:
     preconditioner: LinearMap | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
+        if isinstance(self.tol, bool) or not 0.0 < self.tol < math.inf:
             raise InvalidRange("tolerance must be positive and finite")
         if (isinstance(self.max_iter, bool)
                 or not isinstance(self.max_iter, numbers.Integral)
                 or self.max_iter < 1):
             raise InvalidRange(f"max_iter must be an integer >= 1, "
                                f"got {self.max_iter!r}")
-        if not self.accept_relres >= 0.0:
+        if isinstance(self.accept_relres, bool) or not self.accept_relres >= 0.0:
             raise InvalidRange(f"accept_relres must be >= 0, "
                                f"got {self.accept_relres!r}")
 
@@ -521,14 +521,17 @@ def evolve(stepper: TimeStepper, operator: VariableOrderOperator,
     For the phase-field scheme ``u0`` and all recorded states are physical
     (phase in [-1, 1]); the shifted variable is managed internally and the
     first step is bootstrapped by one Crank-Nicolson step with the
-    nonlinearity taken explicitly.  Masked nodes read the exterior value -1
-    from row 0 on, whatever ``u0`` holds there.  Frames, when requested, are
-    written as flat row-major text arrays, one file per step.
+    nonlinearity taken explicitly.  Masked nodes read the exterior value from
+    row 0 on, whatever ``u0`` holds there: 0 for Crank-Nicolson and -1 for
+    the phase-field scheme.  Frames, when requested, are written as flat
+    row-major text arrays, one file per step.
     """
     if u0.grid.shape != operator.grid.shape:
         raise GridMismatch("initial data grid does not match operator grid")
-    if stepper.scheme == "allen_cahn" and operator.mask is not None:
-        u0 = GridFunction(operator.grid, np.where(operator.mask.inside, u0.values, -1.0))
+    if operator.mask is not None:
+        outside = -1.0 if stepper.scheme == "allen_cahn" else 0.0
+        u0 = GridFunction(operator.grid,
+                          np.where(operator.mask.inside, u0.values, outside))
     n_steps = int(round(stepper.t_final / stepper.dt))
     rows = [_observe(u0, 0, 0.0, 0, 0.0)]
     _dump_frame(frame_dir, frame_every, 0, u0)

@@ -49,6 +49,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import InvalidDim, OrderOutOfRange, QuadratureTooCoarse, SizeMismatch
+from .lowrank import chebyshev_plan, eval_lagrange
 from .oracle import normalization_constant
 
 __all__ = [
@@ -229,17 +230,6 @@ _ALIAS_SHELLS = 12
 _EDGE_RULE = np.polynomial.legendre.leggauss(12)
 
 
-def _chebyshev_interp(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The p first-kind Chebyshev nodes of [0, n], and the matrix taking
-    values at them to the interpolant's values at 0, 1, ..., n."""
-    theta = np.pi * (np.arange(p) + 0.5) / p
-    to_coef = (2.0 / p) * np.cos(np.outer(np.arange(p), theta))
-    to_coef[0] /= 2.0
-    t = np.arccos(np.clip(2.0 * np.arange(n + 1) / n - 1.0, -1.0, 1.0))
-    interp = np.cos(np.outer(t, np.arange(p))) @ to_coef
-    return 0.5 * n * (1.0 + np.cos(theta)), interp
-
-
 @functools.lru_cache(maxsize=8)
 def _alias_geometry(n_max: int, m: int) -> tuple[np.ndarray, ...]:
     """The order-free parts of the 2D alias sum for offsets 0..n_max at size m.
@@ -256,12 +246,15 @@ def _alias_geometry(n_max: int, m: int) -> tuple[np.ndarray, ...]:
     ``int (cos(phi)/d)^alpha / alpha`` and ``s int (cos(phi)/d)^s`` over the
     angle the edge spans, taken by Gauss-Legendre.
 
-    Returns the interpolation matrix, log |k + x|^2 over the near shells
-    (k != 0) at each node pair, half the angle each of the four edges spans,
-    and log(cos(phi)/d) at the Gauss points of each edge; all read-only.
+    Returns the interpolation matrix of ``chebyshev_plan(0, n_max, 8)`` at
+    offsets 0..n_max, log |k + x|^2 over the near shells (k != 0) at each
+    node pair (x = plan nodes / m), half the angle each of the four edges
+    spans, and log(cos(phi)/d) at the Gauss points of each edge; all
+    read-only.
     """
-    nodes, interp = _chebyshev_interp(n_max, _ALIAS_NODES)
-    x = nodes / m
+    plan = chebyshev_plan(0.0, n_max, _ALIAS_NODES)
+    interp = eval_lagrange(plan, np.arange(n_max + 1.0))
+    x = plan.nodes / m
     k = np.arange(-_ALIAS_SHELLS, _ALIAS_SHELLS + 1)
     d2 = (k[None, :] + x[:, None]) ** 2
     r2 = (d2[:, None, :, None] + d2[None, :, None, :]).reshape(x.size, x.size, -1)
@@ -330,12 +323,12 @@ def operator_block(alpha: float, dim: int, n_max: int) -> np.ndarray:
     :func:`default_quadrature_size`.
 
     Raises:
-        InvalidDim: dim not 1, 2 or 3, or n_max < 1.
+        InvalidDim: dim not 1, 2 or 3, or n_max not an integer >= 1.
         OrderOutOfRange: alpha outside (0, 2].
     """
     if dim not in (1, 2, 3):
         raise InvalidDim(f"dim must be 1, 2 or 3, got {dim}")
-    n_max = int(n_max)
+    n_max = _check_offset(n_max, "n_max")
     if n_max < 1:
         raise InvalidDim(f"n_max must be >= 1, got {n_max}")
     if dim == 1:

@@ -203,6 +203,12 @@ def test_config_validation_direct():
         experiments.run_bench({"kind": "cn3d", "order": "alpha1"}, "/tmp")
 
 
+# 9**9**9 would first build an integer of 370 million digits
+_BAD_EXPRESSIONS = ["1/0 + x1", "2.0**2000 + 0*x1", "9**9**6 + 0*x1",
+                    "9**9**9", "(-8)**0.5 + 1 + 0*x1", "max() + x1",
+                    "tanh(x1, x1) + 1"]
+
+
 @pytest.mark.parametrize("command,cfg", [
     # ranks past lowrank.RANK_CAP = 32
     ("apply-conv", {"dim": 1, "h_list": [0.5], "order": "alpha2",
@@ -254,12 +260,11 @@ def test_config_validation_direct():
     # a finite step count past the 2**20-step cap
     ("evolve", {"dim": 1, "order": "const:1.5", "h": 0.25, "dt": 1e-300,
                 "t_final": 1.0}),
-    # rank and epsilon are checked for the default 1D direct operator too
+    # rank is checked for the default 1D direct operator too
     ("apply-conv", {"dim": 1, "h_list": [0.5], "order": "alpha2",
                     "rank": 100000000}),
     ("apply-conv", {"dim": 1, "h_list": [0.5], "order": "alpha2", "rank": 0}),
-    ("apply-conv", {"dim": 1, "h_list": [0.5], "order": "alpha2",
-                    "epsilon": -1}),
+    ("apply-conv", {"dim": 1, "h_list": [0.5], "order": "expr:1/0 + x1"}),
     # a negative diffusion grows the max norm 1 -> 5.2e5 in two steps
     ("evolve", {"kind": "single", "dim": 1, "order": "const:1.5", "h": 0.5,
                 "dt": 0.5, "t_final": 1.0, "diffusion": -1}),
@@ -267,6 +272,13 @@ def test_config_validation_direct():
     ("evolve", {"kind": "single", "dim": 1, "order": "const:1.5", "h": 0}),
     ("elliptic", {"case": 1, "dim": 1, "order": "case1_linear",
                   "h_list": [0.25], "h_ref": 0}),
+    # expressions that divide by zero, overflow, take complex values or
+    # call a function with the wrong arguments, as an order and as a mask
+    *[case for expr in _BAD_EXPRESSIONS for case in (
+        ("apply-conv", {"dim": 1, "h_list": [0.5], "order": f"expr:{expr}"}),
+        ("evolve", {"kind": "single", "dim": 2, "box": [-1, 1],
+                    "order": "coexist_high", "h": 0.5, "t_final": 0.5,
+                    "mask": expr}))],
 ])
 def test_exit_code_2_on_library_value_errors(tmp_path, command, cfg, capsys):
     path = write_cfg(tmp_path, "bad.json", cfg)
@@ -421,7 +433,6 @@ _CASE2_2D = {"case": 2, "dim": 2, "order": "case2_linear", "h_list": [0.25]}
     ("apply-conv", {"dim": 1, "h_list": [0.25], "order": 5}),
     ("evolve", {**_SINGLE_EVOLVE, "mask": 5}),
     ("elliptic", {**_CASE2_2D, "rank": "7"}),
-    ("elliptic", {**_CASE2_2D, "epsilon": "x"}),
     ("evolve", {**_SINGLE_EVOLVE, "out": 5}),
     ("elliptic", {**_CASE2_2D, "rank": True}),
     # only an absent or null key takes the default
@@ -432,9 +443,9 @@ _CASE2_2D = {"case": 2, "dim": 2, "order": "case2_linear", "h_list": [0.25]}
     ("evolve", {**_SINGLE_EVOLVE, "mask": ""}),
     ("evolve", {**_SINGLE_EVOLVE, "mask": 0}),
     ("evolve", {**_SINGLE_EVOLVE, "frame_every": False}),
-], ids=["dim-bool", "order-int", "mask-int", "rank-str", "epsilon-str",
-        "out-int", "rank-bool", "mode-false", "mode-zero", "mode-empty",
-        "mode-list", "mask-empty", "mask-zero", "frame_every-false"])
+], ids=["dim-bool", "order-int", "mask-int", "rank-str", "out-int",
+        "rank-bool", "mode-false", "mode-zero", "mode-empty", "mode-list",
+        "mask-empty", "mask-zero", "frame_every-false"])
 def test_exit_code_2_on_config_types(tmp_path, command, cfg, capsys):
     path = write_cfg(tmp_path, "bad.json", cfg)
     assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 2

@@ -22,6 +22,10 @@ def test_build_grid_2d_counts():
 def test_build_grid_degenerate_inputs():
     with pytest.raises(InvalidDim):
         vl.build_grid(1, 0.0, 1.0, 0)
+    # non-integer counts are refused, not truncated (7.9 would build 7 nodes)
+    for n in (7.9, (7, 7.5), True):
+        with pytest.raises(InvalidDim):
+            vl.build_grid(2 if isinstance(n, tuple) else 1, 0.0, 1.0, n)
     with pytest.raises(InvalidDim):
         vl.build_grid(4, 0.0, 1.0, 4)
     with pytest.raises(InvalidBox):

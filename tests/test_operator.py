@@ -223,10 +223,14 @@ def test_unknown_mode_rejected(grid_1d):
         "epsilon_nan"])
 def test_rank_options_rejected(grid_1d, options):
     # a rank of 2.5 would build a rank-2 plan, and a NaN epsilon would sweep
-    # every rank up to the cap before failing
+    # every rank up to the cap before failing; the operator takes a rank,
+    # and estimate_rank the error target that picks one
     with pytest.raises(InvalidRange, match=next(iter(options))):
-        vl.VariableOrderOperator(grid_1d, vl.OrderField.constant(1.0),
-                                 mode="direct", **options)
+        if "epsilon" in options:
+            vl.estimate_rank(0.5, 1.5, grid_1d.h, options["epsilon"])
+        else:
+            vl.VariableOrderOperator(grid_1d, vl.OrderField.constant(1.0),
+                                     mode="direct", **options)
 
 
 def test_plan_missing():

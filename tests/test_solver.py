@@ -169,6 +169,19 @@ def test_order_interpolated_tau_half_steps(kind, cap):
     assert out.krylov.iterations <= cap, out.krylov.iterations
 
 
+@pytest.mark.parametrize("n", [63, 127, 255])
+def test_tau_half_steps_bounded_across_grids(n):
+    # the tau-preconditioned count grows slowly with N: 9 / 10 / 11
+    # half-steps at N = 63 / 127 / 255
+    g = vl.build_grid(2, -1.0, 1.0, n)
+    op = vl.VariableOrderOperator(g, order_field("case2_linear"), mode="fast")
+    out = vl.solve_elliptic(vl.EllipticProblem(
+        operator=op, f=vl.GridFunction(g, np.ones(g.size))),
+        vl.KrylovConfig(tol=1e-10))
+    assert out.krylov.status == "converged"
+    assert out.krylov.iterations <= 12, out.krylov.iterations
+
+
 def test_initial_guess_residuals_relative_to_rhs():
     # x0 is a correction start: the first recorded residual is that of x0
     # itself, relative to ||f||, and the solve still reaches tol on ||f||
@@ -440,10 +453,12 @@ def test_time_stepper_rejects_negative_diffusion():
 @pytest.mark.parametrize("make, match", [
     (lambda: vl.KrylovConfig(tol=float("inf")), "tolerance"),
     (lambda: vl.KrylovConfig(tol=float("nan")), "tolerance"),
+    (lambda: vl.KrylovConfig(tol=True), "tolerance"),
     (lambda: vl.KrylovConfig(max_iter=2.5), "max_iter"),
     (lambda: vl.KrylovConfig(max_iter=True), "max_iter"),
     (lambda: vl.KrylovConfig(accept_relres=float("nan")), "accept_relres"),
     (lambda: vl.KrylovConfig(accept_relres=-1e-6), "accept_relres"),
+    (lambda: vl.KrylovConfig(accept_relres=True), "accept_relres"),
     (lambda: vl.TimeStepper(dt=float("nan")), "finite"),
     (lambda: vl.TimeStepper(t_final=float("inf")), "finite"),
     (lambda: vl.TimeStepper(diffusion=float("inf")), "diffusion"),
@@ -451,13 +466,14 @@ def test_time_stepper_rejects_negative_diffusion():
     (lambda: vl.TimeStepper(scheme="allen_cahn", kappa=float("inf")), "kappa"),
     (lambda: vl.TimeStepper(scheme="allen_cahn",
                             source=lambda pts, t: np.full(len(pts), 1e6)), "source"),
-], ids=["tol_inf", "tol_nan", "max_iter_fraction", "max_iter_bool",
-        "accept_relres_nan", "accept_relres_negative", "dt_nan",
-        "t_final_inf", "diffusion_inf", "kappa_nan", "kappa_inf",
+], ids=["tol_inf", "tol_nan", "tol_bool", "max_iter_fraction",
+        "max_iter_bool", "accept_relres_nan", "accept_relres_negative",
+        "accept_relres_bool", "dt_nan", "t_final_inf", "diffusion_inf", "kappa_nan", "kappa_inf",
         "allen_cahn_source"])
 def test_configs_reject_invalid_values(make, match):
     # a tol of inf would return x = 0 as "converged" after no iteration, a
-    # max_iter of 2.5 would fail in range(), a NaN accept_relres would fail
+    # max_iter of 2.5 would fail in range(), a tol of True would read as 1
+    # and end a solve "converged" at x = 0, a NaN accept_relres would fail
     # every unconverged solve, a NaN dt would read as too many steps, and
     # the phase-field steps have no source term that could take a source
     with pytest.raises(vl.InvalidRange, match=match):
@@ -575,6 +591,23 @@ def test_evolve_masked_allen_cahn_holds_exterior_value(tmp_path):
     assert runs[0].column("mass") == runs[1].column("mass")
     mass = runs[0].column("mass")
     assert abs(mass[1] - mass[0]) <= 0.1 * abs(mass[0]), mass
+
+
+def test_evolve_masked_crank_nicolson_holds_exterior_value():
+    # masked nodes read the exterior value 0 from row 0 on, whatever the
+    # initial data holds there, so row 0 counts the inside nodes only
+    g = vl.build_grid(2, -1.0, 1.0, 15)
+    mask = vl.make_mask(g, lambda p: np.sum(p ** 2, axis=-1) < 0.5)
+    op = vl.VariableOrderOperator(g, order_field("coexist_high"), mode="fast",
+                                  mask=mask)
+    stepper = vl.TimeStepper(dt=0.02, t_final=0.04)
+    runs = [vl.evolve(stepper, op, vl.GridFunction(
+        g, np.where(mask.inside, 1.0, outside))) for outside in (0.0, 1.0)]
+    assert np.array_equal(runs[0].final.values, runs[1].final.values)
+    for name in ("max_norm", "l2", "mass"):
+        assert runs[0].column(name) == runs[1].column(name), name
+    assert runs[1].column("mass")[0] == pytest.approx(
+        mask.inside.sum() * g.h ** 2, rel=1e-14)
 
 
 def test_component_count():

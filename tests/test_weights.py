@@ -67,8 +67,9 @@ def test_closed_form_matches_scalar_recurrence(alpha):
 
 
 def test_operator_block_rejects_bad_sizes():
+    # a fractional n_max is refused, not truncated to an 8 x 8 block
     for dim in (1, 2, 3):
-        for n_max in (0, -5):
+        for n_max in (0, -5, 7.9):
             with pytest.raises(InvalidDim):
                 vl.operator_block(1.5, dim, n_max)
     with pytest.raises(InvalidDim):
