@@ -167,6 +167,21 @@ def _validate(tree: ast.AST, src: str) -> None:
             raise ConfigError("combine conditions with chi(...) products instead")
 
 
+class _RealPowers(ast.NodeTransformer):
+    """Rewrites ``a ** b`` as ``_pow(a, b)``.  A power is the one operation
+    that turns real values complex (Python's ``(-8.0) ** 0.5``), and a complex
+    value must not pass on, not even into a comparison, which numpy orders
+    by the real part first."""
+
+    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
+            return node
+        return ast.copy_location(
+            ast.Call(func=ast.Name("_pow", ast.Load()),
+                     args=[node.left, node.right], keywords=[]), node)
+
+
 def _compile_expression(src: str, dtype=float
                         ) -> Callable[[np.ndarray], np.ndarray]:
     if not isinstance(src, str):
@@ -184,7 +199,14 @@ def _compile_expression(src: str, dtype=float
                 node.value = float(node.value)
     except OverflowError as exc:
         raise ConfigError(f"constant too large in expression {src!r}") from exc
-    code = compile(tree, "<expression>", "eval")
+    code = compile(ast.fix_missing_locations(_RealPowers().visit(tree)),
+                   "<expression>", "eval")
+
+    def real_pow(base, exponent):
+        out = base ** exponent
+        if np.iscomplexobj(out):
+            raise ConfigError(f"expression {src!r} takes complex values")
+        return out
 
     def fn(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -194,12 +216,11 @@ def _compile_expression(src: str, dtype=float
         if pts.shape[-1] > 2:
             env["x3"] = pts[..., 2]
         try:
-            out = eval(code, {"__builtins__": {}}, {**_ALLOWED_CALLS, **env})
+            out = eval(code, {"__builtins__": {}},
+                       {**_ALLOWED_CALLS, **env, "_pow": real_pow})
         except ArithmeticError as exc:
             raise ConfigError(f"expression {src!r} overflows or divides by zero"
                               ) from exc
-        if np.iscomplexobj(out):
-            raise ConfigError(f"expression {src!r} takes complex values")
         return np.broadcast_to(np.asarray(out).astype(dtype), pts.shape[:-1]).copy()
 
     return fn

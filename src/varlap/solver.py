@@ -10,9 +10,19 @@ from zero by default.  Elliptic and phase-field solves are right
 preconditioned by the tau-algebra (DST-I) model of a constant-order block,
 its inverse Lagrange interpolated in the order over three Chebyshev nodes of
 the sampled range and, for the phase-field steps, in sigma over two
-Chebyshev nodes of its range.  Crank-Nicolson solves stay unpreconditioned:
-their identity-dominated systems converge in a few dozen half-steps, and a
-shift model made the ``bench_tanh`` step slower.
+Chebyshev nodes of its range.  The order side of that inverse is built once
+per operator; each (c, sigma) builds only its shift side.  Crank-Nicolson
+solves stay unpreconditioned: their identity-dominated systems converge in a
+few dozen half-steps, and a shift model made the ``bench_tanh`` step slower.
+
+The phase-field march of :func:`evolve` carries A w from each solve, as
+``c A w_next = rhs - sigma w_next`` (off by that solve's residual), so only
+the bootstrap step applies the operator to its right-hand side.  Each
+three-level step starts from ``x0 = 2 w^n - w^{n-1}``, whose residual the
+carried values give without an apply, and BiCGSTAB solves for the
+correction with ``tol`` rescaled so that it stays relative to ||rhs||: about
+11 half-steps a step at N = 127 instead of 12.  The public step functions
+take no carried state and start from zero.
 
 BiCGSTAB has one stop rule: the recursive relative residual reaches ``tol``
 (converged), or the best residual has not improved for ``STAGNATION_SWEEPS``
@@ -28,6 +38,7 @@ import csv
 import math
 import numbers
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -245,19 +256,26 @@ class SolveOutcome:
     krylov: KrylovResult
 
 
+def _pinned(a_u: np.ndarray, u: np.ndarray, scale: float,
+            sigma: float | np.ndarray, mask: DomainMask | None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """``scale*a_u + sigma*u`` with ``a_u`` = A u, identity on masked rows;
+    written into ``out`` if given, which may be ``a_u``."""
+    out = np.multiply(scale, a_u, out=out)
+    if np.ndim(sigma) > 0 or sigma != 0.0:
+        out += sigma * u
+    if mask is not None:
+        out[~mask.inside] = u[~mask.inside]
+    return out
+
+
 def _pinned_map(op: VariableOrderOperator, scale: float,
                 sigma: float | np.ndarray = 0.0) -> LinearMap:
     """Linear map u -> scale*(A u) + sigma*u, identity on masked rows."""
-    mask = op.mask
-    diagonal = np.ndim(sigma) > 0 or sigma != 0.0
 
     def apply_a(u: np.ndarray) -> np.ndarray:
-        out = scale * op._apply_flat(u)
-        if diagonal:
-            out += sigma * u
-        if mask is not None:
-            out[~mask.inside] = u[~mask.inside]
-        return out
+        a_u = op._apply_flat(u)
+        return _pinned(a_u, u, scale, sigma, op.mask, out=a_u)
 
     return apply_a
 
@@ -268,6 +286,32 @@ def _masked_rhs(rhs: np.ndarray, mask: DomainMask | None) -> np.ndarray:
     out = rhs.copy()
     out[~mask.inside] = 0.0
     return out
+
+
+@dataclass(frozen=True)
+class _TauOrderSide:
+    """What the tau inverse of an operator takes from its orders alone."""
+
+    nodes: np.ndarray        # Chebyshev order nodes alpha_p
+    weights: np.ndarray      # row p: L_p(alpha_j) h^alpha_j
+    lam_powers: np.ndarray   # row p: Lam^(alpha_p/2)
+
+
+def _tau_order_side(op: VariableOrderOperator) -> _TauOrderSide:
+    """The order side of ``_tau_inverse``; Lam is summed from one sine
+    symbol per axis on open grids."""
+    thetas = [np.pi * np.arange(1, n + 1) / (n + 1) for n in op.grid.shape]
+    lam = sum(np.ix_(*[symbol(t[:, None], 1.0) for t in thetas]))
+    alphas = op.field.sampled
+    plan = build_plan(alphas.min(), alphas.max(), TAU_ORDER_NODES)
+    weights = np.ascontiguousarray(
+        eval_lagrange(plan, alphas).T * op.grid.h ** alphas)
+    return _TauOrderSide(nodes=plan.nodes, weights=weights,
+                         lam_powers=np.array([lam ** (a / 2.0) for a in plan.nodes]))
+
+
+#: order side of each live operator's tau inverse, built at its first solve
+_TAU_ORDER_SIDES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _tau_inverse(op: VariableOrderOperator, scale: float = 1.0,
@@ -292,18 +336,16 @@ def _tau_inverse(op: VariableOrderOperator, scale: float = 1.0,
     exactly and the order sum costs one DST per order node; the shift weights
     act after them, one inverse DST per shift node.  A constant order or
     shift collapses its sum to one node.  The map is the identity on masked
-    rows.
+    rows.  The order side (the nodes alpha_p, their weights and the powers
+    Lam^(alpha_p/2)) is built once per operator; each (scale, shift) builds
+    only the shift side.
     """
+    order = _TAU_ORDER_SIDES.get(op)
+    if order is None:
+        order = _TAU_ORDER_SIDES[op] = _tau_order_side(op)
     shape = op.grid.shape
-    alphas = op.field.sampled
     h = op.grid.h
-    thetas = [np.pi * np.arange(1, n + 1) / (n + 1) for n in shape]
-    lam = symbol(np.stack(np.meshgrid(*thetas, indexing="ij"), axis=-1), 1.0)
-    order_plan = build_plan(alphas.min(), alphas.max(), TAU_ORDER_NODES)
-    # row p: L_p(alpha_j) h^alpha_j
-    order_weights = np.ascontiguousarray(
-        eval_lagrange(order_plan, alphas).T * h ** alphas)
-    sigma = np.broadcast_to(np.asarray(shift, dtype=float), alphas.shape)
+    sigma = np.broadcast_to(np.asarray(shift, dtype=float), op.field.sampled.shape)
     inside = sigma if op.mask is None else sigma[op.mask.inside]
     lo, hi = inside.min(), inside.max()
     shift_plan = chebyshev_plan(lo, hi, TAU_SHIFT_NODES)
@@ -312,21 +354,26 @@ def _tau_inverse(op: VariableOrderOperator, scale: float = 1.0,
     shift_weights = np.ascontiguousarray(
         eval_lagrange(shift_plan, np.clip(sigma, lo, hi)).T[:-1])
     inv_lams = []  # row p: (sigma_s h^alpha_p + scale Lam^(alpha_p/2))^-1 over s
-    for a in order_plan.nodes:
-        scaled = scale * lam ** (a / 2.0)
+    for a, lam_power in zip(order.nodes, order.lam_powers):
+        scaled = scale * lam_power
         inv_lams.append([1.0 / (s * h ** a + scaled) for s in shift_plan.nodes])
     outside = None if op.mask is None else ~op.mask.inside
 
     def inverse(v: np.ndarray) -> np.ndarray:
-        accs = [0.0] * len(shift_plan.nodes)
-        for c, invs in zip(order_weights, inv_lams):
+        accs = [np.zeros(shape) for _ in shift_plan.nodes]
+        for c, invs in zip(order.weights, inv_lams):
             v_hat = sfft.dstn((c * v).reshape(shape), type=1, norm="ortho",
                               overwrite_x=True)
-            accs = [acc + inv * v_hat for acc, inv in zip(accs, invs)]
-        outs = [sfft.dstn(acc, type=1, norm="ortho", overwrite_x=True).ravel()
-                for acc in accs]
-        out = sum((w * (o - outs[-1]) for w, o in zip(shift_weights, outs)),
-                  outs[-1])
+            for acc, inv in zip(accs, invs):
+                acc += inv * v_hat
+        *outs, out = [sfft.dstn(acc, type=1, norm="ortho", overwrite_x=True).ravel()
+                      for acc in accs]
+        # out + sum_s w_s (o_s - out), in place
+        for w, o in zip(shift_weights, outs):
+            o -= out
+            o *= w
+        for o in outs:
+            out += o
         if outside is not None:
             out[outside] = v[outside]
         return out
@@ -336,11 +383,32 @@ def _tau_inverse(op: VariableOrderOperator, scale: float = 1.0,
 
 def _solve(what: str, op: VariableOrderOperator, apply_a: LinearMap,
            rhs: np.ndarray, krylov: KrylovConfig | None,
-           inverse: LinearMap | None) -> tuple[GridFunction, KrylovResult]:
+           inverse: LinearMap | None,
+           start: tuple[np.ndarray, np.ndarray] | None = None
+           ) -> tuple[GridFunction, KrylovResult]:
     """BiCGSTAB on ``apply_a u = rhs`` with rhs zeroed on masked rows and
-    M^-1 = ``inverse``; raises SolverFailure unless the result is ``ok``."""
-    result = bicgstab(apply_a, _masked_rhs(rhs, op.mask),
-                      replace(krylov or KrylovConfig(), preconditioner=inverse))
+    M^-1 = ``inverse``; raises SolverFailure unless the result is ``ok``.
+
+    ``start`` is an optional warm start ``(x0, apply_a(x0))``, the second
+    known without an apply.  BiCGSTAB then solves for the correction from
+    the residual r0 with ``tol`` scaled by ||rhs|| / ||r0||, and the result
+    reports its residuals relative to ||rhs||, as a solve from zero does;
+    ``accept_relres`` judges that reported residual.
+    """
+    b = _masked_rhs(rhs, op.mask)
+    cfg = replace(krylov or KrylovConfig(), preconditioner=inverse)
+    b_norm = float(np.linalg.norm(b))
+    if start is None or b_norm == 0.0:
+        result = bicgstab(apply_a, b, cfg)
+    else:
+        x0, a_x0 = start
+        r0 = b - a_x0
+        r0_norm = float(np.linalg.norm(r0))
+        ratio = b_norm / r0_norm if r0_norm > 0.0 else 1.0
+        fix = bicgstab(apply_a, r0,
+                       replace(cfg, x0=None, tol=min(cfg.tol * ratio, 1.0)))
+        result = replace(fix, x=x0 + fix.x, relres=fix.relres / ratio,
+                         residuals=[r / ratio for r in fix.residuals])
     if not result.ok:
         raise SolverFailure(f"{what} ended with status {result.status}, "
                             f"relative residual {result.relres:.3e}")
@@ -406,14 +474,36 @@ class TimeStepper:
 
 def _implicit_step(what: str, op: VariableOrderOperator, w_old: GridFunction,
                    c: float, sigma: float | np.ndarray, g: float | np.ndarray,
-                   krylov: KrylovConfig, precondition: bool = True
-                   ) -> tuple[GridFunction, KrylovResult]:
+                   krylov: KrylovConfig, precondition: bool = True,
+                   aw_old: np.ndarray | None = None,
+                   start: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> tuple[GridFunction, KrylovResult, np.ndarray | None]:
     """Solve ``(sigma I + c A) w_next = ((2 - sigma) I - c A) w_old + g``, the
     system of every time step, pinned on masked rows; right preconditioned by
-    its tau model, or plain whatever ``krylov`` holds if not ``precondition``."""
-    rhs = _pinned_map(op, -c, 2.0 - sigma)(w_old.values) + g
+    its tau model, or plain whatever ``krylov`` holds if not ``precondition``.
+
+    ``aw_old`` is A w_old if the caller carries it; one apply computes it if
+    not.  ``start`` is an optional warm start ``(x0, A x0)``.  Also returns
+    A w_next as the solve leaves it, ``(rhs - sigma w_next) / c`` with masked
+    rows zero: it is off the true one by the solve's residual over c, so c
+    times it is off by the residual itself.  None if c = 0.
+    """
+    if aw_old is None:
+        aw_old = op._apply_flat(w_old.values)
+    rhs = _pinned(aw_old, w_old.values, -c, 2.0 - sigma, op.mask) + g
     inverse = _tau_inverse(op, scale=c, shift=sigma) if precondition else None
-    return _solve(what, op, _pinned_map(op, c, sigma), rhs, krylov, inverse)
+    if start is not None:
+        x0, a_x0 = start
+        start = (x0, _pinned(a_x0, x0, c, sigma, op.mask))
+    w_next, result = _solve(what, op, _pinned_map(op, c, sigma), rhs, krylov,
+                            inverse, start)
+    aw_next = None
+    if c != 0.0:
+        aw_next = rhs - sigma * w_next.values
+        aw_next /= c
+        if op.mask is not None:
+            aw_next[~op.mask.inside] = 0.0
+    return w_next, result, aw_next
 
 
 def step_crank_nicolson(u_prev: GridFunction, stepper: TimeStepper,
@@ -427,7 +517,25 @@ def step_crank_nicolson(u_prev: GridFunction, stepper: TimeStepper,
         stepper.source(operator.grid.points(), t + dt / 2.0), dtype=float).ravel()
     return _implicit_step("Crank-Nicolson step", operator, u_prev,
                           stepper.diffusion * dt / 2.0, 1.0, g, stepper.krylov,
-                          precondition=False)
+                          precondition=False)[:2]
+
+
+def _bootstrap_system(w: GridFunction, stepper: TimeStepper) -> tuple:
+    """(c, sigma, g) of the first phase-field step: Crank-Nicolson with the
+    nonlinearity explicit, g = -(dt/kappa^2)(phi^3 - phi)."""
+    dt = stepper.dt
+    phys = w.values - 1.0
+    return (stepper.diffusion * dt / 2.0, 1.0,
+            -(dt / stepper.kappa**2) * (phys**3 - phys))
+
+
+def _three_level_system(u_n: GridFunction, stepper: TimeStepper) -> tuple:
+    """(c, sigma, g) of ``step_allen_cahn_three_level``."""
+    dt = stepper.dt
+    mu = dt / stepper.kappa**2
+    phys = u_n.values - 1.0
+    q = phys**2
+    return stepper.diffusion * dt, 1.0 + mu * q, 2.0 * mu * (q + phys)
 
 
 def _step_allen_cahn_bootstrap(w: GridFunction, stepper: TimeStepper,
@@ -436,11 +544,8 @@ def _step_allen_cahn_bootstrap(w: GridFunction, stepper: TimeStepper,
     """First phase-field step, in the shifted variable w = phi + 1 of
     ``step_allen_cahn_three_level``: Crank-Nicolson with the nonlinearity
     explicit, g = -(dt/kappa^2)(phi^3 - phi), tau preconditioned."""
-    dt = stepper.dt
-    phys = w.values - 1.0
-    return _implicit_step("bootstrap step", operator, w, stepper.diffusion * dt / 2.0,
-                          1.0, -(dt / stepper.kappa**2) * (phys**3 - phys),
-                          stepper.krylov)
+    return _implicit_step("bootstrap step", operator, w,
+                          *_bootstrap_system(w, stepper), stepper.krylov)[:2]
 
 
 def step_allen_cahn_three_level(u_nm1: GridFunction, u_n: GridFunction,
@@ -463,12 +568,8 @@ def step_allen_cahn_three_level(u_nm1: GridFunction, u_n: GridFunction,
     term are leapfrog-unstable there.  The solve is right preconditioned by
     the tau model with the per-node shift sigma.
     """
-    dt = stepper.dt
-    mu = dt / stepper.kappa**2
-    phys = u_n.values - 1.0
-    q = phys**2
-    return _implicit_step("three-level step", operator, u_nm1, stepper.diffusion * dt,
-                          1.0 + mu * q, 2.0 * mu * (q + phys), stepper.krylov)
+    return _implicit_step("three-level step", operator, u_nm1,
+                          *_three_level_system(u_n, stepper), stepper.krylov)[:2]
 
 
 def positive_component_count(u: GridFunction) -> int:
@@ -521,7 +622,10 @@ def evolve(stepper: TimeStepper, operator: VariableOrderOperator,
     For the phase-field scheme ``u0`` and all recorded states are physical
     (phase in [-1, 1]); the shifted variable is managed internally and the
     first step is bootstrapped by one Crank-Nicolson step with the
-    nonlinearity taken explicitly.  Masked nodes read the exterior value from
+    nonlinearity taken explicitly.  The march carries A w from each solve
+    and starts every later step from ``2 w^n - w^{n-1}``, in place of any
+    ``stepper.krylov.x0``; its states match those of the public step
+    functions up to the solves' residuals.  Masked nodes read the exterior value from
     row 0 on, whatever ``u0`` holds there: 0 for Crank-Nicolson and -1 for
     the phase-field scheme.  Frames, when requested, are written as flat
     row-major text arrays, one file per step.
@@ -544,18 +648,31 @@ def evolve(stepper: TimeStepper, operator: VariableOrderOperator,
             u, res = step_crank_nicolson(u, stepper, operator, t=(k - 1) * stepper.dt)
             return u, u, res
     else:
-        # three-level scheme in the shifted variable; state = (w^{k-2}, w^{k-1})
-        state = (None, GridFunction(operator.grid, u0.values + 1.0))
+        # three-level scheme in the shifted variable; state = the pairs
+        # (w, A w) of steps k-2 and k-1, A w as the solve left it (None if
+        # the step had c = 0)
+        w0 = GridFunction(operator.grid, u0.values + 1.0)
+        state = ((None, None), (w0, None))
 
         def advance(k, state):
-            w_prev, w_cur = state
+            (w_prev, aw_prev), (w_cur, aw_cur) = state
             if k == 1:
-                w_next, res = _step_allen_cahn_bootstrap(w_cur, stepper, operator)
+                aw_cur = operator._apply_flat(w_cur.values)
+                w_next, res, aw_next = _implicit_step(
+                    "bootstrap step", operator, w_cur,
+                    *_bootstrap_system(w_cur, stepper), stepper.krylov,
+                    aw_old=aw_cur)
             else:
-                w_next, res = step_allen_cahn_three_level(w_prev, w_cur, stepper,
-                                                          operator)
-            return ((w_cur, w_next), GridFunction(operator.grid, w_next.values - 1.0),
-                    res)
+                start = None
+                if aw_prev is not None and aw_cur is not None:
+                    start = (2.0 * w_cur.values - w_prev.values,
+                             2.0 * aw_cur - aw_prev)
+                w_next, res, aw_next = _implicit_step(
+                    "three-level step", operator, w_prev,
+                    *_three_level_system(w_cur, stepper), stepper.krylov,
+                    aw_old=aw_prev, start=start)
+            return (((w_cur, aw_cur), (w_next, aw_next)),
+                    GridFunction(operator.grid, w_next.values - 1.0), res)
 
     u = u0
     for k in range(1, n_steps + 1):

@@ -87,10 +87,13 @@ def _check_alpha(alpha: float) -> float:
 
 
 def _check_offset(value, name: str) -> int:
+    not_integer = InvalidDim(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, bool):
+        raise not_integer
     try:
         n = index(value)
     except TypeError:
-        raise InvalidDim(f"{name} must be an integer, got {value!r}") from None
+        raise not_integer from None
     if n < 0:
         raise InvalidDim(f"{name} must be >= 0, got {n}")
     return n

@@ -206,7 +206,9 @@ def test_config_validation_direct():
 # 9**9**9 would first build an integer of 370 million digits
 _BAD_EXPRESSIONS = ["1/0 + x1", "2.0**2000 + 0*x1", "9**9**6 + 0*x1",
                     "9**9**9", "(-8)**0.5 + 1 + 0*x1", "max() + x1",
-                    "tanh(x1, x1) + 1"]
+                    "tanh(x1, x1) + 1",
+                    # a complex value compared or folded back to a real one
+                    "x1 < (-8)**0.5", "abs((-8)**0.5) + x1"]
 
 
 @pytest.mark.parametrize("command,cfg", [

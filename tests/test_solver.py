@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,12 +7,15 @@ import scipy.fft as sfft
 
 import varlap as vl
 from varlap.presets import initial_condition, order_field
+import varlap.solver as solver
 from varlap.solver import (
     TAU_ORDER_NODES,
+    _implicit_step,
     _masked_rhs,
     _pinned_map,
     _step_allen_cahn_bootstrap,
     _tau_inverse,
+    _three_level_system,
     positive_component_count,
     write_observer_csv,
 )
@@ -608,6 +612,104 @@ def test_evolve_masked_crank_nicolson_holds_exterior_value():
         assert runs[0].column(name) == runs[1].column(name), name
     assert runs[1].column("mass")[0] == pytest.approx(
         mask.inside.sum() * g.h ** 2, rel=1e-14)
+
+
+def _bubbles_march(mask: bool, diffusion: float = 1.0):
+    """(operator, stepper, u0) of a 12-step phase-field march at 2D N = 31,
+    on the whole square or on a disc."""
+    g = vl.build_grid(2, 0.0, 1.0, 31)
+    disc = (vl.make_mask(g, lambda p: np.sum((p - 0.5) ** 2, axis=-1) < 0.16)
+            if mask else None)
+    op = vl.VariableOrderOperator(
+        g, vl.sample_order(order_field("phase_middle"), g), mode="fast", mask=disc)
+    # the bubbles merge at step 2
+    stepper = vl.TimeStepper(scheme="allen_cahn", dt=1.5625e-4, t_final=1.875e-3,
+                             kappa=0.0125, diffusion=diffusion)
+    u0 = initial_condition("bubbles", kappa=0.0125)(g.points())
+    if disc is not None:
+        u0[~disc.inside] = -1.0
+    return op, stepper, vl.GridFunction(g, u0)
+
+
+def _public_march(op, stepper, u0):
+    """Shifted states w^0..w^n of the march through the public step
+    functions, each three-level step from zero with A w^{n-1} applied, and
+    the half-steps of steps 1..n."""
+    ws = [vl.GridFunction(op.grid, u0.values + 1.0)]
+    w, res = _step_allen_cahn_bootstrap(ws[0], stepper, op)
+    ws.append(w)
+    its = [res.iterations]
+    for _ in range(int(round(stepper.t_final / stepper.dt)) - 1):
+        w, res = vl.step_allen_cahn_three_level(ws[-2], ws[-1], stepper, op)
+        ws.append(w)
+        its.append(res.iterations)
+    return ws, its
+
+
+@pytest.mark.parametrize("mask", [False, True], ids=["square", "disc"])
+def test_carried_march_matches_public_steps(mask):
+    # evolve carries A w from each solve and starts every three-level step
+    # from 2 w^n - w^{n-1}; it must land where the public steps do
+    op, stepper, u0 = _bubbles_march(mask)
+    ws, its = _public_march(op, stepper, u0)
+    rec = vl.evolve(stepper, op, u0)
+    ref = ws[-1].values - 1.0
+    assert np.abs(rec.final.values - ref).max() <= 1e-9
+    comps = rec.column("components")
+    assert comps[0] == 2 and comps[-1] == 1
+    assert comps == [
+        positive_component_count(vl.GridFunction(op.grid, w.values - 1.0))
+        for w in ws]
+    # the bootstrap step is the public one; the warm starts save half-steps
+    carried = rec.column("iterations")[1:]
+    assert carried[0] == its[0] and sum(carried) < sum(its), (carried, its)
+
+
+def test_carried_march_without_diffusion_never_divides():
+    # c = 0 leaves A w undetermined by the solve: the march applies the
+    # operator as the public steps do, and no step divides by c
+    op, stepper, u0 = _bubbles_march(False, diffusion=0.0)
+    ws, _ = _public_march(op, stepper, u0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rec = vl.evolve(stepper, op, u0)
+    assert np.array_equal(rec.final.values, ws[-1].values - 1.0)
+
+
+@pytest.mark.parametrize("mask", [False, True], ids=["square", "disc"])
+def test_warm_started_step_reports_residual_of_its_rhs(mask):
+    # the correction solve runs on r0 with tol rescaled; the step reports
+    # its residual relative to its own right-hand side
+    op, stepper, u0 = _bubbles_march(mask)
+    stepper = replace(stepper, krylov=vl.KrylovConfig(tol=1e-10))
+    _, w1, w2 = _public_march(op, stepper, u0)[0][:3]
+    aw1, aw2 = op._apply_flat(w1.values), op._apply_flat(w2.values)
+    c, sigma, g = _three_level_system(w2, stepper)
+    start = (2.0 * w2.values - w1.values, 2.0 * aw2 - aw1)
+    w3, res, aw3 = _implicit_step("three-level step", op, w1, c, sigma, g,
+                                  stepper.krylov, aw_old=aw1, start=start)
+    cold = vl.step_allen_cahn_three_level(w1, w2, stepper, op)[1]
+    rhs = _masked_rhs(_pinned_map(op, -c, 2.0 - sigma)(w1.values) + g, op.mask)
+    true = (np.linalg.norm(rhs - _pinned_map(op, c, sigma)(w3.values))
+            / np.linalg.norm(rhs))
+    assert res.status == "converged" and 0 < res.iterations < cold.iterations
+    assert res.relres <= stepper.krylov.tol
+    assert res.relres / 10 <= true <= 10 * res.relres, (res.relres, true)
+    assert res.residuals[0] < 1.0
+    # the carried A w^3 is off the applied one by the residual over c
+    err = np.linalg.norm(c * (aw3 - op._apply_flat(w3.values)))
+    assert err <= 2 * true * np.linalg.norm(rhs)
+
+
+def test_tau_order_side_built_once_per_operator(monkeypatch):
+    op, stepper, u0 = _bubbles_march(False)
+    stepper = replace(stepper, t_final=10 * stepper.dt)
+    calls = []
+    build = solver._tau_order_side
+    monkeypatch.setattr(solver, "_tau_order_side",
+                        lambda op: calls.append(op) or build(op))
+    rec = vl.evolve(stepper, op, u0)
+    assert len(rec.rows) == 11 and calls == [op]
 
 
 def test_component_count():

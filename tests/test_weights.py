@@ -67,9 +67,10 @@ def test_closed_form_matches_scalar_recurrence(alpha):
 
 
 def test_operator_block_rejects_bad_sizes():
-    # a fractional n_max is refused, not truncated to an 8 x 8 block
+    # a fractional n_max is refused, not truncated to an 8 x 8 block, and a
+    # bool is refused, not read as N = 1
     for dim in (1, 2, 3):
-        for n_max in (0, -5, 7.9):
+        for n_max in (0, -5, 7.9, True):
             with pytest.raises(InvalidDim):
                 vl.operator_block(1.5, dim, n_max)
     with pytest.raises(InvalidDim):
@@ -126,7 +127,7 @@ def test_fft_rejects_bad_sizes():
         vl.weights_nd_fft(2.5, 1, 64)
 
 
-@pytest.mark.parametrize("target_n", [-5, -1, 2.7, 8.0, "8"])
+@pytest.mark.parametrize("target_n", [-5, -1, 2.7, 8.0, "8", True])
 def test_fft_rejects_bad_target_n(target_n):
     with pytest.raises(InvalidDim):
         vl.weights_nd_fft(1.5, 2, 64, target_n=target_n)
@@ -289,7 +290,7 @@ def test_signed_block_expands_nonneg_offsets():
     assert vl.signed_block(block, np.int64(0)).shape == (1, 1)
 
 
-@pytest.mark.parametrize("kmax", [-1, 2.7, 1.0])
+@pytest.mark.parametrize("kmax", [-1, 2.7, 1.0, True, False])
 def test_signed_block_refuses_bad_kmax(kmax):
     with pytest.raises(InvalidDim):
         vl.signed_block(np.arange(9.0).reshape(3, 3), kmax)
