@@ -6,23 +6,22 @@ embedding mask are pinned to zero through identity rows, keeping the system
 square and nonsingular.  Every time step solves, pinned the same way,
 ``(sigma I + c A) w_next = ((2 - sigma) I - c A) w_old + g``; the schemes
 differ only in c, sigma and g.  Systems are solved matrix-free by BiCGSTAB,
-from zero by default.  Elliptic and phase-field solves are right
-preconditioned by the tau-algebra (DST-I) model of a constant-order block,
-its inverse Lagrange interpolated in the order over three Chebyshev nodes of
-the sampled range and, for the phase-field steps, in sigma over two
-Chebyshev nodes of its range.  The order side of that inverse is built once
-per operator; each (c, sigma) builds only its shift side.  Crank-Nicolson
-solves stay unpreconditioned: their identity-dominated systems converge in a
-few dozen half-steps, and a shift model made the ``bench_tanh`` step slower.
+from zero by default.  Elliptic solves, the phase-field steps and every
+step of the :func:`evolve` march are right preconditioned by the tau-algebra
+(DST-I) model of a constant-order block, its inverse Lagrange interpolated
+in the order over three Chebyshev nodes of the sampled range and in sigma
+over two Chebyshev nodes of its range.  The order side of that inverse is
+built once per operator; each (c, sigma) builds only its shift side.  The
+single step ``step_crank_nicolson`` stays plain BiCGSTAB.
 
-The phase-field march of :func:`evolve` carries A w from each solve, as
-``c A w_next = rhs - sigma w_next`` (off by that solve's residual), so only
-the bootstrap step applies the operator to its right-hand side.  Each
-three-level step starts from ``x0 = 2 w^n - w^{n-1}``, whose residual the
-carried values give without an apply, and BiCGSTAB solves for the
-correction with ``tol`` rescaled so that it stays relative to ||rhs||: about
-11 half-steps a step at N = 127 instead of 12.  The public step functions
-take no carried state and start from zero.
+The march of :func:`evolve`, one loop for both schemes, carries A w from
+each solve, as ``c A w_next = rhs - sigma w_next`` (off by that solve's
+residual), so only its first step applies the operator to its right-hand
+side.  Once two states are carried, a step starts from
+``x0 = 2 w^n - w^{n-1}``, whose residual the carried values give without an
+apply, and BiCGSTAB solves for the correction with ``tol`` rescaled so that
+it stays relative to ||rhs||.  The public step functions take no carried
+state and start from zero.
 
 BiCGSTAB has one stop rule: the recursive relative residual reaches ``tol``
 (converged), or the best residual has not improved for ``STAGNATION_SWEEPS``
@@ -338,14 +337,21 @@ def _tau_inverse(op: VariableOrderOperator, scale: float = 1.0,
     shift collapses its sum to one node.  The map is the identity on masked
     rows.  The order side (the nodes alpha_p, their weights and the powers
     Lam^(alpha_p/2)) is built once per operator; each (scale, shift) builds
-    only the shift side.
+    only the shift side.  At scale 0 the model is diag(shift) itself, and
+    M^-1 divides by it.
     """
+    sigma = np.broadcast_to(np.asarray(shift, dtype=float), op.field.sampled.shape)
+    outside = None if op.mask is None else ~op.mask.inside
+    if scale == 0.0:
+        diag = sigma.copy()
+        if outside is not None:
+            diag[outside] = 1.0
+        return lambda v: v / diag
     order = _TAU_ORDER_SIDES.get(op)
     if order is None:
         order = _TAU_ORDER_SIDES[op] = _tau_order_side(op)
     shape = op.grid.shape
     h = op.grid.h
-    sigma = np.broadcast_to(np.asarray(shift, dtype=float), op.field.sampled.shape)
     inside = sigma if op.mask is None else sigma[op.mask.inside]
     lo, hi = inside.min(), inside.max()
     shift_plan = chebyshev_plan(lo, hi, TAU_SHIFT_NODES)
@@ -357,7 +363,6 @@ def _tau_inverse(op: VariableOrderOperator, scale: float = 1.0,
     for a, lam_power in zip(order.nodes, order.lam_powers):
         scaled = scale * lam_power
         inv_lams.append([1.0 / (s * h ** a + scaled) for s in shift_plan.nodes])
-    outside = None if op.mask is None else ~op.mask.inside
 
     def inverse(v: np.ndarray) -> np.ndarray:
         accs = [np.zeros(shape) for _ in shift_plan.nodes]
@@ -441,7 +446,8 @@ class TimeStepper:
     ``scheme`` is "crank_nicolson" or "allen_cahn" (the three-level linearized
     scheme; ``kappa`` is its interface width, unused otherwise).  ``source``
     maps (points, t) to values, for Crank-Nicolson only; ``diffusion`` scales
-    the operator.
+    the operator.  ``t_final`` must be a whole number of steps, to 1e-9
+    relative.
     """
 
     scheme: str = "crank_nicolson"
@@ -455,14 +461,22 @@ class TimeStepper:
     def __post_init__(self):
         if self.scheme not in ("crank_nicolson", "allen_cahn"):
             raise InvalidRange(f"unknown scheme {self.scheme!r}")
+        for name in ("dt", "t_final", "kappa", "diffusion"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidRange(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.dt) and math.isfinite(self.t_final)):
             raise InvalidRange(f"dt and t_final must be finite, got "
                                f"dt = {self.dt}, t_final = {self.t_final}")
         if self.dt <= 0.0 or self.t_final < self.dt:
             raise InvalidRange("need dt > 0 and t_final >= dt")
-        if not self.t_final / self.dt <= MAX_STEPS:
-            raise InvalidRange(f"t_final / dt = {self.t_final / self.dt:.3g} "
+        steps = self.t_final / self.dt
+        if not steps <= MAX_STEPS:
+            raise InvalidRange(f"t_final / dt = {steps:.3g} "
                                f"exceeds the limit of {MAX_STEPS} steps")
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise InvalidRange(f"t_final / dt = {steps:.12g} is not a whole "
+                               f"number of steps")
         if not math.isfinite(self.kappa) or (self.scheme == "allen_cahn"
                                              and self.kappa <= 0.0):
             raise InvalidRange("kappa must be finite, and > 0 for Allen-Cahn")
@@ -512,12 +526,18 @@ def step_crank_nicolson(u_prev: GridFunction, stepper: TimeStepper,
     """One Crank-Nicolson step of ``u_t + diffusion*A u = f``: the step
     system with c = diffusion*dt/2, sigma = 1, g = dt f(t + dt/2), solved by
     plain BiCGSTAB."""
+    return _implicit_step("Crank-Nicolson step", operator, u_prev,
+                          *_crank_nicolson_system(stepper, operator, t),
+                          stepper.krylov, precondition=False)[:2]
+
+
+def _crank_nicolson_system(stepper: TimeStepper, op: VariableOrderOperator,
+                           t: float) -> tuple:
+    """(c, sigma, g) of ``step_crank_nicolson`` from time t."""
     dt = stepper.dt
     g = 0.0 if stepper.source is None else dt * np.asarray(
-        stepper.source(operator.grid.points(), t + dt / 2.0), dtype=float).ravel()
-    return _implicit_step("Crank-Nicolson step", operator, u_prev,
-                          stepper.diffusion * dt / 2.0, 1.0, g, stepper.krylov,
-                          precondition=False)[:2]
+        stepper.source(op.grid.points(), t + dt / 2.0), dtype=float).ravel()
+    return stepper.diffusion * dt / 2.0, 1.0, g
 
 
 def _bootstrap_system(w: GridFunction, stepper: TimeStepper) -> tuple:
@@ -536,16 +556,6 @@ def _three_level_system(u_n: GridFunction, stepper: TimeStepper) -> tuple:
     phys = u_n.values - 1.0
     q = phys**2
     return stepper.diffusion * dt, 1.0 + mu * q, 2.0 * mu * (q + phys)
-
-
-def _step_allen_cahn_bootstrap(w: GridFunction, stepper: TimeStepper,
-                               operator: VariableOrderOperator
-                               ) -> tuple[GridFunction, KrylovResult]:
-    """First phase-field step, in the shifted variable w = phi + 1 of
-    ``step_allen_cahn_three_level``: Crank-Nicolson with the nonlinearity
-    explicit, g = -(dt/kappa^2)(phi^3 - phi), tau preconditioned."""
-    return _implicit_step("bootstrap step", operator, w,
-                          *_bootstrap_system(w, stepper), stepper.krylov)[:2]
 
 
 def step_allen_cahn_three_level(u_nm1: GridFunction, u_n: GridFunction,
@@ -619,65 +629,55 @@ def evolve(stepper: TimeStepper, operator: VariableOrderOperator,
     ``stop_when`` is an optional predicate on the latest observer row; the
     march ends early once it returns True.
 
-    For the phase-field scheme ``u0`` and all recorded states are physical
-    (phase in [-1, 1]); the shifted variable is managed internally and the
-    first step is bootstrapped by one Crank-Nicolson step with the
-    nonlinearity taken explicitly.  The march carries A w from each solve
-    and starts every later step from ``2 w^n - w^{n-1}``, in place of any
+    Both schemes run one march in w = u + shift, shift 1 for the phase-field
+    scheme (its shifted variable) and 0 for Crank-Nicolson; ``u0`` and all
+    recorded states are physical.  Each step solves the step system of its
+    scheme, right preconditioned by the tau model: Crank-Nicolson from w^n,
+    the phase-field bootstrap step (Crank-Nicolson with the nonlinearity
+    explicit) from w^0, and the three-level step from w^{n-1}.  The march
+    carries A w from each solve, so only the first step applies the
+    operator to its right-hand side, and starts a step from
+    ``2 w^n - w^{n-1}`` once both are carried, in place of any
     ``stepper.krylov.x0``; its states match those of the public step
-    functions up to the solves' residuals.  Masked nodes read the exterior value from
-    row 0 on, whatever ``u0`` holds there: 0 for Crank-Nicolson and -1 for
-    the phase-field scheme.  Frames, when requested, are written as flat
-    row-major text arrays, one file per step.
+    functions up to the solves' residuals.  Masked nodes read the exterior
+    value from row 0 on, whatever ``u0`` holds there: 0 for Crank-Nicolson
+    and -1 for the phase-field scheme.  Frames, when requested, are written
+    as flat row-major text arrays, one file per step.
     """
     if u0.grid.shape != operator.grid.shape:
         raise GridMismatch("initial data grid does not match operator grid")
-    if operator.mask is not None:
-        outside = -1.0 if stepper.scheme == "allen_cahn" else 0.0
+    shift = 1.0 if stepper.scheme == "allen_cahn" else 0.0
+    if operator.mask is not None:  # w = 0 outside; 0.0 - shift is never -0.0
         u0 = GridFunction(operator.grid,
-                          np.where(operator.mask.inside, u0.values, outside))
+                          np.where(operator.mask.inside, u0.values, 0.0 - shift))
     n_steps = int(round(stepper.t_final / stepper.dt))
     rows = [_observe(u0, 0, 0.0, 0, 0.0)]
     _dump_frame(frame_dir, frame_every, 0, u0)
 
-    # advance(k, state) -> (state, physical u at step k, Krylov result)
-    if stepper.scheme == "crank_nicolson":
-        state = u0
-
-        def advance(k, u):
-            u, res = step_crank_nicolson(u, stepper, operator, t=(k - 1) * stepper.dt)
-            return u, u, res
-    else:
-        # three-level scheme in the shifted variable; state = the pairs
-        # (w, A w) of steps k-2 and k-1, A w as the solve left it (None if
-        # the step had c = 0)
-        w0 = GridFunction(operator.grid, u0.values + 1.0)
-        state = ((None, None), (w0, None))
-
-        def advance(k, state):
-            (w_prev, aw_prev), (w_cur, aw_cur) = state
-            if k == 1:
-                aw_cur = operator._apply_flat(w_cur.values)
-                w_next, res, aw_next = _implicit_step(
-                    "bootstrap step", operator, w_cur,
-                    *_bootstrap_system(w_cur, stepper), stepper.krylov,
-                    aw_old=aw_cur)
-            else:
-                start = None
-                if aw_prev is not None and aw_cur is not None:
-                    start = (2.0 * w_cur.values - w_prev.values,
-                             2.0 * aw_cur - aw_prev)
-                w_next, res, aw_next = _implicit_step(
-                    "three-level step", operator, w_prev,
-                    *_three_level_system(w_cur, stepper), stepper.krylov,
-                    aw_old=aw_prev, start=start)
-            return (((w_cur, aw_cur), (w_next, aw_next)),
-                    GridFunction(operator.grid, w_next.values - 1.0), res)
-
+    # w and A w of steps n-1 and n, A w as the solve left it (None if the
+    # step had c = 0)
+    w_prev = aw_prev = aw_cur = None
+    w_cur = GridFunction(operator.grid, u0.values + shift)
     u = u0
     for k in range(1, n_steps + 1):
         t0 = time.perf_counter()
-        state, u, res = advance(k, state)
+        if k == 1:
+            aw_cur = operator._apply_flat(w_cur.values)
+        base = (w_cur, aw_cur)
+        if stepper.scheme == "crank_nicolson":
+            system = _crank_nicolson_system(stepper, operator, (k - 1) * stepper.dt)
+        elif k == 1:
+            system = _bootstrap_system(w_cur, stepper)
+        else:
+            system, base = _three_level_system(w_cur, stepper), (w_prev, aw_prev)
+        start = None
+        if aw_prev is not None and aw_cur is not None:
+            start = (2.0 * w_cur.values - w_prev.values, 2.0 * aw_cur - aw_prev)
+        w_next, res, aw_next = _implicit_step(
+            f"{stepper.scheme} step {k}", operator, base[0], *system,
+            stepper.krylov, aw_old=base[1], start=start)
+        w_prev, aw_prev, w_cur, aw_cur = w_cur, aw_cur, w_next, aw_next
+        u = GridFunction(operator.grid, w_next.values - shift)
         rows.append(_observe(u, k, k * stepper.dt, res.iterations,
                              time.perf_counter() - t0))
         _dump_frame(frame_dir, frame_every, k, u)

@@ -281,6 +281,10 @@ _BAD_EXPRESSIONS = ["1/0 + x1", "2.0**2000 + 0*x1", "9**9**6 + 0*x1",
         ("evolve", {"kind": "single", "dim": 2, "box": [-1, 1],
                     "order": "coexist_high", "h": 0.5, "t_final": 0.5,
                     "mask": expr}))],
+    # a t_final that is not a whole number of steps: the runs would end at
+    # t = 0.6, 0.45 and 0.525
+    ("evolve", {"kind": "richardson", "dim": 1, "order": "const:1.5",
+                "h_list": [0.5, 0.25], "dt_list": [0.3, 0.15], "t_final": 0.5}),
 ])
 def test_exit_code_2_on_library_value_errors(tmp_path, command, cfg, capsys):
     path = write_cfg(tmp_path, "bad.json", cfg)

@@ -10,10 +10,10 @@ from varlap.presets import initial_condition, order_field
 import varlap.solver as solver
 from varlap.solver import (
     TAU_ORDER_NODES,
+    _bootstrap_system,
     _implicit_step,
     _masked_rhs,
     _pinned_map,
-    _step_allen_cahn_bootstrap,
     _tau_inverse,
     _three_level_system,
     positive_component_count,
@@ -203,12 +203,18 @@ def test_initial_guess_residuals_relative_to_rhs():
     assert true <= 10 * cfg.tol, true
 
 
+def _bootstrap_step(w, stepper, op):
+    """The first phase-field step as the march takes it, from zero."""
+    return _implicit_step("bootstrap step", op, w, *_bootstrap_system(w, stepper),
+                          stepper.krylov)[:2]
+
+
 def _allen_cahn_systems(op, w_prev, w_cur, stepper):
     """(step result, pinned map, rhs) of the bootstrap and three-level steps."""
     dt, mu = stepper.dt, stepper.dt / stepper.kappa**2
     phys = w_cur - 1.0
     q = phys**2
-    boot = (_step_allen_cahn_bootstrap(vl.GridFunction(op.grid, w_cur), stepper, op),
+    boot = (_bootstrap_step(vl.GridFunction(op.grid, w_cur), stepper, op),
             _pinned_map(op, dt / 2.0, 1.0),
             w_cur - dt / 2.0 * op._apply_flat(w_cur) - mu * (phys**3 - phys))
     three = (vl.step_allen_cahn_three_level(vl.GridFunction(op.grid, w_prev),
@@ -299,6 +305,23 @@ def test_unshifted_tau_inverse_is_order_interpolated_formula(kind):
                    for a, c in zip(plan.nodes, weights)), g.shape)
     out = _tau_inverse(op, scale=scale, shift=0.0)(v)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_tau_inverse_at_zero_scale_divides_by_shift():
+    # the tau model of diag(sigma) + 0 A is diag(sigma) itself; masked rows
+    # stay the identity
+    g = vl.build_grid(2, -1.0, 1.0, 15)
+    mask = vl.make_mask(g, lambda p: np.sum(p ** 2, axis=-1) < 0.5)
+    rng = np.random.default_rng(4)
+    sigma = rng.uniform(1.0, 2.0, g.size)
+    v = rng.standard_normal(g.size)
+    for disc in (None, mask):
+        op = vl.VariableOrderOperator(g, order_field("case2_linear"),
+                                      mode="fast", mask=disc)
+        out = _tau_inverse(op, scale=0.0, shift=sigma)(v)
+        inside = np.ones(g.size, bool) if disc is None else disc.inside
+        assert np.array_equal(out[inside], v[inside] / sigma[inside])
+        assert np.array_equal(out[~inside], v[~inside])
 
 
 def test_shift_interpolated_tau_half_steps():
@@ -470,16 +493,31 @@ def test_time_stepper_rejects_negative_diffusion():
     (lambda: vl.TimeStepper(scheme="allen_cahn", kappa=float("inf")), "kappa"),
     (lambda: vl.TimeStepper(scheme="allen_cahn",
                             source=lambda pts, t: np.full(len(pts), 1e6)), "source"),
+    (lambda: vl.TimeStepper(dt=0.3, t_final=0.5), "whole number"),
+    (lambda: vl.TimeStepper(dt=0.1, t_final=0.25), "whole number"),
+    (lambda: vl.TimeStepper(dt=True, t_final=1.0), "dt"),
+    (lambda: vl.TimeStepper(t_final=True), "t_final"),
+    (lambda: vl.TimeStepper(kappa=True), "kappa"),
+    (lambda: vl.TimeStepper(diffusion=True), "diffusion"),
+    (lambda: vl.TimeStepper(dt="0.1"), "dt"),
+    (lambda: vl.TimeStepper(t_final="1"), "t_final"),
+    (lambda: vl.TimeStepper(kappa="0.01"), "kappa"),
+    (lambda: vl.TimeStepper(diffusion=1j), "diffusion"),
 ], ids=["tol_inf", "tol_nan", "tol_bool", "max_iter_fraction",
         "max_iter_bool", "accept_relres_nan", "accept_relres_negative",
         "accept_relres_bool", "dt_nan", "t_final_inf", "diffusion_inf", "kappa_nan", "kappa_inf",
-        "allen_cahn_source"])
+        "allen_cahn_source", "t_final_past_whole_steps",
+        "t_final_short_of_whole_steps", "dt_bool", "t_final_bool",
+        "kappa_bool", "diffusion_bool", "dt_str", "t_final_str", "kappa_str",
+        "diffusion_complex"])
 def test_configs_reject_invalid_values(make, match):
     # a tol of inf would return x = 0 as "converged" after no iteration, a
     # max_iter of 2.5 would fail in range(), a tol of True would read as 1
     # and end a solve "converged" at x = 0, a NaN accept_relres would fail
-    # every unconverged solve, a NaN dt would read as too many steps, and
-    # the phase-field steps have no source term that could take a source
+    # every unconverged solve, a NaN dt would read as too many steps, the
+    # phase-field steps have no source term that could take a source, a
+    # t_final of 0.5 in steps of 0.3 would march to 0.6, and a dt of True
+    # would read as 1
     with pytest.raises(vl.InvalidRange, match=match):
         make()
 
@@ -636,7 +674,7 @@ def _public_march(op, stepper, u0):
     functions, each three-level step from zero with A w^{n-1} applied, and
     the half-steps of steps 1..n."""
     ws = [vl.GridFunction(op.grid, u0.values + 1.0)]
-    w, res = _step_allen_cahn_bootstrap(ws[0], stepper, op)
+    w, res = _bootstrap_step(ws[0], stepper, op)
     ws.append(w)
     its = [res.iterations]
     for _ in range(int(round(stepper.t_final / stepper.dt)) - 1):
@@ -674,6 +712,59 @@ def test_carried_march_without_diffusion_never_divides():
         warnings.simplefilter("error", RuntimeWarning)
         rec = vl.evolve(stepper, op, u0)
     assert np.array_equal(rec.final.values, ws[-1].values - 1.0)
+
+
+def _heat_march(mask: bool, source: bool, diffusion: float = 1.0):
+    """(operator, stepper, u0) of an 8-step Crank-Nicolson march at 2D
+    N = 31, on the whole square or on a disc (u0 zero outside it), with or
+    without a source."""
+    g = vl.build_grid(2, -1.0, 1.0, 31)
+    disc = (vl.make_mask(g, lambda p: np.sum(p ** 2, axis=-1) < 0.81)
+            if mask else None)
+    op = vl.VariableOrderOperator(g, order_field("case2_linear"), mode="fast",
+                                  mask=disc)
+    f = (lambda pts, t: np.cos(4.0 * t) * np.exp(-np.sum(pts ** 2, axis=-1))
+         ) if source else None
+    stepper = vl.TimeStepper(dt=1.0 / 32.0, t_final=0.25, diffusion=diffusion,
+                             source=f)
+    u0 = np.exp(-np.sum(g.points() ** 2, axis=-1))
+    if disc is not None:
+        u0[~disc.inside] = 0.0
+    return op, stepper, vl.GridFunction(g, u0)
+
+
+def _public_heat_march(op, stepper, u0):
+    """Final state and half-steps of the march through step_crank_nicolson."""
+    u, its = u0, []
+    for k in range(int(round(stepper.t_final / stepper.dt))):
+        u, res = vl.step_crank_nicolson(u, stepper, op, t=k * stepper.dt)
+        its.append(res.iterations)
+    return u, its
+
+
+@pytest.mark.parametrize("source", [False, True], ids=["free", "source"])
+@pytest.mark.parametrize("mask", [False, True], ids=["square", "disc"])
+def test_crank_nicolson_march_matches_public_steps(mask, source):
+    # the march preconditions, carries A u and warm starts each step; it
+    # must land where the plain public steps do, source times included
+    op, stepper, u0 = _heat_march(mask, source)
+    ref, its = _public_heat_march(op, stepper, u0)
+    rec = vl.evolve(stepper, op, u0)
+    assert np.abs(rec.final.values - ref.values).max() <= 1e-9
+    carried = rec.column("iterations")[1:]
+    assert len(carried) == 8 and sum(carried) < sum(its), (carried, its)
+
+
+def test_crank_nicolson_march_without_diffusion():
+    # c = 0: the exact tau inverse solves each identity system in one
+    # half-step, as plain BiCGSTAB does, and nothing divides by c
+    op, stepper, u0 = _heat_march(True, True, diffusion=0.0)
+    ref, its = _public_heat_march(op, stepper, u0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rec = vl.evolve(stepper, op, u0)
+    assert np.array_equal(rec.final.values, ref.values)
+    assert rec.column("iterations")[1:] == its == [1] * 8
 
 
 @pytest.mark.parametrize("mask", [False, True], ids=["square", "disc"])
