@@ -2,16 +2,16 @@
 
 Subcommands mirror the experiment kinds:
 
-    varlap weights    --config weights.json   [--out DIR]
-    varlap apply-conv --config conv.json      [--out DIR] [--mode fast]
-    varlap elliptic   --config elliptic.json  [--out DIR]
-    varlap evolve     --config evolve.json    [--out DIR]
-    varlap bench      --config bench.json     [--out DIR]
+    varlap weights    --config weights.json   [--out DIR] [--threads K]
+    varlap apply-conv --config conv.json      [--out DIR] [--threads K]
+    varlap elliptic   --config elliptic.json  [--out DIR] [--threads K]
+    varlap evolve     --config evolve.json    [--out DIR] [--threads K]
+    varlap bench      --config bench.json     [--out DIR] [--threads K]
 
-Configs are JSON objects; ``--mode`` and ``--rank`` override the matching
-keys on every subcommand that builds an operator, which is all but weights.
-Exit codes: 0 success, 2 configuration error (an ``--out`` that cannot be
-written included), 3 solver failure.
+Configs are JSON objects and hold every run setting, ``rank`` included;
+the flags name only the files and the FFT worker count.  Every operator a
+run builds is the fast one.  Exit codes: 0 success, 2 configuration error
+(an ``--out`` that cannot be written included), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -64,11 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=1,
                        help="FFT worker threads (at least 1)")
-        if name != "weights":
-            p.add_argument("--mode", choices=["fast", "direct"],
-                           help="override apply mode")
-            p.add_argument("--rank", type=int,
-                           help="override low-rank term count")
     return parser
 
 
@@ -78,10 +73,6 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = _load_config(args.config)
-        for key in ("mode", "rank"):
-            val = getattr(args, key, None)
-            if val is not None:
-                cfg[key] = val
         out_dir = Path(args.out)
         runner = {
             "weights": lambda: experiments.run_weights(cfg, out_dir),

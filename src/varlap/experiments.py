@@ -189,9 +189,9 @@ def _h_list(cfg: dict) -> list[float]:
 def _build_operator(grid: UniformGrid, field, cfg: dict, mask=None
                     ) -> VariableOrderOperator:
     """The operator of a run on ``grid``, which samples the config's order
-    ``field`` there: every operator the CLI builds."""
-    mode = _get(cfg, "mode", "direct" if grid.dim == 1 else "fast")
-    return VariableOrderOperator(grid, field, mode=mode, mask=mask,
+    ``field`` there: every operator the CLI builds, the fast one at the
+    config's ``rank``."""
+    return VariableOrderOperator(grid, field, mask=mask,
                                  rank=_number(cfg, "rank", DEFAULT_RANK, int))
 
 
@@ -286,7 +286,7 @@ def run_elliptic(cfg: dict, out_dir) -> list[ConvergenceRow]:
         reaction = _number(cfg, "reaction", 1.0)
         fine = _grid_for_h(dim, lo, hi, _number(cfg, "h_ref", 2.0**-9))
         # one reference operator per table; every h samples its data
-        ref_op = _build_operator(fine, base_field, {**cfg, "mode": "fast"})
+        ref_op = _build_operator(fine, base_field, cfg)
         f_ref = manufactured_rhs_case1(ref_op, beta, reaction)
         errors = []
         for h in hs:
@@ -418,7 +418,7 @@ def run_bench(cfg: dict, out_dir):
     rows = []
     for n in ns:
         grid = build_grid(dim, lo, hi, n)
-        op = _build_operator(grid, base_field, {**cfg, "mode": "fast"})
+        op = _build_operator(grid, base_field, cfg)
         timing = operator_timing(op, n_reps=reps)
         rows.append([n, timing["seconds_per_apply"]])
     slope = (fit_loglog_slope(ns, [r[1] for r in rows])

@@ -6,7 +6,7 @@ embedding mask are pinned to zero through identity rows, keeping the system
 square and nonsingular.  Every time step solves, pinned the same way,
 ``(sigma I + c A) w_next = ((2 - sigma) I - c A) w_old + g``; the schemes
 differ only in c, sigma and g.  Systems are solved matrix-free by BiCGSTAB,
-from zero by default.  Elliptic solves, the phase-field steps and every
+which starts from zero.  Elliptic solves, the phase-field steps and every
 step of the :func:`evolve` march are right preconditioned by the tau-algebra
 (DST-I) model of a constant-order block, its inverse Lagrange interpolated
 in the order over three Chebyshev nodes of the sampled range and in sigma
@@ -81,30 +81,35 @@ STAGNATION_SWEEPS = 25
 MAX_STEPS = 2**20
 
 
+def _is_real(value) -> bool:
+    """True for a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class KrylovConfig:
     """BiCGSTAB controls; defaults reproduce iterate-to-stagnation behavior.
 
-    ``x0`` is the start (zero if None); ``preconditioner`` is a right
-    preconditioner M^-1 that :func:`bicgstab` applies.  The solve entry
-    points set it themselves; a value here reaches direct calls only.
+    ``preconditioner`` is a right preconditioner M^-1 that :func:`bicgstab`
+    applies.  The solve entry points set it themselves; a value here
+    reaches direct calls only.
     """
 
     tol: float = 1e-14
     max_iter: int = 5000
     accept_relres: float = 1e-6
-    x0: np.ndarray | None = None
     preconditioner: LinearMap | None = None
 
     def __post_init__(self):
-        if isinstance(self.tol, bool) or not 0.0 < self.tol < math.inf:
-            raise InvalidRange("tolerance must be positive and finite")
+        if not (_is_real(self.tol) and 0.0 < self.tol < math.inf):
+            raise InvalidRange(f"tolerance must be positive and finite, "
+                               f"got {self.tol!r}")
         if (isinstance(self.max_iter, bool)
                 or not isinstance(self.max_iter, numbers.Integral)
                 or self.max_iter < 1):
             raise InvalidRange(f"max_iter must be an integer >= 1, "
                                f"got {self.max_iter!r}")
-        if isinstance(self.accept_relres, bool) or not self.accept_relres >= 0.0:
+        if not (_is_real(self.accept_relres) and self.accept_relres >= 0.0):
             raise InvalidRange(f"accept_relres must be >= 0, "
                                f"got {self.accept_relres!r}")
 
@@ -130,8 +135,8 @@ def bicgstab(apply_a: LinearMap, rhs: np.ndarray,
 
     The recurrence is van der Vorst's (SIAM J. Sci. Stat. Comput. 13(2),
     1992) with the search direction and half-step residual mapped through
-    M^-1 before A; iterates and residuals are those of x, so ``config.x0``
-    is the start.
+    M^-1 before A; iterates and residuals are those of x, which starts
+    from zero.
 
     Iterations are counted in half-steps: every full sweep applies the
     operator twice and produces two iterates, and the count increments at
@@ -152,11 +157,7 @@ def bicgstab(apply_a: LinearMap, rhs: np.ndarray,
     b = np.asarray(rhs, dtype=float).ravel()
     n = b.size
     b_norm = float(np.linalg.norm(b))
-    if cfg.x0 is None or b_norm == 0.0:
-        x, r = np.zeros(n), b.copy()
-    else:
-        x = np.array(cfg.x0, dtype=float).ravel()
-        r = b - apply_a(x)
+    x, r = np.zeros(n), b.copy()
     m_inv = cfg.preconditioner if cfg.preconditioner is not None else (lambda v: v)
     r_hat = r.copy()
     rho_old = alpha = omega = 1.0
@@ -270,10 +271,10 @@ def _pinned(a_u: np.ndarray, u: np.ndarray, scale: float,
 
 def _pinned_map(op: VariableOrderOperator, scale: float,
                 sigma: float | np.ndarray = 0.0) -> LinearMap:
-    """Linear map u -> scale*(A u) + sigma*u, identity on masked rows."""
+    """u -> scale*(A u) + sigma*u, identity on masked rows; no apply at scale 0."""
 
     def apply_a(u: np.ndarray) -> np.ndarray:
-        a_u = op._apply_flat(u)
+        a_u = op._apply_flat(u) if scale != 0.0 else np.zeros_like(u)
         return _pinned(a_u, u, scale, sigma, op.mask, out=a_u)
 
     return apply_a
@@ -395,8 +396,9 @@ def _solve(what: str, op: VariableOrderOperator, apply_a: LinearMap,
     M^-1 = ``inverse``; raises SolverFailure unless the result is ``ok``.
 
     ``start`` is an optional warm start ``(x0, apply_a(x0))``, the second
-    known without an apply.  BiCGSTAB then solves for the correction from
-    the residual r0 with ``tol`` scaled by ||rhs|| / ||r0||, and the result
+    known without an apply: the one warm start, which only the march of
+    :func:`evolve` passes.  BiCGSTAB then solves for the correction from the
+    residual r0 with ``tol`` scaled by ||rhs|| / ||r0||, and the result
     reports its residuals relative to ||rhs||, as a solve from zero does;
     ``accept_relres`` judges that reported residual.
     """
@@ -410,8 +412,7 @@ def _solve(what: str, op: VariableOrderOperator, apply_a: LinearMap,
         r0 = b - a_x0
         r0_norm = float(np.linalg.norm(r0))
         ratio = b_norm / r0_norm if r0_norm > 0.0 else 1.0
-        fix = bicgstab(apply_a, r0,
-                       replace(cfg, x0=None, tol=min(cfg.tol * ratio, 1.0)))
+        fix = bicgstab(apply_a, r0, replace(cfg, tol=min(cfg.tol * ratio, 1.0)))
         result = replace(fix, x=x0 + fix.x, relres=fix.relres / ratio,
                          residuals=[r / ratio for r in fix.residuals])
     if not result.ok:
@@ -463,7 +464,7 @@ class TimeStepper:
             raise InvalidRange(f"unknown scheme {self.scheme!r}")
         for name in ("dt", "t_final", "kappa", "diffusion"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_real(value):
                 raise InvalidRange(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.dt) and math.isfinite(self.t_final)):
             raise InvalidRange(f"dt and t_final must be finite, got "
@@ -497,14 +498,14 @@ def _implicit_step(what: str, op: VariableOrderOperator, w_old: GridFunction,
     its tau model, or plain whatever ``krylov`` holds if not ``precondition``.
 
     ``aw_old`` is A w_old if the caller carries it; one apply computes it if
-    not.  ``start`` is an optional warm start ``(x0, A x0)``.  Also returns
-    A w_next as the solve leaves it, ``(rhs - sigma w_next) / c`` with masked
-    rows zero: it is off the true one by the solve's residual over c, so c
-    times it is off by the residual itself.  None if c = 0.
+    not, and none at c = 0.  ``start`` is an optional warm start
+    ``(x0, A x0)``.  Also returns A w_next as the solve leaves it,
+    ``(rhs - sigma w_next) / c`` with masked rows zero: it is off the true
+    one by the solve's residual over c, so c times it is off by the residual
+    itself.  None if c = 0.
     """
-    if aw_old is None:
-        aw_old = op._apply_flat(w_old.values)
-    rhs = _pinned(aw_old, w_old.values, -c, 2.0 - sigma, op.mask) + g
+    rhs = (_pinned_map(op, -c, 2.0 - sigma)(w_old.values) if aw_old is None
+           else _pinned(aw_old, w_old.values, -c, 2.0 - sigma, op.mask)) + g
     inverse = _tau_inverse(op, scale=c, shift=sigma) if precondition else None
     if start is not None:
         x0, a_x0 = start
@@ -525,7 +526,10 @@ def step_crank_nicolson(u_prev: GridFunction, stepper: TimeStepper,
                         t: float = 0.0) -> tuple[GridFunction, KrylovResult]:
     """One Crank-Nicolson step of ``u_t + diffusion*A u = f``: the step
     system with c = diffusion*dt/2, sigma = 1, g = dt f(t + dt/2), solved by
-    plain BiCGSTAB."""
+    plain BiCGSTAB.  Refuses a stepper of the other scheme."""
+    if stepper.scheme != "crank_nicolson":
+        raise InvalidRange(f"a Crank-Nicolson step takes a crank_nicolson "
+                           f"stepper, got {stepper.scheme!r}")
     return _implicit_step("Crank-Nicolson step", operator, u_prev,
                           *_crank_nicolson_system(stepper, operator, t),
                           stepper.krylov, precondition=False)[:2]
@@ -576,8 +580,12 @@ def step_allen_cahn_three_level(u_nm1: GridFunction, u_n: GridFunction,
     The nonnegative implicit factor q keeps the scheme stable at dt ~
     kappa^2; fully explicit or fully averaged treatments of the double-well
     term are leapfrog-unstable there.  The solve is right preconditioned by
-    the tau model with the per-node shift sigma.
+    the tau model with the per-node shift sigma.  Refuses a stepper of the
+    other scheme.
     """
+    if stepper.scheme != "allen_cahn":
+        raise InvalidRange(f"a three-level step takes an allen_cahn stepper, "
+                           f"got {stepper.scheme!r}")
     return _implicit_step("three-level step", operator, u_nm1,
                           *_three_level_system(u_n, stepper), stepper.krylov)[:2]
 
@@ -636,10 +644,9 @@ def evolve(stepper: TimeStepper, operator: VariableOrderOperator,
     the phase-field bootstrap step (Crank-Nicolson with the nonlinearity
     explicit) from w^0, and the three-level step from w^{n-1}.  The march
     carries A w from each solve, so only the first step applies the
-    operator to its right-hand side, and starts a step from
-    ``2 w^n - w^{n-1}`` once both are carried, in place of any
-    ``stepper.krylov.x0``; its states match those of the public step
-    functions up to the solves' residuals.  Masked nodes read the exterior
+    operator to its right-hand side, and none does without diffusion.  It
+    starts a step from ``2 w^n - w^{n-1}`` once both are carried; its states
+    match those of the public step functions up to the solves' residuals.  Masked nodes read the exterior
     value from row 0 on, whatever ``u0`` holds there: 0 for Crank-Nicolson
     and -1 for the phase-field scheme.  Frames, when requested, are written
     as flat row-major text arrays, one file per step.
@@ -661,7 +668,7 @@ def evolve(stepper: TimeStepper, operator: VariableOrderOperator,
     u = u0
     for k in range(1, n_steps + 1):
         t0 = time.perf_counter()
-        if k == 1:
+        if k == 1 and stepper.diffusion != 0.0:
             aw_cur = operator._apply_flat(w_cur.values)
         base = (w_cur, aw_cur)
         if stepper.scheme == "crank_nicolson":

@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varlap import OrderField, VariableOrderOperator, build_grid, cli, experiments
+from varlap import (EllipticProblem, GridFunction, OrderField,
+                    VariableOrderOperator, build_grid, cli, experiments,
+                    gaussian_frac_lap, solve_elliptic)
 from varlap.errors import ConfigError
+from varlap.presets import order_field
 from varlap.weights import default_quadrature_size, operator_block, weights_nd_fft
 
 
@@ -185,11 +188,33 @@ def test_exit_code_2_on_config_errors(tmp_path):
     assert cli.main(["apply-conv", "--config", cfg3]) == 2
 
 
-def test_mode_override_flag(tmp_path):
-    cfg = write_cfg(tmp_path, "m.json", {
-        "dim": 1, "h_list": [0.25], "order": "alpha1", "out": "c.csv"})
-    assert cli.main(["apply-conv", "--config", cfg, "--out", str(tmp_path),
-                     "--mode", "fast", "--rank", "5"]) == 0
+@pytest.mark.parametrize("extra", [{}, {"mode": "direct"}],
+                         ids=["no-mode", "mode-direct"])
+def test_1d_runs_use_the_fast_operator(tmp_path, extra):
+    # every CLI operator is the library's fast one at the default rank 7, in
+    # 1D too, and a leftover mode key is ignored
+    def fast(n, box, order):
+        grid = build_grid(1, box[0], box[1], n)
+        return VariableOrderOperator(grid, order_field(order), rank=7)
+
+    conv = experiments.run_apply_convergence(
+        {"dim": 1, "h_list": [0.25, 0.125], "order": "alpha1", **extra}, tmp_path)
+    for row, n in zip(conv, (31, 63)):
+        op = fast(n, (-4.0, 4.0), "alpha1")
+        pts = op.grid.points()
+        u = GridFunction(op.grid, np.exp(-np.sum(pts**2, axis=-1)))
+        exact = gaussian_frac_lap(pts, op.field.sampled, 1)
+        assert row.e_inf == np.abs(op.apply(u).values - exact).max()
+    ell = experiments.run_elliptic(
+        {"case": 2, "dim": 1, "order": "case2_linear", "h_list": [0.25, 0.125],
+         **extra}, tmp_path)
+    ops = [fast(n, (-1.0, 1.0), "case2_linear") for n in (7, 15, 31)]
+    sols = [solve_elliptic(EllipticProblem(
+        operator=op, f=GridFunction(op.grid, np.ones(op.grid.size)))).u
+        for op in ops]
+    gaps = [np.abs(c.values - experiments.restrict_nested(f, c.grid)).max()
+            for c, f in zip(sols, sols[1:])]
+    assert [row.e_inf for row in ell] == gaps
 
 
 def test_config_validation_direct():
@@ -238,7 +263,7 @@ _BAD_EXPRESSIONS = ["1/0 + x1", "2.0**2000 + 0*x1", "9**9**6 + 0*x1",
     ("bench", {"kind": "cn3d", "order": "bench_const16", "n_list": ["a"]}),
     ("bench", {"kind": "apply_sweep", "order": "alpha1", "n_list": [7.5]}),
     ("apply-conv", {"dim": 1, "h_list": [0.25], "order": "alpha1",
-                    "mode": "fastest"}),
+                    "box": [1, -1]}),
     ("elliptic", {"case": 1, "dim": 1, "order": "case1_linear",
                   "h_list": [0.25], "h_ref": 0.0625, "beta": 1.0}),
     ("weights", {"alpha": 1.5, "dim": 2, "n_max": 0}),
@@ -262,7 +287,7 @@ _BAD_EXPRESSIONS = ["1/0 + x1", "2.0**2000 + 0*x1", "9**9**6 + 0*x1",
     # a finite step count past the 2**20-step cap
     ("evolve", {"dim": 1, "order": "const:1.5", "h": 0.25, "dt": 1e-300,
                 "t_final": 1.0}),
-    # rank is checked for the default 1D direct operator too
+    # rank is checked in 1D too
     ("apply-conv", {"dim": 1, "h_list": [0.5], "order": "alpha2",
                     "rank": 100000000}),
     ("apply-conv", {"dim": 1, "h_list": [0.5], "order": "alpha2", "rank": 0}),
@@ -285,6 +310,9 @@ _BAD_EXPRESSIONS = ["1/0 + x1", "2.0**2000 + 0*x1", "9**9**6 + 0*x1",
     # t = 0.6, 0.45 and 0.525
     ("evolve", {"kind": "richardson", "dim": 1, "order": "const:1.5",
                 "h_list": [0.5, 0.25], "dt_list": [0.3, 0.15], "t_final": 0.5}),
+    # the Crank-Nicolson benchmark step refuses a phase-field stepper
+    ("bench", {"kind": "cn3d", "order": "bench_const16", "n_list": [7],
+               "scheme": "allen_cahn", "kappa": 0.05}),
 ])
 def test_exit_code_2_on_library_value_errors(tmp_path, command, cfg, capsys):
     path = write_cfg(tmp_path, "bad.json", cfg)
@@ -386,12 +414,13 @@ def test_node_cap(tmp_path, capsys):
     ("--quadrature", "256"), ("--mode", "fast"), ("--rank", "40"),
 ], ids=["--quadrature", "--mode", "--rank"])
 def test_quadrature_flag_refused(tmp_path, flag, value):
-    # the weights depend only on order, dimension and grid size, so weights
-    # takes none of the flags that shape an operator
+    # the config holds every run setting: no subcommand takes a flag that
+    # shapes an operator, and each refuses one before it reads the config
     cfg = write_cfg(tmp_path, "w.json", {"alpha": 1.5, "dim": 2, "n_max": 8})
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["weights", "--config", cfg, flag, value])
-    assert exc.value.code == 2
+    for command in ("weights", "apply-conv", "elliptic", "evolve", "bench"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", cfg, flag, value])
+        assert exc.value.code == 2, command
 
 
 @pytest.mark.parametrize("cfg", [
@@ -442,15 +471,15 @@ _CASE2_2D = {"case": 2, "dim": 2, "order": "case2_linear", "h_list": [0.25]}
     ("evolve", {**_SINGLE_EVOLVE, "out": 5}),
     ("elliptic", {**_CASE2_2D, "rank": True}),
     # only an absent or null key takes the default
-    ("evolve", {**_SINGLE_EVOLVE, "mode": False}),
-    ("apply-conv", {"dim": 2, "h_list": [0.25], "order": "alpha1", "mode": 0}),
-    ("elliptic", {**_CASE2_2D, "mode": ""}),
-    ("elliptic", {**_CASE2_2D, "mode": []}),
+    ("evolve", {**_SINGLE_EVOLVE, "kind": ""}),
+    ("evolve", {**_SINGLE_EVOLVE, "ic": 0}),
+    ("elliptic", {**_CASE2_2D, "tol": False}),
+    ("evolve", {**_SINGLE_EVOLVE, "scheme": []}),
     ("evolve", {**_SINGLE_EVOLVE, "mask": ""}),
     ("evolve", {**_SINGLE_EVOLVE, "mask": 0}),
     ("evolve", {**_SINGLE_EVOLVE, "frame_every": False}),
 ], ids=["dim-bool", "order-int", "mask-int", "rank-str", "out-int",
-        "rank-bool", "mode-false", "mode-zero", "mode-empty", "mode-list",
+        "rank-bool", "kind-empty", "ic-zero", "tol-false", "scheme-list",
         "mask-empty", "mask-zero", "frame_every-false"])
 def test_exit_code_2_on_config_types(tmp_path, command, cfg, capsys):
     path = write_cfg(tmp_path, "bad.json", cfg)

@@ -186,23 +186,6 @@ def test_tau_half_steps_bounded_across_grids(n):
     assert out.krylov.iterations <= 12, out.krylov.iterations
 
 
-def test_initial_guess_residuals_relative_to_rhs():
-    # x0 is a correction start: the first recorded residual is that of x0
-    # itself, relative to ||f||, and the solve still reaches tol on ||f||
-    op, f, b = _elliptic_case("2d_fast")
-    g = op.grid
-    x0 = np.random.default_rng(17).standard_normal(g.size)
-    prob = vl.EllipticProblem(operator=op, f=vl.GridFunction(g, f),
-                              b=vl.GridFunction(g, b))
-    cfg = vl.KrylovConfig(tol=1e-10, x0=x0)
-    res = vl.solve_elliptic(prob, cfg).krylov
-    start = np.linalg.norm(f - _pinned_map(op, 1.0, b)(x0)) / np.linalg.norm(f)
-    assert res.residuals[0] == pytest.approx(start, rel=1e-12)
-    assert res.status == "converged" and res.relres <= cfg.tol
-    true = np.linalg.norm(f - _pinned_map(op, 1.0, b)(res.x)) / np.linalg.norm(f)
-    assert true <= 10 * cfg.tol, true
-
-
 def _bootstrap_step(w, stepper, op):
     """The first phase-field step as the march takes it, from zero."""
     return _implicit_step("bootstrap step", op, w, *_bootstrap_system(w, stepper),
@@ -341,38 +324,6 @@ def test_shift_interpolated_tau_half_steps():
     assert three.iterations <= 13, three.iterations
 
 
-def test_preconditioned_solves_take_initial_guess():
-    # x0 enters the preconditioned iteration as a correction start: a random
-    # start reaches the zero-start solution, the converged one returns at once
-    op, f, b = _elliptic_case("2d_fast")
-    g = op.grid
-    rng = np.random.default_rng(13)
-    x0 = rng.standard_normal(g.size)
-    prob = vl.EllipticProblem(operator=op, f=vl.GridFunction(g, f),
-                              b=vl.GridFunction(g, b))
-    stepper = vl.TimeStepper(scheme="allen_cahn", dt=1e-3, t_final=1e-3,
-                             kappa=0.05)
-    w_prev, w_cur = rng.uniform(0.0, 2.0, (2, g.size))
-
-    def elliptic(cfg):
-        out = vl.solve_elliptic(prob, cfg)
-        return out.u.values, out.krylov
-
-    def three_level(cfg):
-        w, res = vl.step_allen_cahn_three_level(
-            vl.GridFunction(g, w_prev), vl.GridFunction(g, w_cur),
-            replace(stepper, krylov=cfg), op)
-        return w.values, res
-
-    for solve in (elliptic, three_level):
-        u, _ = solve(vl.KrylovConfig())
-        u_x0, res = solve(vl.KrylovConfig(x0=x0))
-        assert res.status == "converged"
-        assert np.abs(u_x0 - u).max() / np.abs(u).max() <= 1e-10
-        _, res = solve(vl.KrylovConfig(x0=u))
-        assert res.ok and res.iterations <= 2, res.iterations
-
-
 def test_cn_step_runs_plain_bicgstab():
     # the shifted Crank-Nicolson system gets no preconditioner, not even one
     # carried by stepper.krylov: the step is bit for bit one plain BiCGSTAB
@@ -503,21 +454,24 @@ def test_time_stepper_rejects_negative_diffusion():
     (lambda: vl.TimeStepper(t_final="1"), "t_final"),
     (lambda: vl.TimeStepper(kappa="0.01"), "kappa"),
     (lambda: vl.TimeStepper(diffusion=1j), "diffusion"),
+    (lambda: vl.KrylovConfig(tol="1e-3"), "tolerance"),
+    (lambda: vl.KrylovConfig(tol=1j), "tolerance"),
+    (lambda: vl.KrylovConfig(accept_relres="x"), "accept_relres"),
 ], ids=["tol_inf", "tol_nan", "tol_bool", "max_iter_fraction",
         "max_iter_bool", "accept_relres_nan", "accept_relres_negative",
         "accept_relres_bool", "dt_nan", "t_final_inf", "diffusion_inf", "kappa_nan", "kappa_inf",
         "allen_cahn_source", "t_final_past_whole_steps",
         "t_final_short_of_whole_steps", "dt_bool", "t_final_bool",
         "kappa_bool", "diffusion_bool", "dt_str", "t_final_str", "kappa_str",
-        "diffusion_complex"])
+        "diffusion_complex", "tol_str", "tol_complex", "accept_relres_str"])
 def test_configs_reject_invalid_values(make, match):
     # a tol of inf would return x = 0 as "converged" after no iteration, a
     # max_iter of 2.5 would fail in range(), a tol of True would read as 1
     # and end a solve "converged" at x = 0, a NaN accept_relres would fail
     # every unconverged solve, a NaN dt would read as too many steps, the
     # phase-field steps have no source term that could take a source, a
-    # t_final of 0.5 in steps of 0.3 would march to 0.6, and a dt of True
-    # would read as 1
+    # t_final of 0.5 in steps of 0.3 would march to 0.6, a dt of True
+    # would read as 1, and a tol of "1e-3" would fail in a comparison
     with pytest.raises(vl.InvalidRange, match=match):
         make()
 
@@ -704,14 +658,55 @@ def test_carried_march_matches_public_steps(mask):
 
 
 def test_carried_march_without_diffusion_never_divides():
-    # c = 0 leaves A w undetermined by the solve: the march applies the
-    # operator as the public steps do, and no step divides by c
+    # c = 0 leaves A w undetermined by the solve: no step divides by c, and
+    # the march lands where the public steps do
     op, stepper, u0 = _bubbles_march(False, diffusion=0.0)
     ws, _ = _public_march(op, stepper, u0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rec = vl.evolve(stepper, op, u0)
     assert np.array_equal(rec.final.values, ws[-1].values - 1.0)
+
+
+@pytest.mark.parametrize("scheme", ["crank_nicolson", "allen_cahn"])
+def test_marches_without_diffusion_apply_nothing(scheme, monkeypatch):
+    # every product with A would be multiplied by c = 0: no step applies A,
+    # and the march is the pointwise recurrence sigma w^{n+1} = rhs
+    g = vl.build_grid(2, 0.0, 1.0, 15)
+    op = vl.VariableOrderOperator(g, vl.sample_order(order_field("phase_middle"), g))
+    stepper = vl.TimeStepper(scheme=scheme, dt=1e-3, t_final=8e-3, kappa=0.05,
+                             diffusion=0.0)
+    u0 = initial_condition("bubbles", kappa=0.05)(g.points())
+    applies = []
+    apply_flat = vl.VariableOrderOperator._apply_flat
+    monkeypatch.setattr(vl.VariableOrderOperator, "_apply_flat",
+                        lambda self, u: applies.append(1) or apply_flat(self, u))
+    rec = vl.evolve(stepper, op, vl.GridFunction(g, u0))
+    assert applies == [] and len(rec.rows) == 9
+    if scheme == "crank_nicolson":
+        assert np.array_equal(rec.final.values, u0)
+        return
+    mu = stepper.dt / stepper.kappa**2
+    ws = [u0 + 1.0, u0 + 1.0 - mu * (u0**3 - u0)]
+    for _ in range(7):
+        phys = ws[-1] - 1.0
+        sigma = 1.0 + mu * phys**2
+        ws.append(((2.0 - sigma) * ws[-2] + 2.0 * mu * (phys**2 + phys)) / sigma)
+    assert np.abs(rec.final.values - (ws[-1] - 1.0)).max() <= 1e-12
+
+
+def test_step_functions_refuse_the_other_scheme():
+    # a Crank-Nicolson stepper would give the three-level step the default
+    # kappa, and a kappa of 0 would divide by zero
+    g = vl.build_grid(1, -1.0, 1.0, 7)
+    op = vl.VariableOrderOperator(g, sampled_const(g, 1.5), rank=1)
+    u = vl.GridFunction(g, np.ones(g.size))
+    cn = vl.TimeStepper(dt=0.1, t_final=0.1, kappa=0.0)
+    ac = vl.TimeStepper(scheme="allen_cahn", dt=0.1, t_final=0.1, kappa=0.05)
+    with pytest.raises(vl.InvalidRange, match="allen_cahn"):
+        vl.step_allen_cahn_three_level(u, u, cn, op)
+    with pytest.raises(vl.InvalidRange, match="crank_nicolson"):
+        vl.step_crank_nicolson(u, ac, op)
 
 
 def _heat_march(mask: bool, source: bool, diffusion: float = 1.0):
