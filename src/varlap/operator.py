@@ -325,11 +325,11 @@ def operator_timing(op: VariableOrderOperator, n_reps: int = 5) -> dict:
     if n_reps < 1:
         raise InvalidRange(f"reps must be >= 1, got {n_reps}")
     u = np.random.default_rng(0).standard_normal(op.grid.size)
-    op._apply_fast_flat(u)  # warm caches
+    op._apply_flat(u)  # warm caches
     best = math.inf
     for _ in range(n_reps):
         t0 = time.perf_counter()
-        op._apply_fast_flat(u)
+        op._apply_flat(u)
         best = min(best, time.perf_counter() - t0)
     return {
         "n": op.n_max,

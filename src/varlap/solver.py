@@ -3,16 +3,18 @@
 The elliptic scheme solves ``(-Lap_h)^{alpha_j/2} u_j + b_j u_j = f_j`` on the
 interior nodes with the extended zero condition outside; nodes excluded by an
 embedding mask are pinned to zero through identity rows, keeping the system
-square and nonsingular.  Every time step solves, pinned the same way,
-``(sigma I + c A) w_next = ((2 - sigma) I - c A) w_old + g``; the schemes
-differ only in c, sigma and g.  Systems are solved matrix-free by BiCGSTAB,
-which starts from zero.  Elliptic solves, the phase-field steps and every
-step of the :func:`evolve` march are right preconditioned by the tau-algebra
-(DST-I) model of a constant-order block, its inverse Lagrange interpolated
-in the order over three Chebyshev nodes of the sampled range and in sigma
-over two Chebyshev nodes of its range.  The order side of that inverse is
-built once per operator; each (c, sigma) builds only its shift side.  The
-single step ``step_crank_nicolson`` stays plain BiCGSTAB.
+square and nonsingular.  Every solve is one system, pinned the same way,
+``(sigma I + c A) w_next = ((2 - sigma) I - c A) w_old + g``: the time
+schemes differ only in c, sigma and g, and the elliptic scheme is the
+system from w_old = 0 with c = 1, sigma = b and g = f.  Systems are solved
+matrix-free by BiCGSTAB, which starts from zero.  Elliptic solves, the
+phase-field steps and every step of the :func:`evolve` march are right
+preconditioned by the tau-algebra (DST-I) model of a constant-order block,
+its inverse Lagrange interpolated in the order over three Chebyshev nodes of
+the sampled range and in sigma over two Chebyshev nodes of its range.  The
+order side of that inverse is built once per march or solve; each
+(c, sigma) builds only its shift side.  The single step
+``step_crank_nicolson`` stays plain BiCGSTAB.
 
 The march of :func:`evolve`, one loop for both schemes, carries A w from
 each solve, as ``c A w_next = rhs - sigma w_next`` (off by that solve's
@@ -37,7 +39,6 @@ import csv
 import math
 import numbers
 import time
-import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -91,8 +92,9 @@ class KrylovConfig:
     """BiCGSTAB controls; defaults reproduce iterate-to-stagnation behavior.
 
     ``preconditioner`` is a right preconditioner M^-1 that :func:`bicgstab`
-    applies.  The solve entry points set it themselves; a value here
-    reaches direct calls only.
+    applies.  Every solve entry point sets it itself, the tau inverse or,
+    for ``step_crank_nicolson``, none; a value here reaches direct calls
+    only.
     """
 
     tol: float = 1e-14
@@ -288,35 +290,9 @@ def _masked_rhs(rhs: np.ndarray, mask: DomainMask | None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _TauOrderSide:
-    """What the tau inverse of an operator takes from its orders alone."""
-
-    nodes: np.ndarray        # Chebyshev order nodes alpha_p
-    weights: np.ndarray      # row p: L_p(alpha_j) h^alpha_j
-    lam_powers: np.ndarray   # row p: Lam^(alpha_p/2)
-
-
-def _tau_order_side(op: VariableOrderOperator) -> _TauOrderSide:
-    """The order side of ``_tau_inverse``; Lam is summed from one sine
-    symbol per axis on open grids."""
-    thetas = [np.pi * np.arange(1, n + 1) / (n + 1) for n in op.grid.shape]
-    lam = sum(np.ix_(*[symbol(t[:, None], 1.0) for t in thetas]))
-    alphas = op.field.sampled
-    plan = build_plan(alphas.min(), alphas.max(), TAU_ORDER_NODES)
-    weights = np.ascontiguousarray(
-        eval_lagrange(plan, alphas).T * op.grid.h ** alphas)
-    return _TauOrderSide(nodes=plan.nodes, weights=weights,
-                         lam_powers=np.array([lam ** (a / 2.0) for a in plan.nodes]))
-
-
-#: order side of each live operator's tau inverse, built at its first solve
-_TAU_ORDER_SIDES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _tau_inverse(op: VariableOrderOperator, scale: float = 1.0,
-                 shift: float | np.ndarray = 0.0) -> LinearMap:
-    """``M^-1`` for the tau model M of ``diag(shift) + scale*A``.
+def _tau_model(op: VariableOrderOperator) -> Callable[..., LinearMap]:
+    """The tau model of ``op``: ``(scale, shift=0.0) -> M^-1`` for the tau
+    model M of ``diag(shift) + scale*A``.
 
     S is the orthonormal DST-I, its own inverse; it diagonalizes the tau
     (sine-algebra) approximation of a constant-order Toeplitz block, whose
@@ -337,96 +313,70 @@ def _tau_inverse(op: VariableOrderOperator, scale: float = 1.0,
     act after them, one inverse DST per shift node.  A constant order or
     shift collapses its sum to one node.  The map is the identity on masked
     rows.  The order side (the nodes alpha_p, their weights and the powers
-    Lam^(alpha_p/2)) is built once per operator; each (scale, shift) builds
-    only the shift side.  At scale 0 the model is diag(shift) itself, and
-    M^-1 divides by it.
+    Lam^(alpha_p/2), with Lam summed from one sine symbol per axis) is built
+    here, once; each (scale, shift) builds only the shift side.  At scale 0
+    the model is diag(shift) itself, and M^-1 divides by it.
     """
-    sigma = np.broadcast_to(np.asarray(shift, dtype=float), op.field.sampled.shape)
+    shape, h = op.grid.shape, op.grid.h
+    thetas = [np.pi * np.arange(1, n + 1) / (n + 1) for n in shape]
+    lam = sum(np.ix_(*[symbol(t[:, None], 1.0) for t in thetas]))
+    alphas = op.field.sampled
+    plan = build_plan(alphas.min(), alphas.max(), TAU_ORDER_NODES)
+    order_weights = np.ascontiguousarray(  # row p: L_p(alpha_j) h^alpha_j
+        eval_lagrange(plan, alphas).T * h ** alphas)
+    lam_powers = [lam ** (a / 2.0) for a in plan.nodes]
     outside = None if op.mask is None else ~op.mask.inside
-    if scale == 0.0:
-        diag = sigma.copy()
-        if outside is not None:
-            diag[outside] = 1.0
-        return lambda v: v / diag
-    order = _TAU_ORDER_SIDES.get(op)
-    if order is None:
-        order = _TAU_ORDER_SIDES[op] = _tau_order_side(op)
-    shape = op.grid.shape
-    h = op.grid.h
-    inside = sigma if op.mask is None else sigma[op.mask.inside]
-    lo, hi = inside.min(), inside.max()
-    shift_plan = chebyshev_plan(lo, hi, TAU_SHIFT_NODES)
-    # rows L_s(sigma_j) but the last, which is one minus their sum; masked
-    # nodes may lie outside the range and are clipped (their rows are pinned)
-    shift_weights = np.ascontiguousarray(
-        eval_lagrange(shift_plan, np.clip(sigma, lo, hi)).T[:-1])
-    inv_lams = []  # row p: (sigma_s h^alpha_p + scale Lam^(alpha_p/2))^-1 over s
-    for a, lam_power in zip(order.nodes, order.lam_powers):
-        scaled = scale * lam_power
-        inv_lams.append([1.0 / (s * h ** a + scaled) for s in shift_plan.nodes])
 
-    def inverse(v: np.ndarray) -> np.ndarray:
-        accs = [np.zeros(shape) for _ in shift_plan.nodes]
-        for c, invs in zip(order.weights, inv_lams):
-            v_hat = sfft.dstn((c * v).reshape(shape), type=1, norm="ortho",
-                              overwrite_x=True)
-            for acc, inv in zip(accs, invs):
-                acc += inv * v_hat
-        *outs, out = [sfft.dstn(acc, type=1, norm="ortho", overwrite_x=True).ravel()
-                      for acc in accs]
-        # out + sum_s w_s (o_s - out), in place
-        for w, o in zip(shift_weights, outs):
-            o -= out
-            o *= w
-        for o in outs:
-            out += o
-        if outside is not None:
-            out[outside] = v[outside]
-        return out
+    def inverse_of(scale: float, shift: float | np.ndarray = 0.0) -> LinearMap:
+        sigma = np.broadcast_to(np.asarray(shift, dtype=float), alphas.shape)
+        if scale == 0.0:
+            diag = sigma.copy()
+            if outside is not None:
+                diag[outside] = 1.0
+            return lambda v: v / diag
+        inside = sigma if op.mask is None else sigma[op.mask.inside]
+        lo, hi = inside.min(), inside.max()
+        shift_plan = chebyshev_plan(lo, hi, TAU_SHIFT_NODES)
+        # rows L_s(sigma_j) but the last, which is one minus their sum; masked
+        # nodes may lie outside the range and are clipped (their rows are pinned)
+        shift_weights = np.ascontiguousarray(
+            eval_lagrange(shift_plan, np.clip(sigma, lo, hi)).T[:-1])
+        inv_lams = []  # row p: (sigma_s h^alpha_p + scale Lam^(alpha_p/2))^-1 over s
+        for a, lam_power in zip(plan.nodes, lam_powers):
+            scaled = scale * lam_power
+            inv_lams.append([1.0 / (s * h ** a + scaled) for s in shift_plan.nodes])
 
-    return inverse
+        def inverse(v: np.ndarray) -> np.ndarray:
+            accs = [np.zeros(shape) for _ in shift_plan.nodes]
+            for c, invs in zip(order_weights, inv_lams):
+                v_hat = sfft.dstn((c * v).reshape(shape), type=1, norm="ortho",
+                                  overwrite_x=True)
+                for acc, inv in zip(accs, invs):
+                    acc += inv * v_hat
+            *outs, out = [sfft.dstn(acc, type=1, norm="ortho",
+                                    overwrite_x=True).ravel() for acc in accs]
+            # out + sum_s w_s (o_s - out), in place
+            for w, o in zip(shift_weights, outs):
+                o -= out
+                o *= w
+            for o in outs:
+                out += o
+            if outside is not None:
+                out[outside] = v[outside]
+            return out
 
+        return inverse
 
-def _solve(what: str, op: VariableOrderOperator, apply_a: LinearMap,
-           rhs: np.ndarray, krylov: KrylovConfig | None,
-           inverse: LinearMap | None,
-           start: tuple[np.ndarray, np.ndarray] | None = None
-           ) -> tuple[GridFunction, KrylovResult]:
-    """BiCGSTAB on ``apply_a u = rhs`` with rhs zeroed on masked rows and
-    M^-1 = ``inverse``; raises SolverFailure unless the result is ``ok``.
-
-    ``start`` is an optional warm start ``(x0, apply_a(x0))``, the second
-    known without an apply: the one warm start, which only the march of
-    :func:`evolve` passes.  BiCGSTAB then solves for the correction from the
-    residual r0 with ``tol`` scaled by ||rhs|| / ||r0||, and the result
-    reports its residuals relative to ||rhs||, as a solve from zero does;
-    ``accept_relres`` judges that reported residual.
-    """
-    b = _masked_rhs(rhs, op.mask)
-    cfg = replace(krylov or KrylovConfig(), preconditioner=inverse)
-    b_norm = float(np.linalg.norm(b))
-    if start is None or b_norm == 0.0:
-        result = bicgstab(apply_a, b, cfg)
-    else:
-        x0, a_x0 = start
-        r0 = b - a_x0
-        r0_norm = float(np.linalg.norm(r0))
-        ratio = b_norm / r0_norm if r0_norm > 0.0 else 1.0
-        fix = bicgstab(apply_a, r0, replace(cfg, tol=min(cfg.tol * ratio, 1.0)))
-        result = replace(fix, x=x0 + fix.x, relres=fix.relres / ratio,
-                         residuals=[r / ratio for r in fix.residuals])
-    if not result.ok:
-        raise SolverFailure(f"{what} ended with status {result.status}, "
-                            f"relative residual {result.relres:.3e}")
-    return GridFunction(op.grid, result.x), result
+    return inverse_of
 
 
 def solve_elliptic(problem: EllipticProblem,
                    config: KrylovConfig | None = None) -> SolveOutcome:
     """Solve the elliptic scheme by right-preconditioned BiCGSTAB.
 
-    M^-1 is the unshifted tau inverse of ``_tau_inverse``, in place of any
-    ``config.preconditioner``; the reaction term stays out of M.  Masked
+    It is the step system from w_old = 0 with c = 1, sigma = b and g = f.
+    M^-1 is the unshifted tau inverse ``_tau_model(op)(1.0)``, in place of
+    any ``config.preconditioner``; the reaction term stays out of M.  Masked
     nodes stay at zero.
 
     Raises:
@@ -435,8 +385,10 @@ def solve_elliptic(problem: EllipticProblem,
     """
     op = problem.operator
     sigma = problem.b.values if problem.b is not None else 0.0
-    u, result = _solve("elliptic solve", op, _pinned_map(op, 1.0, sigma),
-                       problem.f.values, config, _tau_inverse(op))
+    u, result, _ = _implicit_step(
+        "elliptic solve", op, GridFunction.zeros(op.grid), 1.0, sigma,
+        problem.f.values, config or KrylovConfig(), _tau_model(op)(1.0),
+        aw_old=np.zeros(op.grid.size))
     return SolveOutcome(u=u, krylov=result)
 
 
@@ -489,36 +441,62 @@ class TimeStepper:
 
 def _implicit_step(what: str, op: VariableOrderOperator, w_old: GridFunction,
                    c: float, sigma: float | np.ndarray, g: float | np.ndarray,
-                   krylov: KrylovConfig, precondition: bool = True,
+                   krylov: KrylovConfig, inverse: LinearMap | None,
                    aw_old: np.ndarray | None = None,
                    start: tuple[np.ndarray, np.ndarray] | None = None
                    ) -> tuple[GridFunction, KrylovResult, np.ndarray | None]:
     """Solve ``(sigma I + c A) w_next = ((2 - sigma) I - c A) w_old + g``, the
-    system of every time step, pinned on masked rows; right preconditioned by
-    its tau model, or plain whatever ``krylov`` holds if not ``precondition``.
+    system of every solve, pinned on masked rows: BiCGSTAB with the rhs
+    zeroed there and M^-1 = ``inverse``, plain if None whatever ``krylov``
+    holds.  Raises SolverFailure unless the result is ``ok``.
 
     ``aw_old`` is A w_old if the caller carries it; one apply computes it if
     not, and none at c = 0.  ``start`` is an optional warm start
-    ``(x0, A x0)``.  Also returns A w_next as the solve leaves it,
-    ``(rhs - sigma w_next) / c`` with masked rows zero: it is off the true
-    one by the solve's residual over c, so c times it is off by the residual
-    itself.  None if c = 0.
+    ``(x0, A x0)``, the second known without an apply: the one warm start,
+    which only the march of :func:`evolve` passes.  BiCGSTAB then solves for
+    the correction from the residual r0 with ``tol`` scaled by
+    ||rhs|| / ||r0||, and the result reports its residuals relative to
+    ||rhs||, as a solve from zero does; ``accept_relres`` judges that
+    reported residual.
+
+    Also returns A w_next as the solve leaves it, ``(rhs - sigma w_next) / c``
+    with masked rows zero: it is off the true one by the solve's residual
+    over c, so c times it is off by the residual itself.  None if c = 0.
     """
     rhs = (_pinned_map(op, -c, 2.0 - sigma)(w_old.values) if aw_old is None
            else _pinned(aw_old, w_old.values, -c, 2.0 - sigma, op.mask)) + g
-    inverse = _tau_inverse(op, scale=c, shift=sigma) if precondition else None
-    if start is not None:
+    b = _masked_rhs(rhs, op.mask)
+    apply_a = _pinned_map(op, c, sigma)
+    cfg = replace(krylov, preconditioner=inverse)
+    b_norm = float(np.linalg.norm(b))
+    if start is None or b_norm == 0.0:
+        result = bicgstab(apply_a, b, cfg)
+    else:
         x0, a_x0 = start
-        start = (x0, _pinned(a_x0, x0, c, sigma, op.mask))
-    w_next, result = _solve(what, op, _pinned_map(op, c, sigma), rhs, krylov,
-                            inverse, start)
+        r0 = b - _pinned(a_x0, x0, c, sigma, op.mask)
+        r0_norm = float(np.linalg.norm(r0))
+        ratio = b_norm / r0_norm if r0_norm > 0.0 else 1.0
+        fix = bicgstab(apply_a, r0, replace(cfg, tol=min(cfg.tol * ratio, 1.0)))
+        result = replace(fix, x=x0 + fix.x, relres=fix.relres / ratio,
+                         residuals=[r / ratio for r in fix.residuals])
+    if not result.ok:
+        raise SolverFailure(f"{what} ended with status {result.status}, "
+                            f"relative residual {result.relres:.3e}")
     aw_next = None
     if c != 0.0:
-        aw_next = rhs - sigma * w_next.values
+        aw_next = rhs - sigma * result.x
         aw_next /= c
         if op.mask is not None:
             aw_next[~op.mask.inside] = 0.0
-    return w_next, result, aw_next
+    return GridFunction(op.grid, result.x), result, aw_next
+
+
+def _check_grid(op: VariableOrderOperator, **states: GridFunction) -> None:
+    """Raise GridMismatch for a state on another grid than the operator's."""
+    for name, u in states.items():
+        if u.grid.shape != op.grid.shape:
+            raise GridMismatch(f"{name} grid {u.grid.shape} does not match "
+                               f"operator grid {op.grid.shape}")
 
 
 def step_crank_nicolson(u_prev: GridFunction, stepper: TimeStepper,
@@ -530,9 +508,10 @@ def step_crank_nicolson(u_prev: GridFunction, stepper: TimeStepper,
     if stepper.scheme != "crank_nicolson":
         raise InvalidRange(f"a Crank-Nicolson step takes a crank_nicolson "
                            f"stepper, got {stepper.scheme!r}")
+    _check_grid(operator, u_prev=u_prev)
     return _implicit_step("Crank-Nicolson step", operator, u_prev,
                           *_crank_nicolson_system(stepper, operator, t),
-                          stepper.krylov, precondition=False)[:2]
+                          stepper.krylov, None)[:2]
 
 
 def _crank_nicolson_system(stepper: TimeStepper, op: VariableOrderOperator,
@@ -580,14 +559,16 @@ def step_allen_cahn_three_level(u_nm1: GridFunction, u_n: GridFunction,
     The nonnegative implicit factor q keeps the scheme stable at dt ~
     kappa^2; fully explicit or fully averaged treatments of the double-well
     term are leapfrog-unstable there.  The solve is right preconditioned by
-    the tau model with the per-node shift sigma.  Refuses a stepper of the
-    other scheme.
+    the tau model with the per-node shift sigma, built for this one step.
+    Refuses a stepper of the other scheme.
     """
     if stepper.scheme != "allen_cahn":
         raise InvalidRange(f"a three-level step takes an allen_cahn stepper, "
                            f"got {stepper.scheme!r}")
-    return _implicit_step("three-level step", operator, u_nm1,
-                          *_three_level_system(u_n, stepper), stepper.krylov)[:2]
+    _check_grid(operator, u_nm1=u_nm1, u_n=u_n)
+    c, sigma, g = _three_level_system(u_n, stepper)
+    return _implicit_step("three-level step", operator, u_nm1, c, sigma, g,
+                          stepper.krylov, _tau_model(operator)(c, sigma))[:2]
 
 
 def positive_component_count(u: GridFunction) -> int:
@@ -640,19 +621,19 @@ def evolve(stepper: TimeStepper, operator: VariableOrderOperator,
     Both schemes run one march in w = u + shift, shift 1 for the phase-field
     scheme (its shifted variable) and 0 for Crank-Nicolson; ``u0`` and all
     recorded states are physical.  Each step solves the step system of its
-    scheme, right preconditioned by the tau model: Crank-Nicolson from w^n,
-    the phase-field bootstrap step (Crank-Nicolson with the nonlinearity
-    explicit) from w^0, and the three-level step from w^{n-1}.  The march
-    carries A w from each solve, so only the first step applies the
-    operator to its right-hand side, and none does without diffusion.  It
-    starts a step from ``2 w^n - w^{n-1}`` once both are carried; its states
-    match those of the public step functions up to the solves' residuals.  Masked nodes read the exterior
+    scheme, right preconditioned by the tau model, which the march builds
+    once: Crank-Nicolson from w^n, the phase-field bootstrap step
+    (Crank-Nicolson with the nonlinearity explicit) from w^0, and the
+    three-level step from w^{n-1}.  The march carries A w from each solve,
+    so only the first step applies the operator to its right-hand side, and
+    none does without diffusion.  It starts a step from ``2 w^n - w^{n-1}``
+    once both are carried; its states match those of the public step
+    functions up to the solves' residuals.  Masked nodes read the exterior
     value from row 0 on, whatever ``u0`` holds there: 0 for Crank-Nicolson
     and -1 for the phase-field scheme.  Frames, when requested, are written
     as flat row-major text arrays, one file per step.
     """
-    if u0.grid.shape != operator.grid.shape:
-        raise GridMismatch("initial data grid does not match operator grid")
+    _check_grid(operator, u0=u0)
     shift = 1.0 if stepper.scheme == "allen_cahn" else 0.0
     if operator.mask is not None:  # w = 0 outside; 0.0 - shift is never -0.0
         u0 = GridFunction(operator.grid,
@@ -666,6 +647,7 @@ def evolve(stepper: TimeStepper, operator: VariableOrderOperator,
     w_prev = aw_prev = aw_cur = None
     w_cur = GridFunction(operator.grid, u0.values + shift)
     u = u0
+    tau = _tau_model(operator)
     for k in range(1, n_steps + 1):
         t0 = time.perf_counter()
         if k == 1 and stepper.diffusion != 0.0:
@@ -682,7 +664,7 @@ def evolve(stepper: TimeStepper, operator: VariableOrderOperator,
             start = (2.0 * w_cur.values - w_prev.values, 2.0 * aw_cur - aw_prev)
         w_next, res, aw_next = _implicit_step(
             f"{stepper.scheme} step {k}", operator, base[0], *system,
-            stepper.krylov, aw_old=base[1], start=start)
+            stepper.krylov, tau(*system[:2]), aw_old=base[1], start=start)
         w_prev, aw_prev, w_cur, aw_cur = w_cur, aw_cur, w_next, aw_next
         u = GridFunction(operator.grid, w_next.values - shift)
         rows.append(_observe(u, k, k * stepper.dt, res.iterations,

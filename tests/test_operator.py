@@ -248,6 +248,18 @@ def test_operator_timing_report(grid_1d):
     assert rep["rank"] == 3
 
 
+def test_operator_timing_goes_through_apply_flat(grid_1d, monkeypatch):
+    # one apply entry point: the warm-up and each timed apply
+    field = vl.sample_order(tanh_dec_field(), grid_1d)
+    op = vl.VariableOrderOperator(grid_1d, field, mode="fast", rank=3)
+    calls = []
+    apply_flat = op._apply_flat
+    monkeypatch.setattr(op, "_apply_flat",
+                        lambda u: calls.append(u) or apply_flat(u))
+    vl.operator_timing(op, n_reps=4)
+    assert len(calls) == 4 + 1
+
+
 def test_fit_loglog_slope():
     n = np.array([64, 128, 256, 512])
     assert fit_loglog_slope(n, 1e-6 * n**1.2) == pytest.approx(1.2, abs=1e-12)

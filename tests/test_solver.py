@@ -14,7 +14,7 @@ from varlap.solver import (
     _implicit_step,
     _masked_rhs,
     _pinned_map,
-    _tau_inverse,
+    _tau_model,
     _three_level_system,
     positive_component_count,
     write_observer_csv,
@@ -33,6 +33,19 @@ def test_bicgstab_identity():
     assert res.status == "converged"
     assert res.iterations <= 2
     assert np.allclose(res.x, b, atol=1e-14)
+
+
+def test_bicgstab_breakdown_on_rotation():
+    # r_hat . A p = e1 . e2 = 0 in the first sweep: breakdown before any
+    # half-step, with x = 0 and its true residual
+    res = vl.bicgstab(lambda u: np.array([-u[1], u[0]]), np.array([1.0, 0.0]))
+    assert res.status == "breakdown" and res.iterations == 0
+    assert np.array_equal(res.x, np.zeros(2)) and res.relres == 1.0
+
+
+def test_bicgstab_nan_raises():
+    with pytest.raises(vl.SolverFailure, match="NaN"):
+        vl.bicgstab(lambda u: np.full_like(u, np.nan), np.ones(3))
 
 
 def test_bicgstab_dense_spd_matches_direct_solve():
@@ -188,8 +201,9 @@ def test_tau_half_steps_bounded_across_grids(n):
 
 def _bootstrap_step(w, stepper, op):
     """The first phase-field step as the march takes it, from zero."""
-    return _implicit_step("bootstrap step", op, w, *_bootstrap_system(w, stepper),
-                          stepper.krylov)[:2]
+    c, sigma, g = _bootstrap_system(w, stepper)
+    return _implicit_step("bootstrap step", op, w, c, sigma, g, stepper.krylov,
+                          _tau_model(op)(c, sigma))[:2]
 
 
 def _allen_cahn_systems(op, w_prev, w_cur, stepper):
@@ -268,7 +282,7 @@ def test_tau_inverse_exact_on_constant_order_and_shift(dim, n):
     v = np.random.default_rng(dim).standard_normal(g.size)
     model_v = _dst(eig * _dst(v, g.shape).reshape(g.shape), g.shape)
     for sigma in (shift, np.full(g.size, shift)):
-        out = _tau_inverse(op, scale=scale, shift=sigma)(model_v)
+        out = _tau_model(op)(scale, sigma)(model_v)
         assert np.abs(out - v).max() <= 1e-12 * np.abs(v).max()
 
 
@@ -286,7 +300,7 @@ def test_unshifted_tau_inverse_is_order_interpolated_formula(kind):
     v = np.random.default_rng(2).standard_normal(g.size)
     ref = _dst(sum(lam ** (-a / 2.0) / scale * _dst(c * v, g.shape).reshape(g.shape)
                    for a, c in zip(plan.nodes, weights)), g.shape)
-    out = _tau_inverse(op, scale=scale, shift=0.0)(v)
+    out = _tau_model(op)(scale, 0.0)(v)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -301,7 +315,7 @@ def test_tau_inverse_at_zero_scale_divides_by_shift():
     for disc in (None, mask):
         op = vl.VariableOrderOperator(g, order_field("case2_linear"),
                                       mode="fast", mask=disc)
-        out = _tau_inverse(op, scale=0.0, shift=sigma)(v)
+        out = _tau_model(op)(0.0, sigma)(v)
         inside = np.ones(g.size, bool) if disc is None else disc.inside
         assert np.array_equal(out[inside], v[inside] / sigma[inside])
         assert np.array_equal(out[~inside], v[~inside])
@@ -324,6 +338,22 @@ def test_shift_interpolated_tau_half_steps():
     assert three.iterations <= 13, three.iterations
 
 
+@pytest.mark.parametrize("arg", ["u_prev", "u_nm1", "u_n"])
+def test_step_functions_refuse_state_on_another_grid(arg):
+    g = vl.build_grid(2, -1.0, 1.0, 15)
+    op = vl.VariableOrderOperator(g, sampled_const(g, 1.5), mode="fast")
+    states = {"u_nm1": vl.GridFunction.zeros(g), "u_n": vl.GridFunction.zeros(g),
+              arg: vl.GridFunction.zeros(vl.build_grid(2, -1.0, 1.0, 7))}
+    with pytest.raises(vl.GridMismatch, match=arg):
+        if arg == "u_prev":
+            vl.step_crank_nicolson(states[arg], vl.TimeStepper(dt=0.1, t_final=0.1),
+                                   op)
+        else:
+            vl.step_allen_cahn_three_level(
+                states["u_nm1"], states["u_n"],
+                vl.TimeStepper(scheme="allen_cahn", dt=0.1, t_final=0.1), op)
+
+
 def test_cn_step_runs_plain_bicgstab():
     # the shifted Crank-Nicolson system gets no preconditioner, not even one
     # carried by stepper.krylov: the step is bit for bit one plain BiCGSTAB
@@ -337,7 +367,7 @@ def test_cn_step_runs_plain_bicgstab():
     rhs = _pinned_map(op, -half, 1.0)(u0.values)
     plain = vl.bicgstab(_pinned_map(op, half, 1.0), rhs,
                         stepper.krylov)
-    tau = _tau_inverse(op, scale=half, shift=1.0)
+    tau = _tau_model(op)(half, 1.0)
     for krylov in (stepper.krylov, replace(stepper.krylov, preconditioner=tau)):
         u1, res = vl.step_crank_nicolson(u0, replace(stepper, krylov=krylov), op)
         assert res.iterations == plain.iterations
@@ -773,7 +803,8 @@ def test_warm_started_step_reports_residual_of_its_rhs(mask):
     c, sigma, g = _three_level_system(w2, stepper)
     start = (2.0 * w2.values - w1.values, 2.0 * aw2 - aw1)
     w3, res, aw3 = _implicit_step("three-level step", op, w1, c, sigma, g,
-                                  stepper.krylov, aw_old=aw1, start=start)
+                                  stepper.krylov, _tau_model(op)(c, sigma),
+                                  aw_old=aw1, start=start)
     cold = vl.step_allen_cahn_three_level(w1, w2, stepper, op)[1]
     rhs = _masked_rhs(_pinned_map(op, -c, 2.0 - sigma)(w1.values) + g, op.mask)
     true = (np.linalg.norm(rhs - _pinned_map(op, c, sigma)(w3.values))
@@ -790,9 +821,10 @@ def test_warm_started_step_reports_residual_of_its_rhs(mask):
 def test_tau_order_side_built_once_per_operator(monkeypatch):
     op, stepper, u0 = _bubbles_march(False)
     stepper = replace(stepper, t_final=10 * stepper.dt)
+    # the march builds the tau model once and each step only its shift side
     calls = []
-    build = solver._tau_order_side
-    monkeypatch.setattr(solver, "_tau_order_side",
+    build = solver._tau_model
+    monkeypatch.setattr(solver, "_tau_model",
                         lambda op: calls.append(op) or build(op))
     rec = vl.evolve(stepper, op, u0)
     assert len(rec.rows) == 11 and calls == [op]
