@@ -97,36 +97,48 @@ def eval_lagrange(plan: ChebyshevPlan, t) -> np.ndarray:
     Returns shape (r,) for scalar t, else t.shape + (r,).  Exact node hits
     return the corresponding unit vector; components always sum to one.
 
+    The n = t.size values are computed in place in one C-ordered (r, n)
+    buffer: the differences t - alpha_q, the barycentric quotients
+    w_q / (t - alpha_q) (a node hit, |t - alpha_q| < 1e-14, divides by
+    one), their normalisation by the column sums, and the unit columns of
+    the hits.  So the call holds at most that buffer plus a few length-n
+    vectors, and the result is its transposed view: for a one-dimensional
+    t, ``.T`` of the result is the C-ordered (r, n) buffer, which a caller
+    may scale in place.
+
     Raises:
-        OutOfRange: some t outside [alpha_min, alpha_max].
+        OutOfRange: some t outside [alpha_min, alpha_max], or NaN.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < plan.alpha_min - 1e-12) or np.any(t_arr > plan.alpha_max + 1e-12):
+    # min and max propagate NaN, which then fails both comparisons
+    if t_arr.size and not (plan.alpha_min - 1e-12 <= t_arr.min()
+                           and t_arr.max() <= plan.alpha_max + 1e-12):
         raise OutOfRange(
             f"t outside [{plan.alpha_min}, {plan.alpha_max}]"
         )
-    flat = t_arr.ravel()
-    if plan.rank == 1:
-        out = np.ones((flat.size, 1))
-    else:
-        # (r, n): the reductions run over the short rank axis as r whole-row
-        # adds, not as n strided short sums
-        diff = flat[None, :] - plan.nodes[:, None]
-        hit = np.abs(diff) < 1e-14
-        safe = np.where(hit, 1.0, diff)
-        kern = plan.bary_weights[:, None] / safe
-        out = (kern / kern.sum(axis=0)).T
-        cols = hit.any(axis=0)
-        if cols.any():
-            out[cols] = hit[:, cols].T
-    out = out.reshape(t_arr.shape + (plan.rank,))
+    # (r, n): the reductions run over the short rank axis as r whole-row
+    # adds, not as n strided short sums
+    buf = np.subtract(t_arr.ravel()[None, :], plan.nodes[:, None])
+    hits = [np.flatnonzero(np.abs(row) < 1e-14) for row in buf]
+    for row, idx in zip(buf, hits):
+        row[idx] = 1.0
+    np.divide(plan.bary_weights[:, None], buf, out=buf)
+    buf /= buf.sum(axis=0)
+    for idx in hits:
+        buf[:, idx] = 0.0
+    for row, idx in zip(buf, hits):
+        row[idx] = 1.0
+    out = buf.T.reshape(t_arr.shape + (plan.rank,))
     return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
 def rank_coefficients(plan: ChebyshevPlan, field: OrderField) -> np.ndarray:
     """Per-node Lagrange values c_q(x_j) = L_q(alpha_j), shape (nodes, rank).
 
-    Rows sum to one (partition of unity of the Lagrange basis).
+    Rows sum to one (partition of unity of the Lagrange basis).  The values
+    are :func:`eval_lagrange` of the sampled orders, so the call holds at
+    most the (rank, nodes) buffer that its result is the transposed view
+    of, plus a few length-nodes vectors.
     """
     if field.sampled is None:
         raise InvalidRange("order field must be sampled first")

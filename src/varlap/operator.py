@@ -203,10 +203,10 @@ class VariableOrderOperator:
                 plan = build_plan(field.alpha_min, field.alpha_max,
                                   rank if rank is not None else DEFAULT_RANK)
             self.plan = plan
-            coeffs = rank_coefficients(plan, field)
+            # Lagrange coefficient maps with h^(-alpha_q) folded in, (r, *shape),
+            # scaled in the C-ordered buffer that rank_coefficients transposes
+            maps = rank_coefficients(plan, field).T
             self.kernels = [self.constant_order_kernel(a) for a in plan.nodes]
-            # Lagrange coefficient maps with h^(-alpha_q) folded in, (r, *shape)
-            maps = np.array(coeffs.T, order="C")
             maps *= np.array([k.h ** (-k.alpha) for k in self.kernels])[:, None]
             self._rank_maps = maps.reshape((plan.rank,) + grid.shape)
             # the padded spectrum and one rank term's product, reused by

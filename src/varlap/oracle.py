@@ -52,28 +52,45 @@ def gaussian_frac_lap(x, alpha, d: int):
     The value depends on the point only through (|x|^2, alpha), so each
     distinct pair is evaluated once and scattered back: a symmetric grid
     with a radial, piecewise or constant order repeats each pair about ten
-    times.  ``scipy.special.hyp1f1`` works elementwise, so the result is
-    bitwise that of evaluating every point.
+    times.  |x|^2 is summed one axis at a time, so no squared copy of the
+    (n, d) points is made; the distinct pairs are the run starts of one
+    ``np.lexsort`` over the two float keys.  So for n points the call holds
+    at most a few length-n vectors: |x|^2, the sort order, the run-start
+    mask and the map back to the distinct pairs.  ``scipy.special.hyp1f1``
+    works elementwise, so the result is bitwise that of evaluating every
+    point.
+
+    Raises:
+        InvalidDim: d not in 1..3, or points with other than d components.
+        InvalidRange: a non-finite point.
+        OrderOutOfRange: an order outside (0, 2], or non-finite.
     """
     d = int(d)
     if d not in (1, 2, 3):
         raise InvalidDim(f"dimension must be 1, 2 or 3, got {d}")
     pts = np.asarray(x, dtype=float)
     if pts.ndim <= 1 and d == 1:
-        r2 = pts**2
-    elif pts.ndim == 1:
-        if pts.size != d:
-            raise InvalidDim(f"point has {pts.size} components, expected {d}")
-        r2 = np.sum(pts**2)
-    else:
-        if pts.shape[-1] != d:
-            raise InvalidDim(f"points have {pts.shape[-1]} components, expected {d}")
-        r2 = np.sum(pts**2, axis=-1)
-    al = np.broadcast_to(np.asarray(alpha, dtype=float), r2.shape)
-    if np.any(al <= 0.0) or np.any(al > 2.0):
+        pts = pts[..., None]
+    elif pts.ndim <= 1 and pts.size != d:
+        raise InvalidDim(f"point has {pts.size} components, expected {d}")
+    elif pts.shape[-1] != d:
+        raise InvalidDim(f"points have {pts.shape[-1]} components, expected {d}")
+    if not np.isfinite(pts).all():
+        raise InvalidRange("points must be finite")
+    r2 = pts[..., 0] ** 2
+    for p in range(1, d):
+        r2 += pts[..., p] ** 2
+    shape, r2 = np.shape(r2), np.ravel(r2)
+    al = np.broadcast_to(np.asarray(alpha, dtype=float), shape).ravel()
+    if not np.all((al > 0.0) & (al <= 2.0)):       # NaN included
         raise OrderOutOfRange("order outside (0, 2]")
-    pairs, inverse = np.unique(r2 + 1j * al, return_inverse=True)
-    r2u, alu = pairs.real, pairs.imag
+    order = np.lexsort((al, r2))
+    r2s, als = r2[order], al[order]
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = (r2s[1:] != r2s[:-1]) | (als[1:] != als[:-1])
+    r2u, alu = r2s[start], als[start]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(start) - 1
     # alpha = 2 takes the classical (2d - 4|x|^2) e^(-|x|^2): there a - b = 1,
     # and scipy sums about |x|^2 series terms (seconds at |x|^2 = 1e12)
     vals = (2.0 * d - 4.0 * r2u) * np.exp(-r2u)
@@ -81,7 +98,7 @@ def gaussian_frac_lap(x, alpha, d: int):
     a = (d + alu[frac]) / 2.0
     vals[frac] = (2.0 ** alu[frac] * np.exp(gammaln(a) - gammaln(d / 2.0))
                   * hyp1f1(a, d / 2.0, -r2u[frac]))
-    out = np.reshape(vals[inverse], r2.shape)
+    out = np.reshape(vals[inverse], shape)
     return float(out) if out.ndim == 0 else out
 
 

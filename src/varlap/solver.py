@@ -322,8 +322,8 @@ def _tau_model(op: VariableOrderOperator) -> Callable[..., LinearMap]:
     lam = sum(np.ix_(*[symbol(t[:, None], 1.0) for t in thetas]))
     alphas = op.field.sampled
     plan = build_plan(alphas.min(), alphas.max(), TAU_ORDER_NODES)
-    order_weights = np.ascontiguousarray(  # row p: L_p(alpha_j) h^alpha_j
-        eval_lagrange(plan, alphas).T * h ** alphas)
+    order_weights = eval_lagrange(plan, alphas).T  # row p: L_p(alpha_j) h^alpha_j
+    order_weights *= h ** alphas
     lam_powers = [lam ** (a / 2.0) for a in plan.nodes]
     outside = None if op.mask is None else ~op.mask.inside
 

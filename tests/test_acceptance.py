@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines; the acceptance module takes about a minute on a 2-vCPU Xeon
-(the whole suite 63-72 s; criterion 6 alone 9-13 s).
+lines; the acceptance module takes 32-34 s on a 2-vCPU Xeon (the whole
+suite 41-58 s; criterion 6 alone 6-7 s, the phase-field test 10-13 s).
 Frozen reference values come from the benchmark tables reproduced by this
 package at desk scale.
 """

@@ -59,8 +59,9 @@ def test_eval_lagrange_matches_product_form(rank):
 
 def test_eval_out_of_range():
     plan = vl.build_plan(0.5, 1.5, 4)
-    with pytest.raises(OutOfRange):
-        vl.eval_lagrange(plan, 1.7)
+    for t in (1.7, [1.2, np.nan]):      # NaN fails both range comparisons
+        with pytest.raises(OutOfRange):
+            vl.eval_lagrange(plan, t)
 
 
 def test_invalid_intervals():

@@ -446,6 +446,22 @@ def test_half_spectra_bytes_3d():
     assert sum(k.spectrum.nbytes for k in op.kernels) == 7 * 33 * 64 * 33 * 8
 
 
+def test_fast_setup_peaks_at_the_arrays_it_keeps():
+    # the Lagrange values are scaled in the buffer they were computed in,
+    # and the apply buffers come last, so no transient outlives the build
+    g = vl.build_grid(2, -4.0, 4.0, 255)
+    field = vl.sample_order(order_field("alpha2"), g)
+    tracemalloc.start()
+    try:
+        op = vl.VariableOrderOperator(g, field, rank=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = (op._rank_maps.nbytes + op._work.nbytes
+            + sum(k.spectrum.nbytes for k in op.kernels))
+    assert peak <= kept + 2**20
+
+
 def test_fast_axis_len_even_and_covers_2n():
     lengths = {n: _fast_axis_len(n) for n in range(1, 601)}
     assert all(length % 2 == 0 and length >= 2 * n

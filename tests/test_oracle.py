@@ -121,7 +121,7 @@ def _gaussian_frac_lap_every_point(pts, alpha, d):
     return front * hyp1f1((d + al) / 2.0, d / 2.0, -r2)
 
 
-@pytest.mark.parametrize("order", ["radial", "constant", "random"])
+@pytest.mark.parametrize("order", ["radial", "constant", "random", "scattered"])
 def test_gaussian_frac_lap_bitwise_on_symmetric_grid(order):
     grid = vl.build_grid(2, -4.0, 4.0, 63)
     pts = grid.points()
@@ -129,13 +129,38 @@ def test_gaussian_frac_lap_bitwise_on_symmetric_grid(order):
         alpha = vl.sample_order(order_field("alpha2"), grid).sampled
     elif order == "constant":
         alpha = 1.3
-    else:
+    elif order == "random":
         # orders independent of |x| on repeated radii: a key on |x|^2 alone
         # would hand one radius's value to another order
         alpha = np.random.default_rng(3).choice([0.4, 1.1, 1.9], grid.size)
+    else:
+        # shuffled off-grid points whose sign flips and swapped coordinates
+        # repeat |x|^2 bitwise; the swapped copies draw their own order, so
+        # some pairs repeat and some radii carry two orders
+        rng = np.random.default_rng(7)
+        base = rng.uniform(-3.0, 3.0, (500, 2))
+        base_alpha = rng.choice([0.4, 1.1, 1.9], 500)
+        pts = np.concatenate([base, -base, base[:, ::-1], base * [1.0, -1.0]])
+        alpha = np.concatenate([base_alpha, base_alpha,
+                                rng.choice([0.4, 1.1], 500), base_alpha])
+        perm = rng.permutation(pts.shape[0])
+        pts, alpha = pts[perm], alpha[perm]
+        pairs = set(zip(np.sum(pts**2, axis=-1), alpha))
+        assert 500 <= len(pairs) < 1000
     got = vl.gaussian_frac_lap(pts, alpha, 2)
-    assert got.shape == (grid.size,)
+    assert got.shape == (pts.shape[0],)
     assert np.array_equal(got, _gaussian_frac_lap_every_point(pts, alpha, 2))
+
+
+def test_gaussian_frac_lap_refuses_non_finite_input():
+    for alpha in (np.nan, np.inf, [1.2, np.nan]):
+        with pytest.raises(OrderOutOfRange):
+            vl.gaussian_frac_lap([[0.3, 0.2], [0.1, 0.4]], alpha, 2)
+    for x in ([np.nan, 0.2], [np.inf, 0.2], [[0.1, 0.2], [0.3, -np.inf]]):
+        with pytest.raises(InvalidRange):
+            vl.gaussian_frac_lap(x, 1.2, 2)
+    with pytest.raises(InvalidRange):
+        vl.gaussian_frac_lap(np.nan, 1.2, 1)
 
 
 def test_gaussian_frac_lap_scalar_paths_return_float():
