@@ -27,9 +27,12 @@ right after transforming it, so no transform runs on a line that is all
 zeros or that the interior block never reads.  Kernel spectra and the
 h^(-alpha_q)-scaled Lagrange coefficients are built once per operator, so
 each repeated apply (every Krylov iteration) costs one forward and r inverse
-transforms.  The padded spectrum and its product with one kernel spectrum,
-both of full rfftn shape, live in two buffers the operator keeps, so an
-apply allocates no full-size padded array.
+transforms.  The operator keeps only the coefficient maps and the kernel
+spectra.  The padded spectrum and its product with one kernel spectrum,
+both of full rfftn shape, live in a workspace that the caller of an apply
+may pass and reuse: the solver allocates one per solve, so no full-size
+padded array is allocated per Krylov iteration, and one operator may be
+applied from several threads at once, each with its own workspace.
 """
 
 from __future__ import annotations
@@ -203,18 +206,13 @@ class VariableOrderOperator:
                 plan = build_plan(field.alpha_min, field.alpha_max,
                                   rank if rank is not None else DEFAULT_RANK)
             self.plan = plan
+            # kernels first: their transients are freed before the maps exist
+            self.kernels = [self.constant_order_kernel(a) for a in plan.nodes]
             # Lagrange coefficient maps with h^(-alpha_q) folded in, (r, *shape),
             # scaled in the C-ordered buffer that rank_coefficients transposes
             maps = rank_coefficients(plan, field).T
-            self.kernels = [self.constant_order_kernel(a) for a in plan.nodes]
             maps *= np.array([k.h ** (-k.alpha) for k in self.kernels])[:, None]
             self._rank_maps = maps.reshape((plan.rank,) + grid.shape)
-            # the padded spectrum and one rank term's product, reused by
-            # every apply: allocated per apply, these multi-MB arrays are
-            # page-faulted in afresh whenever the C allocator has trimmed
-            # its heap (up to 4e5 faults per 3D N = 31 solve)
-            self._work = np.empty(
-                (2,) + _rfft_shape(self.kernels[0].pad_shape), dtype=complex)
 
     # -- kernel and weight-row construction -------------------------------
 
@@ -234,9 +232,28 @@ class VariableOrderOperator:
             )
         return GridFunction(self.grid, self._apply_flat(u.values))
 
-    def _apply_flat(self, values: np.ndarray) -> np.ndarray:
+    def _workspace(self) -> np.ndarray | None:
+        """A fresh workspace for fast applies, None for a direct operator.
+
+        It holds the padded spectrum and one rank term's product, a
+        (2, rfftn shape) complex array.
+        """
+        if self.mode != "fast":
+            return None
+        return np.empty((2,) + _rfft_shape(self.kernels[0].pad_shape),
+                        dtype=complex)
+
+    def _apply_flat(self, values: np.ndarray,
+                    work: np.ndarray | None = None) -> np.ndarray:
+        """The apply to a flat array, the one funnel every apply goes through.
+
+        ``work`` is a workspace from :meth:`_workspace`, owned by the caller,
+        who may reuse it for any number of applies from one thread at a
+        time; the apply allocates its own if given none.  A direct apply
+        ignores it.
+        """
         if self.mode == "fast":
-            return self._apply_fast_flat(values)
+            return self._apply_fast_flat(values, work)
         return self._apply_direct_flat(values)
 
     def _masked_input(self, values: np.ndarray) -> np.ndarray:
@@ -246,10 +263,11 @@ class VariableOrderOperator:
         out[~self.mask.inside] = 0.0
         return out
 
-    def _apply_fast_flat(self, values: np.ndarray) -> np.ndarray:
+    def _apply_fast_flat(self, values: np.ndarray,
+                         work: np.ndarray | None = None) -> np.ndarray:
         vals = self._masked_input(np.asarray(values, dtype=float))
         shape, pad_shape = self.grid.shape, self.kernels[0].pad_shape
-        spec, prod = self._work
+        spec, prod = self._workspace() if work is None else work
         _forward(vals.reshape(shape), pad_shape, spec)
         out = np.zeros(shape)
         # fixed ascending-q summation keeps results bitwise reproducible
@@ -325,11 +343,13 @@ def operator_timing(op: VariableOrderOperator, n_reps: int = 5) -> dict:
     if n_reps < 1:
         raise InvalidRange(f"reps must be >= 1, got {n_reps}")
     u = np.random.default_rng(0).standard_normal(op.grid.size)
-    op._apply_flat(u)  # warm caches
+    # one workspace for every apply, as a solve holds one
+    work = op._workspace()
+    op._apply_flat(u, work)
     best = math.inf
     for _ in range(n_reps):
         t0 = time.perf_counter()
-        op._apply_flat(u)
+        op._apply_flat(u, work)
         best = min(best, time.perf_counter() - t0)
     return {
         "n": op.n_max,

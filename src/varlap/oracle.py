@@ -62,7 +62,7 @@ def gaussian_frac_lap(x, alpha, d: int):
 
     Raises:
         InvalidDim: d not in 1..3, or points with other than d components.
-        InvalidRange: a non-finite point.
+        InvalidRange: a non-finite point, or one whose |x|^2 overflows.
         OrderOutOfRange: an order outside (0, 2], or non-finite.
     """
     d = int(d)
@@ -75,11 +75,12 @@ def gaussian_frac_lap(x, alpha, d: int):
         raise InvalidDim(f"point has {pts.size} components, expected {d}")
     elif pts.shape[-1] != d:
         raise InvalidDim(f"points have {pts.shape[-1]} components, expected {d}")
-    if not np.isfinite(pts).all():
-        raise InvalidRange("points must be finite")
-    r2 = pts[..., 0] ** 2
-    for p in range(1, d):
-        r2 += pts[..., p] ** 2
+    with np.errstate(over="ignore"):
+        r2 = pts[..., 0] ** 2
+        for p in range(1, d):
+            r2 += pts[..., p] ** 2
+    if not np.isfinite(r2).all():                  # NaN and inf points too
+        raise InvalidRange("points must be finite, with a finite |x|^2")
     shape, r2 = np.shape(r2), np.ravel(r2)
     al = np.broadcast_to(np.asarray(alpha, dtype=float), shape).ravel()
     if not np.all((al > 0.0) & (al <= 2.0)):       # NaN included

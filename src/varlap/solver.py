@@ -273,10 +273,17 @@ def _pinned(a_u: np.ndarray, u: np.ndarray, scale: float,
 
 def _pinned_map(op: VariableOrderOperator, scale: float,
                 sigma: float | np.ndarray = 0.0) -> LinearMap:
-    """u -> scale*(A u) + sigma*u, identity on masked rows; no apply at scale 0."""
+    """u -> scale*(A u) + sigma*u, identity on masked rows; no apply at scale 0.
+
+    The map owns one apply workspace (``op._workspace()``), allocated here
+    and freed with the map, so it lives for one solve or one right-hand
+    side, and the map may be called from one thread at a time.  At scale 0
+    it allocates none.
+    """
+    work = op._workspace() if scale != 0.0 else None
 
     def apply_a(u: np.ndarray) -> np.ndarray:
-        a_u = op._apply_flat(u) if scale != 0.0 else np.zeros_like(u)
+        a_u = op._apply_flat(u, work) if scale != 0.0 else np.zeros_like(u)
         return _pinned(a_u, u, scale, sigma, op.mask, out=a_u)
 
     return apply_a

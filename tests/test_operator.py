@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -255,7 +257,7 @@ def test_operator_timing_goes_through_apply_flat(grid_1d, monkeypatch):
     calls = []
     apply_flat = op._apply_flat
     monkeypatch.setattr(op, "_apply_flat",
-                        lambda u: calls.append(u) or apply_flat(u))
+                        lambda u, work=None: calls.append(u) or apply_flat(u, work))
     vl.operator_timing(op, n_reps=4)
     assert len(calls) == 4 + 1
 
@@ -447,19 +449,53 @@ def test_half_spectra_bytes_3d():
 
 
 def test_fast_setup_peaks_at_the_arrays_it_keeps():
-    # the Lagrange values are scaled in the buffer they were computed in,
-    # and the apply buffers come last, so no transient outlives the build
-    g = vl.build_grid(2, -4.0, 4.0, 255)
-    field = vl.sample_order(order_field("alpha2"), g)
-    tracemalloc.start()
+    # the kernels are built before the maps, whose Lagrange values are
+    # scaled in the buffer they were computed in, so no transient outlives
+    # the build; the operator keeps no apply workspace
+    for dim, n, order in ((2, 255, "alpha2"), (3, 31, "bench_tanh")):
+        g = vl.build_grid(dim, -4.0, 4.0, n)
+        field = vl.sample_order(order_field(order), g)
+        tracemalloc.start()
+        try:
+            op = vl.VariableOrderOperator(g, field, rank=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = op._rank_maps.nbytes + sum(k.spectrum.nbytes for k in op.kernels)
+        assert peak <= kept + 2**20, (dim, n)
+
+
+def test_one_operator_applies_from_two_threads():
+    # each apply allocates its own workspace, so concurrent applies of one
+    # operator to different inputs return the serial results bitwise
+    g = vl.build_grid(2, -4.0, 4.0, 127)
+    op = vl.VariableOrderOperator(g, vl.sample_order(order_field("alpha2"), g),
+                                  rank=7)
+    rng = np.random.default_rng(3)
+    inputs = [rng.standard_normal(g.size) for _ in range(2)]
+    serial = [op._apply_flat(u) for u in inputs]
+    start = threading.Barrier(2, timeout=60.0)
+    results: list[list[np.ndarray]] = [[], []]
+
+    def worker(k):
+        start.wait()
+        for _ in range(40):
+            results[k].append(op._apply_flat(inputs[k]))
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
-        op = vl.VariableOrderOperator(g, field, rank=7)
-        peak = tracemalloc.get_traced_memory()[1]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
     finally:
-        tracemalloc.stop()
-    kept = (op._rank_maps.nbytes + op._work.nbytes
-            + sum(k.spectrum.nbytes for k in op.kernels))
-    assert peak <= kept + 2**20
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert [len(r) for r in results] == [40, 40]
+    assert all(np.array_equal(got, serial[k])
+               for k in range(2) for got in results[k])
 
 
 def test_fast_axis_len_even_and_covers_2n():

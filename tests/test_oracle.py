@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -161,6 +162,12 @@ def test_gaussian_frac_lap_refuses_non_finite_input():
             vl.gaussian_frac_lap(x, 1.2, 2)
     with pytest.raises(InvalidRange):
         vl.gaussian_frac_lap(np.nan, 1.2, 1)
+    # finite, but |x|^2 overflows: refused before any warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (2.0, 1.0):
+            with pytest.raises(InvalidRange):
+                vl.gaussian_frac_lap([1e200, 0.0], alpha, 2)
 
 
 def test_gaussian_frac_lap_scalar_paths_return_float():

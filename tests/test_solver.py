@@ -725,6 +725,34 @@ def test_marches_without_diffusion_apply_nothing(scheme, monkeypatch):
     assert np.abs(rec.final.values - (ws[-1] - 1.0)).max() <= 1e-12
 
 
+def test_each_solve_allocates_one_apply_workspace(monkeypatch):
+    # the apply workspace belongs to the solve, not to the operator: one per
+    # BiCGSTAB solve, one per right-hand-side apply, none without diffusion
+    made = []
+    workspace = vl.VariableOrderOperator._workspace
+    monkeypatch.setattr(vl.VariableOrderOperator, "_workspace",
+                        lambda self: made.append(1) or workspace(self))
+
+    def allocations(run) -> int:
+        made.clear()
+        run()
+        return len(made)
+
+    op, stepper, u0 = _heat_march(mask=False, source=False)
+    n_steps = 8
+    problem = vl.EllipticProblem(operator=op, f=u0)
+    assert allocations(lambda: vl.solve_elliptic(problem)) == 1
+    assert allocations(lambda: vl.step_crank_nicolson(u0, stepper, op)) == 2
+    assert allocations(lambda: vl.evolve(stepper, op, u0)) == n_steps + 1
+    phase = vl.TimeStepper(scheme="allen_cahn", dt=1e-3, t_final=8e-3,
+                           kappa=0.05)
+    bubbles = vl.GridFunction(op.grid, initial_condition("bubbles", kappa=0.05)(
+        op.grid.points()))
+    assert allocations(lambda: vl.evolve(phase, op, bubbles)) == n_steps + 1
+    for still in (replace(stepper, diffusion=0.0), replace(phase, diffusion=0.0)):
+        assert allocations(lambda: vl.evolve(still, op, u0)) == 0
+
+
 def test_step_functions_refuse_the_other_scheme():
     # a Crank-Nicolson stepper would give the three-level step the default
     # kappa, and a kappa of 0 would divide by zero
