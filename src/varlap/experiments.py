@@ -249,7 +249,11 @@ def run_apply_convergence(cfg: dict, out_dir) -> list[ConvergenceRow]:
     for grid in grids:
         op = _build_operator(grid, base_field, cfg)
         pts = grid.points()
-        u = GridFunction(grid, np.exp(-np.sum(pts**2, axis=-1)))
+        # |x|^2 column by column: no squared copy of the (n, dim) points
+        r2 = pts[:, 0] ** 2
+        for p in range(1, dim):
+            r2 += pts[:, p] ** 2
+        u = GridFunction(grid, np.exp(-r2, out=r2))
         v = op.apply(u)
         exact = gaussian_frac_lap(pts, op.field.sampled, dim)
         errors.append(float(np.abs(v.values - exact).max()))

@@ -104,7 +104,8 @@ def eval_lagrange(plan: ChebyshevPlan, t) -> np.ndarray:
     the hits.  So the call holds at most that buffer plus a few length-n
     vectors, and the result is its transposed view: for a one-dimensional
     t, ``.T`` of the result is the C-ordered (r, n) buffer, which a caller
-    may scale in place.
+    may scale in place.  Each point's values are bitwise the same whether
+    it is evaluated alone or among others.
 
     Raises:
         OutOfRange: some t outside [alpha_min, alpha_max], or NaN.
@@ -123,7 +124,13 @@ def eval_lagrange(plan: ChebyshevPlan, t) -> np.ndarray:
     for row, idx in zip(buf, hits):
         row[idx] = 1.0
     np.divide(plan.bary_weights[:, None], buf, out=buf)
-    buf /= buf.sum(axis=0)
+    # the column sums row by row, in ascending q, whatever n is: for a
+    # single column of 8 or more rows numpy's buf.sum(axis=0) sums pairwise,
+    # so a point's values would depend on how many points share the call
+    total = buf[0].copy()
+    for row in buf[1:]:
+        total += row
+    buf /= total
     for idx in hits:
         buf[:, idx] = 0.0
     for row, idx in zip(buf, hits):
@@ -132,17 +139,57 @@ def eval_lagrange(plan: ChebyshevPlan, t) -> np.ndarray:
     return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
-def rank_coefficients(plan: ChebyshevPlan, field: OrderField) -> np.ndarray:
-    """Per-node Lagrange values c_q(x_j) = L_q(alpha_j), shape (nodes, rank).
+#: nodes per step of :func:`_distinct_orders`' gathers and scatters
+_CHUNK = 2**12
 
-    Rows sum to one (partition of unity of the Lagrange basis).  The values
-    are :func:`eval_lagrange` of the sampled orders, so the call holds at
-    most the (rank, nodes) buffer that its result is the transposed view
-    of, plus a few length-nodes vectors.
+
+def _distinct_orders(sampled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of ``sampled`` and each entry's position
+    among them, as ``np.unique(sampled, return_inverse=True)`` gives them.
+
+    One argsort serves both, and the sorted values are only ever read in
+    chunks through it, so beside the sort permutation and the index the call
+    holds one flag per entry.  ``np.unique`` holds three more length-n
+    arrays, and a binary search of every entry in the distinct values takes
+    about twice as long.
+    """
+    n = sampled.size
+    perm = np.argsort(sampled)
+    # first[k]: the k-th smallest value differs from the one before it
+    first = np.ones(n, dtype=bool)
+    for k in range(1, n, _CHUNK):
+        stop = min(k + _CHUNK, n)
+        np.not_equal(sampled[perm[k:stop]], sampled[perm[k - 1:stop - 1]],
+                     out=first[k:stop])
+    distinct = sampled[perm[first]]
+    # an entry's position: the distinct values up to its place in the sort
+    index = np.empty(n, dtype=np.intp)
+    count = -1
+    for k in range(0, n, _CHUNK):
+        rows = np.cumsum(first[k:k + _CHUNK])
+        rows += count
+        index[perm[k:k + _CHUNK]] = rows
+        count = rows[-1]
+    return distinct, index
+
+
+def rank_coefficients(plan: ChebyshevPlan,
+                      field: OrderField) -> tuple[np.ndarray, np.ndarray]:
+    """Lagrange values c_q(x_j) = L_q(alpha_j), once per distinct order.
+
+    Returns ``(index, values)``: ``values`` has shape (distinct, rank), row
+    k holding :func:`eval_lagrange` at the k-th smallest distinct sampled
+    order, and ``index`` gives each node's row, so ``values[index]`` is
+    the (nodes, rank) table of per-node values.  Rows sum to one (partition
+    of unity of the Lagrange basis).  ``values.T`` is a C-ordered
+    (rank, distinct) buffer, which a caller may scale in place.  Beside the
+    index the call holds the sort permutation and one flag per node at its
+    peak (:func:`_distinct_orders`).
     """
     if field.sampled is None:
         raise InvalidRange("order field must be sampled first")
-    return eval_lagrange(plan, field.sampled)
+    distinct, index = _distinct_orders(field.sampled)
+    return index, eval_lagrange(plan, distinct)
 
 
 def _sample_symbol_values(h: float, dim: int) -> np.ndarray:

@@ -18,21 +18,26 @@ everything else).  Two evaluation paths are provided:
 The embedded kernel carries offsets -(N-1)..N-1 only, so it is even and its
 spectrum is real: the DCT-I of its nonnegative-offset block, zero-padded to
 L/2 + 1 entries per axis (symmetric convolution).  No embedding is built and
-no complex transform runs to get it.  Only rows 0..L0/2 of axis 0 are
-stored, as the DCT-I returns them; an apply reads rows L0/2+1..L0-1 as a
-reversed view of rows L0/2-1..1 (the middle axis of 3D is stored whole).
+no complex transform runs to get it.  Only that octant is stored, as the
+DCT-I returns it: an apply reads rows L/2+1..L-1 of every leading axis as a
+reversed view of rows L/2-1..1, and the last axis is the rfft half.
 The apply's transforms are pruned: the forward one pads each axis just
 before transforming it, and the inverse one cuts each axis back to N entries
 right after transforming it, so no transform runs on a line that is all
 zeros or that the interior block never reads.  Kernel spectra and the
 h^(-alpha_q)-scaled Lagrange coefficients are built once per operator, so
 each repeated apply (every Krylov iteration) costs one forward and r inverse
-transforms.  The operator keeps only the coefficient maps and the kernel
-spectra.  The padded spectrum and its product with one kernel spectrum,
-both of full rfftn shape, live in a workspace that the caller of an apply
-may pass and reuse: the solver allocates one per solve, so no full-size
-padded array is allocated per Krylov iteration, and one operator may be
-applied from several threads at once, each with its own workspace.
+transforms.  The coefficients depend on a node only through its order, so
+the operator keeps them once per distinct sampled order, in an (r, distinct)
+table, with an index from each node into it; each rank term gathers its row
+through the index.  So an operator keeps the r octant spectra, the table and
+the index: at rank 7, 4.7 MiB at 2D N = 255 and 2.2 MiB at 3D N = 31.  The
+padded spectrum, its product with one kernel spectrum (both of full rfftn
+shape) and, in 3D, the kernel spectrum unfolded on its middle axis live in
+a workspace that the caller of an apply may pass and reuse: the solver
+allocates one per solve, so no full-size padded array is allocated per
+Krylov iteration, and one operator may be applied from several threads at
+once, each with its own workspace.
 """
 
 from __future__ import annotations
@@ -81,14 +86,23 @@ def _rfft_shape(pad_shape: tuple[int, ...]) -> tuple[int, ...]:
     return pad_shape[:-1] + (pad_shape[-1] // 2 + 1,)
 
 
-def _times_kernel(spec: np.ndarray, kernel: np.ndarray,
-                  out: np.ndarray) -> None:
+def _times_kernel(spec: np.ndarray, kernel: np.ndarray, out: np.ndarray,
+                  unfolded: np.ndarray | None = None) -> None:
     """``spec`` times the full kernel spectrum, written into ``out``.
 
-    ``kernel`` holds rows 0..L0/2 of axis 0; rows L0/2+1..L0-1 of the full
-    spectrum are rows L0/2-1..1 read backwards.  In 1D axis 0 is the rfft
-    axis, which ``kernel`` holds whole.
+    ``kernel`` holds rows 0..L/2 of every leading axis; rows L/2+1..L-1 of
+    the full spectrum are rows L/2-1..1 read backwards.  In 1D axis 0 is the
+    rfft axis, which ``kernel`` holds whole.  In 3D the middle axis is first
+    mirrored out into ``unfolded``, of shape (L0/2+1, L1, L2/2+1): the copy
+    and two multiplies take less time than four multiplies over the octant's
+    mirrored views (0.28 against 0.39 ms per term at 3D N = 31, 2.2 against
+    2.5 ms at N = 63, one core).
     """
+    if kernel.ndim == 3:
+        rows = kernel.shape[1]
+        unfolded[:, :rows] = kernel
+        unfolded[:, rows:] = kernel[:, rows - 2:0:-1]
+        kernel = unfolded
     rows = kernel.shape[0]
     np.multiply(spec[:rows], kernel, out=out[:rows])
     if spec.shape[0] > rows:
@@ -131,7 +145,7 @@ class ConstantOrderKernel:
 
     alpha: float
     h: float
-    spectrum: np.ndarray          # real DCT-I, rows 0..L0/2 of the rfftn layout
+    spectrum: np.ndarray          # real DCT-I, rows 0..L/2 of every axis
     pad_shape: tuple[int, ...]
 
     @classmethod
@@ -153,12 +167,9 @@ class ConstantOrderKernel:
         half = np.zeros(tuple(length // 2 + 1 for length in pad_shape))
         inner = tuple(slice(0, n) for n in grid_shape)
         half[inner] = block[inner]
+        # the leading axes stay at half length (_times_kernel mirrors them)
+        # and the last is the rfft axis
         spectrum = sfft.dctn(half, type=1, overwrite_x=True)
-        # axis 0 stays at half length (_times_kernel mirrors it) and the last
-        # is the rfft axis; only the middle axis of 3D is mirrored out here
-        if dim > 2:
-            middle = [(0, 0), (0, pad_shape[1] // 2 - 1), (0, 0)]
-            spectrum = np.pad(spectrum, middle, mode="reflect")
         return cls(alpha=float(alpha), h=float(h), spectrum=spectrum,
                    pad_shape=pad_shape)
 
@@ -206,13 +217,16 @@ class VariableOrderOperator:
                 plan = build_plan(field.alpha_min, field.alpha_max,
                                   rank if rank is not None else DEFAULT_RANK)
             self.plan = plan
-            # kernels first: their transients are freed before the maps exist
+            # kernels first: their transients are freed before the index exists
             self.kernels = [self.constant_order_kernel(a) for a in plan.nodes]
-            # Lagrange coefficient maps with h^(-alpha_q) folded in, (r, *shape),
-            # scaled in the C-ordered buffer that rank_coefficients transposes
-            maps = rank_coefficients(plan, field).T
-            maps *= np.array([k.h ** (-k.alpha) for k in self.kernels])[:, None]
-            self._rank_maps = maps.reshape((plan.rank,) + grid.shape)
+            # each node's position among the distinct orders, and the (r,
+            # distinct) Lagrange values with h^(-alpha_q) folded in, scaled in
+            # the C-ordered buffer that rank_coefficients transposes
+            index, values = rank_coefficients(plan, field)
+            self._order_index = index.reshape(grid.shape)
+            self._rank_table = values.T
+            self._rank_table *= np.array(
+                [k.h ** (-k.alpha) for k in self.kernels])[:, None]
 
     # -- kernel and weight-row construction -------------------------------
 
@@ -232,19 +246,24 @@ class VariableOrderOperator:
             )
         return GridFunction(self.grid, self._apply_flat(u.values))
 
-    def _workspace(self) -> np.ndarray | None:
+    def _workspace(self) -> tuple | None:
         """A fresh workspace for fast applies, None for a direct operator.
 
-        It holds the padded spectrum and one rank term's product, a
-        (2, rfftn shape) complex array.
+        It holds the padded spectrum and one rank term's product, both of
+        rfftn shape and complex, and in 3D one kernel spectrum unfolded on
+        its middle axis (None in 1D and 2D).
         """
         if self.mode != "fast":
             return None
-        return np.empty((2,) + _rfft_shape(self.kernels[0].pad_shape),
-                        dtype=complex)
+        shape = _rfft_shape(self.kernels[0].pad_shape)
+        spec, prod = np.empty((2,) + shape, dtype=complex)
+        unfolded = None
+        if self.grid.dim == 3:
+            unfolded = np.empty(self.kernels[0].spectrum.shape[:1] + shape[1:])
+        return spec, prod, unfolded
 
     def _apply_flat(self, values: np.ndarray,
-                    work: np.ndarray | None = None) -> np.ndarray:
+                    work: tuple | None = None) -> np.ndarray:
         """The apply to a flat array, the one funnel every apply goes through.
 
         ``work`` is a workspace from :meth:`_workspace`, owned by the caller,
@@ -264,16 +283,19 @@ class VariableOrderOperator:
         return out
 
     def _apply_fast_flat(self, values: np.ndarray,
-                         work: np.ndarray | None = None) -> np.ndarray:
+                         work: tuple | None = None) -> np.ndarray:
         vals = self._masked_input(np.asarray(values, dtype=float))
         shape, pad_shape = self.grid.shape, self.kernels[0].pad_shape
-        spec, prod = self._workspace() if work is None else work
+        spec, prod, unfolded = self._workspace() if work is None else work
         _forward(vals.reshape(shape), pad_shape, spec)
         out = np.zeros(shape)
+        coef = np.empty(shape)
         # fixed ascending-q summation keeps results bitwise reproducible
-        for coef, kern in zip(self._rank_maps, self.kernels):
-            _times_kernel(spec, kern.spectrum, prod)
+        for row, kern in zip(self._rank_table, self.kernels):
+            _times_kernel(spec, kern.spectrum, prod, unfolded)
             term = _inverse(prod, shape, pad_shape)
+            # "clip" writes straight into coef; "raise" buffers its output
+            np.take(row, self._order_index, out=coef, mode="clip")
             term *= coef
             out += term
         out = out.ravel()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import varlap as vl
 from varlap.errors import InvalidRange, OutOfRange
 from varlap.lowrank import interpolation_error
+from varlap.presets import order_field
 
 
 def test_degenerate_interval_single_node():
@@ -115,6 +116,25 @@ def test_rank_coefficients_rows_sum_to_one():
     field = vl.sample_order(vl.OrderField.from_callable(
         lambda p: 1.0 + 0.5 * np.tanh(p[:, 0]), 0.4, 1.6), g)
     plan = vl.build_plan(field.alpha_min, field.alpha_max, 6)
-    coeffs = vl.rank_coefficients(plan, field)
-    assert coeffs.shape == (g.size, 6)
-    assert np.allclose(coeffs.sum(axis=1), 1.0, atol=1e-10)
+    index, values = vl.rank_coefficients(plan, field)
+    assert index.shape == (g.size,) and values.shape[1] == 6
+    assert np.allclose(values[index].sum(axis=1), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("order,lo,hi", [
+    ("case2_square", 1.6, 2.0), ("alpha2", 0.5, 2.0), ("bench_tanh", 0.5, 2.0),
+    ("const:1.4", 1.0, 2.0)])
+def test_rank_coefficients_per_distinct_order_bitwise(order, lo, hi):
+    # values at the distinct orders, read through the index, are bitwise
+    # the per-node values; a constant order evaluates at one point (numpy
+    # sums a lone column of 8 or more rows pairwise), and the 16129 nodes
+    # span several of the index's chunks
+    g = vl.build_grid(2, -1.0, 1.0, 127)
+    field = vl.sample_order(order_field(order), g)
+    plan = vl.build_plan(lo, hi, 12)
+    index, values = vl.rank_coefficients(plan, field)
+    distinct = np.unique(field.sampled)
+    assert values.shape == (distinct.size, 12)
+    assert values.T.flags.c_contiguous
+    assert np.array_equal(distinct[index], field.sampled)
+    assert np.array_equal(values[index], vl.eval_lagrange(plan, field.sampled))

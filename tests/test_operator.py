@@ -387,25 +387,34 @@ def test_kernel_spectrum_matches_embedded_rfftn(dim, n):
     block = np.random.default_rng(n + dim).standard_normal((n + 1,) * dim)
     kern = ConstantOrderKernel.from_block(block, shape, 0.1, 1.3)
     ref = _embedded_spectrum(block, shape, kern.pad_shape)
-    rows = kern.pad_shape[0] // 2 + 1
+    octant = tuple(slice(0, length // 2 + 1) for length in kern.pad_shape[:-1])
     tol = 1e-14 * np.abs(ref).max()
-    # stored: rows 0..L0/2 of axis 0, every other axis at its rfftn length
-    assert kern.spectrum.shape == ref[:rows].shape
+    # stored: rows 0..L/2 of every leading axis, the rfft axis at its length
+    assert kern.spectrum.shape == ref[octant].shape
     assert kern.spectrum.flags.c_contiguous and kern.spectrum.dtype == float
-    assert np.abs(kern.spectrum - ref[:rows]).max() <= tol
-    # mirroring rows L0/2-1..1 rebuilds the rest of the full spectrum
+    assert np.abs(kern.spectrum - ref[octant]).max() <= tol
+    # mirroring rows L/2-1..1 of each leading axis rebuilds the full spectrum
     assert np.abs(_full_spectrum(kern) - ref).max() <= tol
 
 
 def _full_spectrum(kern):
-    """The kernel's rfftn-layout spectrum, its axis 0 mirrored out."""
-    if len(kern.pad_shape) == 1:
-        return kern.spectrum
-    return np.concatenate([kern.spectrum, kern.spectrum[-2:0:-1]])
+    """The kernel's rfftn-layout spectrum, every leading axis mirrored out."""
+    full = kern.spectrum
+    for ax in range(len(kern.pad_shape) - 1):
+        rows = full.shape[ax]
+        mirrored = np.take(full, np.arange(rows - 2, 0, -1), axis=ax)
+        full = np.concatenate([full, mirrored], axis=ax)
+    return full
 
 
-def _full_spectrum_apply(op, u):
-    """``op``'s fast apply, multiplying by each full mirrored spectrum."""
+def _full_spectrum_apply(op, u, coefs=None):
+    """``op``'s fast apply, multiplying by each full mirrored spectrum.
+
+    ``coefs`` holds the per-node coefficients of each rank term; by default
+    they are the operator's table expanded through its index.
+    """
+    if coefs is None:
+        coefs = [row[op._order_index] for row in op._rank_table]
     u = u.copy()
     if op.mask is not None:
         u[~op.mask.inside] = 0.0
@@ -413,7 +422,7 @@ def _full_spectrum_apply(op, u):
     spec = _forward(u.reshape(shape), pad_shape,
                     np.empty(_rfft_shape(pad_shape), dtype=complex))
     out = np.zeros(shape)
-    for coef, kern in zip(op._rank_maps, op.kernels):
+    for coef, kern in zip(coefs, op.kernels):
         term = _inverse(spec * _full_spectrum(kern), shape, pad_shape)
         term *= coef
         out += term
@@ -441,17 +450,34 @@ def test_fast_apply_bitwise_with_half_spectra(dim, n):
 
 
 def test_half_spectra_bytes_3d():
-    # 3D N = 31 pads to 64 per axis: axis 0 keeps 33 rows, the middle axis
-    # is mirrored to 64 and the rfft axis holds 33
+    # 3D N = 31 pads to 64 per axis: every axis keeps its 33 rows 0..32,
+    # the leading ones as the octant and the last as the rfft half
     g = vl.build_grid(3, -1.0, 1.0, 31)
     op = vl.VariableOrderOperator(g, tanh_inc_field(), rank=7)
-    assert sum(k.spectrum.nbytes for k in op.kernels) == 7 * 33 * 64 * 33 * 8
+    assert sum(k.spectrum.nbytes for k in op.kernels) == 7 * 33 * 33 * 33 * 8
+
+
+@pytest.mark.parametrize("dim,n", [(1, 63), (2, 31), (3, 15)])
+def test_coefficient_table_per_distinct_order(dim, n):
+    # case2_square takes two orders, so the operator keeps a (7, 2) table;
+    # its apply equals one whose coefficients come from eval_lagrange at
+    # every node, scaled by h^(-alpha_q), bitwise
+    g = vl.build_grid(dim, -1.0, 1.0, n)
+    field = vl.sample_order(order_field("case2_square"), g)
+    op = vl.VariableOrderOperator(g, field, rank=7)
+    assert op._rank_table.shape == (7, 2)
+    assert op._order_index.shape == g.shape
+    per_node = vl.eval_lagrange(op.plan, field.sampled).T.copy()
+    per_node *= np.array([k.h ** (-k.alpha) for k in op.kernels])[:, None]
+    u = np.random.default_rng(n).standard_normal(g.size)
+    ref = _full_spectrum_apply(op, u, per_node.reshape((7,) + g.shape))
+    assert np.array_equal(op._apply_flat(u), ref)
 
 
 def test_fast_setup_peaks_at_the_arrays_it_keeps():
-    # the kernels are built before the maps, whose Lagrange values are
-    # scaled in the buffer they were computed in, so no transient outlives
-    # the build; the operator keeps no apply workspace
+    # the kernels are built before the index, then the table, whose Lagrange
+    # values are scaled in the buffer they were computed in, so no transient
+    # outlives the build; the operator keeps no apply workspace
     for dim, n, order in ((2, 255, "alpha2"), (3, 31, "bench_tanh")):
         g = vl.build_grid(dim, -4.0, 4.0, n)
         field = vl.sample_order(order_field(order), g)
@@ -461,7 +487,8 @@ def test_fast_setup_peaks_at_the_arrays_it_keeps():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = op._rank_maps.nbytes + sum(k.spectrum.nbytes for k in op.kernels)
+        kept = (op._order_index.nbytes + op._rank_table.nbytes
+                + sum(k.spectrum.nbytes for k in op.kernels))
         assert peak <= kept + 2**20, (dim, n)
 
 

@@ -133,7 +133,8 @@ def test_fft_rejects_bad_target_n(target_n):
         vl.weights_nd_fft(1.5, 2, 64, target_n=target_n)
 
 
-@pytest.mark.parametrize("dim,m", [(1, 64), (2, 64), (3, 32)])
+# 2D m = 2048 and 3D m = 256 are built in 34 and 129 slabs of the last axis
+@pytest.mark.parametrize("dim,m", [(1, 64), (2, 64), (3, 32), (2, 2048), (3, 256)])
 @pytest.mark.parametrize("alpha", [0.3, 1.37, 2.0])
 def test_cut_table_is_leading_block_of_whole(dim, m, alpha):
     # reference: one d-dimensional DCT-I of the whole quadrant of samples
