@@ -245,19 +245,22 @@ def run_apply_convergence(cfg: dict, out_dir) -> list[ConvergenceRow]:
     base_field = _order(cfg)
     out = _output(cfg, out_dir, "apply_conv.csv")
     grids = [_grid_for_h(dim, lo, hi, h) for h in hs]
-    errors: list[float] = []
-    for grid in grids:
-        op = _build_operator(grid, base_field, cfg)
-        pts = grid.points()
-        # |x|^2 column by column: no squared copy of the (n, dim) points
-        r2 = pts[:, 0] ** 2
-        for p in range(1, dim):
-            r2 += pts[:, p] ** 2
-        u = GridFunction(grid, np.exp(-r2, out=r2))
-        v = op.apply(u)
-        exact = gaussian_frac_lap(pts, op.field.sampled, dim)
-        errors.append(float(np.abs(v.values - exact).max()))
-    return _table(out, hs, errors)
+    return _table(out, hs, [_apply_error(g, base_field, cfg) for g in grids])
+
+
+def _apply_error(grid: UniformGrid, base_field, cfg: dict) -> float:
+    """The apply's max-norm error on ``grid``: only the number outlives the
+    call, so no array of one grid is alive while the next is built."""
+    op = _build_operator(grid, base_field, cfg)
+    pts = grid.points()
+    # |x|^2 column by column: no squared copy of the (n, dim) points
+    r2 = pts[:, 0] ** 2
+    for p in range(1, grid.dim):
+        r2 += pts[:, p] ** 2
+    u = GridFunction(grid, np.exp(-r2, out=r2))
+    v = op.apply(u)
+    exact = gaussian_frac_lap(pts, op.field.sampled, grid.dim)
+    return float(np.abs(v.values - exact).max())
 
 
 # -- elliptic solves ----------------------------------------------------------

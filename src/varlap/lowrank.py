@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRange, OutOfRange, RankCapExceeded
-from .grid import OrderField
 
 __all__ = [
     "ChebyshevPlan",
@@ -139,30 +138,34 @@ def eval_lagrange(plan: ChebyshevPlan, t) -> np.ndarray:
     return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
-#: nodes per step of :func:`_distinct_orders`' gathers and scatters
+#: entries per step of :func:`distinct_values`' gathers and scatters
 _CHUNK = 2**12
 
 
-def _distinct_orders(sampled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of ``sampled`` and each entry's position
-    among them, as ``np.unique(sampled, return_inverse=True)`` gives them.
+def distinct_values(*keys: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """``(distinct, index)``: the distinct tuples of the equal-length 1D
+    ``keys``, one array per key, sorted by the first key and ties by the
+    next, and each entry's position among them, as ``np.unique(key,
+    return_inverse=True)`` gives them for one key.
 
-    One argsort serves both, and the sorted values are only ever read in
-    chunks through it, so beside the sort permutation and the index the call
-    holds one flag per entry.  ``np.unique`` holds three more length-n
-    arrays, and a binary search of every entry in the distinct values takes
-    about twice as long.
+    One sort serves the tuples and the index, and each chunk of sorted keys
+    is gathered once, so beside the sort permutation and the index the call
+    holds one flag per entry; ``np.unique`` holds three more length-n arrays.
     """
-    n = sampled.size
-    perm = np.argsort(sampled)
-    # first[k]: the k-th smallest value differs from the one before it
+    n = keys[0].size
+    perm = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    # first[k]: the k-th smallest tuple differs from the one before it
     first = np.ones(n, dtype=bool)
     for k in range(1, n, _CHUNK):
         stop = min(k + _CHUNK, n)
-        np.not_equal(sampled[perm[k:stop]], sampled[perm[k - 1:stop - 1]],
-                     out=first[k:stop])
-    distinct = sampled[perm[first]]
-    # an entry's position: the distinct values up to its place in the sort
+        part = first[k:stop]
+        part[:] = False
+        for key in keys:
+            ordered = key[perm[k - 1:stop]]
+            part |= ordered[1:] != ordered[:-1]
+    starts = perm[first]
+    distinct = tuple(key[starts] for key in keys)
+    # an entry's position: the distinct tuples up to its place in the sort
     index = np.empty(n, dtype=np.intp)
     count = -1
     for k in range(0, n, _CHUNK):
@@ -173,23 +176,15 @@ def _distinct_orders(sampled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, index
 
 
-def rank_coefficients(plan: ChebyshevPlan,
-                      field: OrderField) -> tuple[np.ndarray, np.ndarray]:
-    """Lagrange values c_q(x_j) = L_q(alpha_j), once per distinct order.
-
-    Returns ``(index, values)``: ``values`` has shape (distinct, rank), row
-    k holding :func:`eval_lagrange` at the k-th smallest distinct sampled
-    order, and ``index`` gives each node's row, so ``values[index]`` is
-    the (nodes, rank) table of per-node values.  Rows sum to one (partition
-    of unity of the Lagrange basis).  ``values.T`` is a C-ordered
-    (rank, distinct) buffer, which a caller may scale in place.  Beside the
-    index the call holds the sort permutation and one flag per node at its
-    peak (:func:`_distinct_orders`).
+def rank_coefficients(plan: ChebyshevPlan, orders: np.ndarray,
+                      h: float) -> np.ndarray:
+    """The C-ordered (rank, orders) table of the rank sum's coefficients:
+    row q is :func:`eval_lagrange` at the distinct ``orders``, scaled in
+    place by the float h^(-alpha_q).  Unscaled, each column sums to one.
     """
-    if field.sampled is None:
-        raise InvalidRange("order field must be sampled first")
-    distinct, index = _distinct_orders(field.sampled)
-    return index, eval_lagrange(plan, distinct)
+    table = eval_lagrange(plan, orders).T
+    table *= np.array([float(h) ** (-float(a)) for a in plan.nodes])[:, None]
+    return table
 
 
 def _sample_symbol_values(h: float, dim: int) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 At node x_j the operator is ``v_j = h^{-alpha_j} sum_k a^{(alpha_j)}_{k-j} u_k``
 with the sum over interior nodes (the extended Dirichlet condition zeroes
-everything else).  Two evaluation paths are provided:
+everything else).  In both modes the operator groups its nodes by order
+once (``lowrank.distinct_values``), keeping the sorted distinct orders and
+each node's index into them; the direct rows, the fast coefficient table and
+the solver's tau model all read that grouping.  Two evaluation paths:
 
 * direct: per-node weight rows, O(N^{2d}) work.  The reference path and the
   oracle for the fast one; ``dense_matrix`` stacks the same rows.  Nothing is
@@ -27,11 +30,10 @@ right after transforming it, so no transform runs on a line that is all
 zeros or that the interior block never reads.  Kernel spectra and the
 h^(-alpha_q)-scaled Lagrange coefficients are built once per operator, so
 each repeated apply (every Krylov iteration) costs one forward and r inverse
-transforms.  The coefficients depend on a node only through its order, so
-the operator keeps them once per distinct sampled order, in an (r, distinct)
-table, with an index from each node into it; each rank term gathers its row
-through the index.  So an operator keeps the r octant spectra, the table and
-the index: at rank 7, 4.7 MiB at 2D N = 255 and 2.2 MiB at 3D N = 31.  The
+transforms.  The coefficients are kept once per distinct order, in an (r,
+distinct) table whose rows each rank term gathers through the index.  So an
+operator keeps the r octant spectra, the table, the orders and the index:
+at rank 7, 4.7 MiB at 2D N = 255 and 2.2 MiB at 3D N = 31.  The
 padded spectrum, its product with one kernel spectrum (both of full rfftn
 shape) and, in 3D, the kernel spectrum unfolded on its middle axis live in
 a workspace that the caller of an apply may pass and reuse: the solver
@@ -56,6 +58,7 @@ from .lowrank import (
     ChebyshevPlan,
     build_plan,
     check_rank,
+    distinct_values,
     rank_coefficients,
 )
 from .weights import operator_block
@@ -217,16 +220,13 @@ class VariableOrderOperator:
                 plan = build_plan(field.alpha_min, field.alpha_max,
                                   rank if rank is not None else DEFAULT_RANK)
             self.plan = plan
-            # kernels first: their transients are freed before the index exists
+            # kernels first: their transients are freed before the grouping
             self.kernels = [self.constant_order_kernel(a) for a in plan.nodes]
-            # each node's position among the distinct orders, and the (r,
-            # distinct) Lagrange values with h^(-alpha_q) folded in, scaled in
-            # the C-ordered buffer that rank_coefficients transposes
-            index, values = rank_coefficients(plan, field)
-            self._order_index = index.reshape(grid.shape)
-            self._rank_table = values.T
-            self._rank_table *= np.array(
-                [k.h ** (-k.alpha) for k in self.kernels])[:, None]
+        # the one grouping of the orders that every consumer reads
+        (self._orders,), index = distinct_values(field.sampled)
+        self._order_index = index.reshape(grid.shape)
+        if mode == "fast":
+            self._rank_table = rank_coefficients(plan, self._orders, grid.h)
 
     # -- kernel and weight-row construction -------------------------------
 
@@ -308,25 +308,26 @@ class VariableOrderOperator:
 
         ``v_j = scale * (row @ u)`` for flat u: the row holds the weights at
         offsets k - j over all interior nodes k, and scale is h^(-alpha_j).
-        Rows are windows of the weight block of the node's order, which is
-        built once per distinct order and dropped once its nodes are done.
+        Rows are windows of the weight block of the node's order.  The nodes
+        are walked sorted by the operator's grouping, ``_order_index`` into
+        ``_orders``, so each block is built once per distinct order.
         """
-        alphas, h = self.field.sampled, self.grid.h
+        h, shape = self.grid.h, self.grid.shape
+        index = self._order_index.ravel()
         nodes = (np.arange(self.grid.size) if self.mask is None
                  else np.flatnonzero(self.mask.inside))
-        shape = self.grid.shape
+        nodes = nodes[np.argsort(index[nodes], kind="stable")]
         axis_range = [np.arange(n) for n in shape]
-        order_groups: dict[bytes, list[int]] = {}
+        current = -1
         for j in nodes:
-            order_groups.setdefault(np.float64(alphas[j]).tobytes(), []).append(j)
-        for key, nodes_j in order_groups.items():
-            alpha = float(np.frombuffer(key, dtype=np.float64)[0])
-            block = operator_block(alpha, self.grid.dim, self.n_max)
-            scale = h ** (-alpha)
-            for j in nodes_j:
-                jnd = np.unravel_index(j, shape)
-                idx = [np.abs(r - jp) for r, jp in zip(axis_range, jnd)]
-                yield j, scale, block[np.ix_(*idx)].ravel()
+            if index[j] != current:
+                current = index[j]
+                alpha = float(self._orders[current])
+                block = operator_block(alpha, self.grid.dim, self.n_max)
+                scale = h ** (-alpha)
+            jnd = np.unravel_index(j, shape)
+            idx = [np.abs(r - jp) for r, jp in zip(axis_range, jnd)]
+            yield j, scale, block[np.ix_(*idx)].ravel()
 
     def _apply_direct_flat(self, values: np.ndarray) -> np.ndarray:
         vals = self._masked_input(np.asarray(values, dtype=float))

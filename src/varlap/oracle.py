@@ -33,6 +33,7 @@ from .errors import (
     TailTooLarge,
 )
 from .grid import GridFunction
+from .lowrank import distinct_values
 
 __all__ = [
     "gaussian_frac_lap",
@@ -53,12 +54,11 @@ def gaussian_frac_lap(x, alpha, d: int):
     distinct pair is evaluated once and scattered back: a symmetric grid
     with a radial, piecewise or constant order repeats each pair about ten
     times.  |x|^2 is summed one axis at a time, so no squared copy of the
-    (n, d) points is made; the distinct pairs are the run starts of one
-    ``np.lexsort`` over the two float keys.  So for n points the call holds
-    at most a few length-n vectors: |x|^2, the sort order, the run-start
-    mask and the map back to the distinct pairs.  ``scipy.special.hyp1f1``
-    works elementwise, so the result is bitwise that of evaluating every
-    point.
+    (n, d) points is made; the distinct pairs and each point's position
+    among them come from ``lowrank.distinct_values``, the grouping the
+    operator uses for its orders.  So for n points the call holds at most a
+    few length-n vectors.  ``scipy.special.hyp1f1`` works elementwise, so
+    the result is bitwise that of evaluating every point.
 
     Raises:
         InvalidDim: d not in 1..3, or points with other than d components.
@@ -85,13 +85,7 @@ def gaussian_frac_lap(x, alpha, d: int):
     al = np.broadcast_to(np.asarray(alpha, dtype=float), shape).ravel()
     if not np.all((al > 0.0) & (al <= 2.0)):       # NaN included
         raise OrderOutOfRange("order outside (0, 2]")
-    order = np.lexsort((al, r2))
-    r2s, als = r2[order], al[order]
-    start = np.ones(order.size, dtype=bool)
-    start[1:] = (r2s[1:] != r2s[:-1]) | (als[1:] != als[:-1])
-    r2u, alu = r2s[start], als[start]
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(start) - 1
+    (r2u, alu), inverse = distinct_values(r2, al)
     # alpha = 2 takes the classical (2d - 4|x|^2) e^(-|x|^2): there a - b = 1,
     # and scipy sums about |x|^2 series terms (seconds at |x|^2 = 1e12)
     vals = (2.0 * d - 4.0 * r2u) * np.exp(-r2u)

@@ -321,21 +321,24 @@ def _tau_model(op: VariableOrderOperator) -> Callable[..., LinearMap]:
     shift collapses its sum to one node.  The map is the identity on masked
     rows.  The order side (the nodes alpha_p, their weights and the powers
     Lam^(alpha_p/2), with Lam summed from one sine symbol per axis) is built
-    here, once; each (scale, shift) builds only the shift side.  At scale 0
-    the model is diag(shift) itself, and M^-1 divides by it.
+    here, once, from the operator's grouping of its orders: the weights and
+    h^alpha once per distinct order, gathered to the nodes through its
+    index.  Each (scale, shift) builds only the shift side.  At scale 0 the
+    model is diag(shift) itself, and M^-1 divides by it.
     """
     shape, h = op.grid.shape, op.grid.h
     thetas = [np.pi * np.arange(1, n + 1) / (n + 1) for n in shape]
     lam = sum(np.ix_(*[symbol(t[:, None], 1.0) for t in thetas]))
-    alphas = op.field.sampled
-    plan = build_plan(alphas.min(), alphas.max(), TAU_ORDER_NODES)
-    order_weights = eval_lagrange(plan, alphas).T  # row p: L_p(alpha_j) h^alpha_j
-    order_weights *= h ** alphas
+    orders = op._orders
+    plan = build_plan(orders[0], orders[-1], TAU_ORDER_NODES)
+    order_weights = eval_lagrange(plan, orders).T  # row p: L_p(alpha) h^alpha
+    order_weights *= h ** orders
+    order_weights = order_weights[:, op._order_index.ravel()]
     lam_powers = [lam ** (a / 2.0) for a in plan.nodes]
     outside = None if op.mask is None else ~op.mask.inside
 
     def inverse_of(scale: float, shift: float | np.ndarray = 0.0) -> LinearMap:
-        sigma = np.broadcast_to(np.asarray(shift, dtype=float), alphas.shape)
+        sigma = np.broadcast_to(np.asarray(shift, dtype=float), (op.grid.size,))
         if scale == 0.0:
             diag = sigma.copy()
             if outside is not None:

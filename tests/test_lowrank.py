@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import varlap as vl
 from varlap.errors import InvalidRange, OutOfRange
-from varlap.lowrank import interpolation_error
+from varlap.lowrank import _CHUNK, distinct_values, interpolation_error
 from varlap.presets import order_field
 
 
@@ -112,13 +112,17 @@ def test_estimate_rank_degenerate():
 
 
 def test_rank_coefficients_rows_sum_to_one():
+    # each order's Lagrange values, the table's columns with h^(-alpha_q)
+    # taken out, sum to one
     g = vl.build_grid(1, -4, 4, 31)
     field = vl.sample_order(vl.OrderField.from_callable(
         lambda p: 1.0 + 0.5 * np.tanh(p[:, 0]), 0.4, 1.6), g)
     plan = vl.build_plan(field.alpha_min, field.alpha_max, 6)
-    index, values = vl.rank_coefficients(plan, field)
-    assert index.shape == (g.size,) and values.shape[1] == 6
-    assert np.allclose(values[index].sum(axis=1), 1.0, atol=1e-10)
+    (orders,), index = distinct_values(field.sampled)
+    table = vl.rank_coefficients(plan, orders, g.h)
+    assert index.shape == (g.size,) and table.shape == (6, orders.size)
+    scale = np.array([g.h ** (-a) for a in plan.nodes])
+    assert np.allclose((table / scale[:, None]).sum(axis=0), 1.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("order,lo,hi", [
@@ -132,9 +136,52 @@ def test_rank_coefficients_per_distinct_order_bitwise(order, lo, hi):
     g = vl.build_grid(2, -1.0, 1.0, 127)
     field = vl.sample_order(order_field(order), g)
     plan = vl.build_plan(lo, hi, 12)
-    index, values = vl.rank_coefficients(plan, field)
-    distinct = np.unique(field.sampled)
-    assert values.shape == (distinct.size, 12)
-    assert values.T.flags.c_contiguous
-    assert np.array_equal(distinct[index], field.sampled)
-    assert np.array_equal(values[index], vl.eval_lagrange(plan, field.sampled))
+    (orders,), index = distinct_values(field.sampled)
+    table = vl.rank_coefficients(plan, orders, g.h)
+    assert table.shape == (12, np.unique(field.sampled).size)
+    assert table.flags.c_contiguous
+    per_node = vl.eval_lagrange(plan, field.sampled).T.copy()
+    per_node *= np.array([g.h ** (-a) for a in plan.nodes])[:, None]
+    assert np.array_equal(table[:, index], per_node)
+
+
+def _tied_runs(rng, lengths):
+    """Shuffled entries in runs of equal values, one run per length; with
+    lengths near _CHUNK, the sorted runs straddle chunk boundaries."""
+    values = rng.permutation(len(lengths)).astype(float) / 7.0
+    return rng.permutation(np.repeat(values, lengths))
+
+
+@pytest.mark.parametrize("keys", [
+    [np.array([1.25])],
+    [np.full(3 * _CHUNK + 5, 0.7)],
+    [_tied_runs(np.random.default_rng(0),
+                [_CHUNK + 1, _CHUNK, 1, _CHUNK - 1, 3 * _CHUNK, 2, 700, 5000])],
+    [np.random.default_rng(1).integers(0, 50, 2 * _CHUNK + 3) / 3.0],
+], ids=["single", "all_equal", "runs", "random"])
+def test_distinct_values_matches_np_unique_one_key(keys):
+    (distinct,), index = distinct_values(*keys)
+    ref, inverse = np.unique(keys[0], return_inverse=True)
+    assert np.array_equal(distinct, ref)
+    assert np.array_equal(index, inverse.ravel())
+
+
+@pytest.mark.parametrize("keys", [
+    [np.array([2.0]), np.array([0.5])],
+    [np.full(3 * _CHUNK + 5, 0.7), np.full(3 * _CHUNK + 5, 1.9)],
+    # the first key ties over runs that cross chunk boundaries while the
+    # second splits them, and the reverse
+    [np.repeat([1.0, 2.0, 3.0], [_CHUNK + 1, 2 * _CHUNK, 7]),
+     np.resize([0.5, 0.25, 0.5, 1.5], 3 * _CHUNK + 8)],
+    [_tied_runs(np.random.default_rng(2), [_CHUNK, 1, _CHUNK + 2, 900]),
+     np.full(2 * _CHUNK + 903, 1.0)],
+    list(np.random.default_rng(3).integers(0, 9, (2, 2 * _CHUNK + 1)) / 4.0),
+], ids=["single", "all_equal", "split_ties", "second_constant", "random"])
+def test_distinct_values_matches_np_unique_two_keys(keys):
+    distinct, index = distinct_values(*keys)
+    ref, inverse = np.unique(np.stack(keys, 1), axis=0, return_inverse=True)
+    assert len(distinct) == 2
+    assert np.array_equal(np.stack(distinct, 1), ref)
+    assert np.array_equal(index, inverse.ravel())
+    for key, values in zip(keys, distinct):
+        assert np.array_equal(values[index], key)

@@ -204,6 +204,46 @@ def test_masked_dense_matrix_matches_direct_apply(dim, n, order):
         assert np.abs(mat @ u - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("dim,n,order", [
+    (1, 63, "case2_square"), (2, 31, "alpha3"), (3, 15, "case2_linear")])
+def test_operator_groups_its_orders_once(dim, n, order):
+    # direct and fast, masked and not: the distinct orders increase
+    # strictly, read through the node-to-order index they are the sampled
+    # orders bitwise, and every operator holds the same index
+    g = vl.build_grid(dim, -1.0, 1.0, n)
+    field = vl.sample_order(order_field(order), g)
+    mask = vl.make_mask(g, lambda p: np.sum(p**2, axis=-1) < 0.64)
+    indices = []
+    for mode in ("fast", "direct"):
+        for dmask in (None, mask):
+            op = vl.VariableOrderOperator(g, field, mode=mode, mask=dmask)
+            assert np.all(np.diff(op._orders) > 0)
+            assert (op._orders[op._order_index].ravel().tobytes()
+                    == field.sampled.tobytes())
+            indices.append(op._order_index)
+    assert all(np.array_equal(index, indices[0]) for index in indices)
+
+
+@pytest.mark.parametrize("dim,n,order", [
+    (2, 15, "alpha3"), (3, 5, "expr:1 + 0.4*tanh(x1 + x2 - x3)")])
+def test_masked_dense_matrix_bitwise_node_by_node(dim, n, order):
+    # the rows walked by order group equal rows assembled node by node,
+    # each from a window of the weight block of that node's own order
+    g = vl.build_grid(dim, -1.0, 1.0, n)
+    mask = vl.make_mask(g, lambda p: np.sum(p**2, axis=-1) < 0.64)
+    op = vl.VariableOrderOperator(g, order_field(order), mode="direct",
+                                  mask=mask)
+    ref = np.zeros((g.size, g.size))
+    for j in np.flatnonzero(mask.inside):
+        alpha = float(op.field.sampled[j])
+        block = vl.operator_block(alpha, dim, n)
+        jnd = np.unravel_index(j, g.shape)
+        idx = [np.abs(np.arange(m) - jp) for m, jp in zip(g.shape, jnd)]
+        ref[j] = g.h ** (-alpha) * block[np.ix_(*idx)].ravel()
+    ref[:, ~mask.inside] = 0.0
+    assert op.dense_matrix().tobytes() == ref.tobytes()
+
+
 def test_grid_mismatch_errors(grid_1d):
     field = vl.sample_order(vl.OrderField.constant(1.0), grid_1d)
     op = vl.VariableOrderOperator(grid_1d, field, mode="fast")
@@ -475,7 +515,7 @@ def test_coefficient_table_per_distinct_order(dim, n):
 
 
 def test_fast_setup_peaks_at_the_arrays_it_keeps():
-    # the kernels are built before the index, then the table, whose Lagrange
+    # the kernels are built before the grouping, then the table, whose Lagrange
     # values are scaled in the buffer they were computed in, so no transient
     # outlives the build; the operator keeps no apply workspace
     for dim, n, order in ((2, 255, "alpha2"), (3, 31, "bench_tanh")):
@@ -487,7 +527,8 @@ def test_fast_setup_peaks_at_the_arrays_it_keeps():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = (op._order_index.nbytes + op._rank_table.nbytes
+        kept = (op._orders.nbytes + op._order_index.nbytes
+                + op._rank_table.nbytes
                 + sum(k.spectrum.nbytes for k in op.kernels))
         assert peak <= kept + 2**20, (dim, n)
 
