@@ -40,6 +40,17 @@ a workspace that the caller of an apply may pass and reuse: the solver
 allocates one per solve, so no full-size padded array is allocated per
 Krylov iteration, and one operator may be applied from several threads at
 once, each with its own workspace.
+
+Beside the workspace an apply allocates its output, a coefficient buffer
+of one row block and one row block of transform output at a time (and, on
+a masked operator, a masked copy of its input).  The last-axis transforms
+run per block of axis-0 rows whose half-spectrum takes about
+``_BLOCK_BYTES``: the forward one zero-pads each block in the spectrum's
+own memory, and the inverse one yields each block to be scaled and added
+into the output while it is in cache.  The leading-axis transforms run in
+place.  So at 2D N = 511 an apply allocates its 2 MiB output and about
+1.2 MiB more; 2D N = 127 and 3D N = 31 are one block, and 1D is one block
+of one row.
 """
 
 from __future__ import annotations
@@ -71,6 +82,10 @@ __all__ = [
     "VariableOrderOperator",
     "operator_timing",
 ]
+
+#: Bytes of half-spectrum per block of axis-0 rows that an apply's last-axis
+#: transforms run on (0.5 MiB): a 2D N = 127 or 3D N = 31 grid is one block
+_BLOCK_BYTES = 2**19
 
 
 def _fast_axis_len(n: int) -> int:
@@ -112,34 +127,73 @@ def _times_kernel(spec: np.ndarray, kernel: np.ndarray, out: np.ndarray,
         np.multiply(spec[rows:], kernel[rows - 2:0:-1], out=out[rows:])
 
 
+def _block_rows(grid_shape: tuple[int, ...], pad_len: int) -> int:
+    """Axis-0 rows per block that the last-axis transforms run on.
+
+    A block's half-spectrum takes about ``_BLOCK_BYTES``: one row is
+    ``prod(grid_shape[1:-1])`` lines of ``pad_len // 2 + 1`` complex values.
+    In 1D axis 0 is the transformed axis, so the one block is the whole row.
+    """
+    if len(grid_shape) == 1:
+        return grid_shape[0]
+    row_bytes = math.prod(grid_shape[1:-1]) * (pad_len // 2 + 1) * 16
+    return min(grid_shape[0], max(1, _BLOCK_BYTES // row_bytes))
+
+
+def _row_blocks(grid_shape: tuple[int, ...],
+                pad_len: int) -> list[tuple[slice, ...]]:
+    """Index tuples of the blocks of :func:`_block_rows` axis-0 rows; in 1D
+    the empty index, the whole row."""
+    if len(grid_shape) == 1:
+        return [()]
+    n0, step = grid_shape[0], _block_rows(grid_shape, pad_len)
+    return [(slice(i, min(i + step, n0)),) for i in range(0, n0, step)]
+
+
 def _forward(u_nd: np.ndarray, pad_shape: tuple[int, ...],
              spec: np.ndarray) -> np.ndarray:
     """Spectrum of ``u_nd`` zero-padded to ``pad_shape``, written into ``spec``.
 
-    ``spec`` has the rfftn shape of ``pad_shape``.  Each axis is zero-padded
-    just before it is transformed, in place.
+    ``spec`` has the rfftn shape of ``pad_shape``.  The last axis is
+    transformed one block of axis-0 rows at a time: each block is
+    zero-padded in the part of ``spec`` that its half-spectrum then
+    overwrites.  Each leading axis is zero-padded just before it is
+    transformed, in place.
     """
     lead = tuple(slice(0, n) for n in u_nd.shape[:-1])
-    spec[lead] = sfft.rfft(u_nd, n=pad_shape[-1], axis=-1)
+    n, length = u_nd.shape[-1], pad_shape[-1]
+    for block in _row_blocks(u_nd.shape, length):
+        target = spec[block + lead[1:]]
+        # the block zero-padded in the target's own memory, read as doubles
+        padded = target.view(np.float64)[..., :length]
+        padded[..., :n] = u_nd[block]
+        padded[..., n:] = 0.0
+        target[...] = sfft.rfft(padded, axis=-1)
     for ax in range(u_nd.ndim - 2, -1, -1):
         part = spec[lead[:ax]]
         part[(slice(None),) * ax + (slice(u_nd.shape[ax], None),)] = 0.0
         done = sfft.fft(part, axis=ax, overwrite_x=True)
-        if done is not part:
+        # an in-place transform returns a new array over part's memory;
+        # copying it onto itself would go through a full temporary
+        if not np.shares_memory(done, part):
             part[...] = done
     return spec
 
 
 def _inverse(spec: np.ndarray, grid_shape: tuple[int, ...],
-             pad_shape: tuple[int, ...]) -> np.ndarray:
-    """Leading ``grid_shape`` block of the inverse of an rfftn-layout spectrum.
+             pad_shape: tuple[int, ...]):
+    """Leading ``grid_shape`` block of the inverse of an rfftn-layout spectrum,
+    yielded as ``(block, values)`` per block of axis-0 rows (:func:`_row_blocks`).
 
-    Overwrites ``spec``.
+    Overwrites ``spec``.  Each block's values are a fresh array of the
+    block's shape, ready to be scaled in place.
     """
     for ax, n in enumerate(grid_shape[:-1]):
         spec = sfft.ifft(spec, axis=ax, overwrite_x=True)
         spec = spec[(slice(None),) * ax + (slice(0, n),)]
-    return sfft.irfft(spec, n=pad_shape[-1], axis=-1)[..., :grid_shape[-1]]
+    for block in _row_blocks(grid_shape, pad_shape[-1]):
+        yield block, sfft.irfft(spec[block], n=pad_shape[-1],
+                                axis=-1)[..., :grid_shape[-1]]
 
 
 @dataclass(frozen=True)
@@ -289,15 +343,16 @@ class VariableOrderOperator:
         spec, prod, unfolded = self._workspace() if work is None else work
         _forward(vals.reshape(shape), pad_shape, spec)
         out = np.zeros(shape)
-        coef = np.empty(shape)
+        coef = np.empty((_block_rows(shape, pad_shape[-1]),) + shape[1:])
         # fixed ascending-q summation keeps results bitwise reproducible
         for row, kern in zip(self._rank_table, self.kernels):
             _times_kernel(spec, kern.spectrum, prod, unfolded)
-            term = _inverse(prod, shape, pad_shape)
-            # "clip" writes straight into coef; "raise" buffers its output
-            np.take(row, self._order_index, out=coef, mode="clip")
-            term *= coef
-            out += term
+            for block, term in _inverse(prod, shape, pad_shape):
+                c = coef[:term.shape[0]]
+                # "clip" writes straight into c; "raise" buffers its output
+                np.take(row, self._order_index[block], out=c, mode="clip")
+                term *= c
+                out[block] += term
         out = out.ravel()
         if self.mask is not None:
             out[~self.mask.inside] = 0.0

@@ -152,6 +152,18 @@ def bicgstab(apply_a: LinearMap, rhs: np.ndarray,
     ``relres`` its true residual ``||b - A x|| / ||b||`` (one extra apply): the
     recursive one can drift far below it once it nears rounding.
 
+    The vectors are updated in place: x, r, p, one scratch vector and the
+    best iterate are allocated once, and ``rhs``, never written, is the
+    shadow residual.  The half-step iterate and residual overwrite x and r,
+    and a new best is copied into its buffer.  Each update does the
+    out-of-place recurrence's operations in its order, so the results are
+    bitwise the same.  The maps may alias: the identity preconditioner
+    returns p and r themselves, an operator such as ``lambda u: u`` returns
+    its input, and a preconditioner may return one reused buffer.  So M^-1 p
+    is used up before the next M^-1 call, and x takes omega M^-1 r before r
+    takes omega A M^-1 r.  Beside these vectors a sweep holds the maps'
+    outputs: A M^-1 p, and M^-1 r and A M^-1 r until they are used up.
+
     Raises:
         SolverFailure: a NaN or infinity appeared in the iteration.
     """
@@ -161,10 +173,11 @@ def bicgstab(apply_a: LinearMap, rhs: np.ndarray,
     b_norm = float(np.linalg.norm(b))
     x, r = np.zeros(n), b.copy()
     m_inv = cfg.preconditioner if cfg.preconditioner is not None else (lambda v: v)
-    r_hat = r.copy()
+    r_hat = b  # the shadow residual; b is never written
     rho_old = alpha = omega = 1.0
     v = np.zeros(n)
     p = np.zeros(n)
+    tmp = np.empty(n)
     relres = float(np.linalg.norm(r)) / b_norm if b_norm else 0.0
     residuals = [relres]
     best_x, best_res, best_half = x.copy(), relres, 0
@@ -177,7 +190,11 @@ def bicgstab(apply_a: LinearMap, rhs: np.ndarray,
             status = "breakdown"
             break
         beta = (rho / rho_old) * (alpha / omega)
-        p = r + beta * (p - omega * v)
+        # p = r + beta (p - omega v)
+        np.multiply(omega, v, out=tmp)
+        p -= tmp
+        p *= beta
+        p += r
         p_hat = m_inv(p)
         v = apply_a(p_hat)
         denom = float(r_hat @ v)
@@ -185,31 +202,40 @@ def bicgstab(apply_a: LinearMap, rhs: np.ndarray,
             status = "breakdown"
             break
         alpha = rho / denom
-        s = x + alpha * p_hat      # half-step iterate
-        res_half = r - alpha * v
+        # the half-step iterate and residual, over x and r
+        np.multiply(alpha, p_hat, out=tmp)
+        x += tmp
+        del p_hat  # used up: freed before the next M^-1 call
+        np.multiply(alpha, v, out=tmp)
+        r -= tmp
         half = 2 * it - 1
-        half_norm = float(np.linalg.norm(res_half)) / b_norm
+        half_norm = float(np.linalg.norm(r)) / b_norm
         residuals.append(half_norm)
         if not math.isfinite(half_norm):
             raise SolverFailure("NaN detected in BiCGSTAB iteration")
         if half_norm < best_res:
-            best_x, best_res, best_half = s.copy(), half_norm, half
+            best_x[...] = x
+            best_res, best_half = half_norm, half
         if half_norm <= cfg.tol:
-            x, relres = s, half_norm
+            relres = half_norm
             status = "converged"
             break
-        s_hat = m_inv(res_half)
+        s_hat = m_inv(r)
         t = apply_a(s_hat)
         tt = float(t @ t)
         if tt == 0.0:
             status = "breakdown"
             break
-        omega = float(t @ res_half) / tt
+        omega = float(t @ r) / tt
         if omega == 0.0:
             status = "breakdown"
             break
-        x = s + omega * s_hat
-        r = res_half - omega * t
+        # x before r: s_hat and t may be r itself
+        np.multiply(omega, s_hat, out=tmp)
+        x += tmp
+        np.multiply(omega, t, out=tmp)
+        r -= tmp
+        del s_hat, t
         rho_old = rho
         half = 2 * it
         relres = float(np.linalg.norm(r)) / b_norm
@@ -217,7 +243,8 @@ def bicgstab(apply_a: LinearMap, rhs: np.ndarray,
         if not math.isfinite(relres):
             raise SolverFailure("NaN detected in BiCGSTAB iteration")
         if relres < best_res:
-            best_x, best_res, best_half = x.copy(), relres, half
+            best_x[...] = x
+            best_res, best_half = relres, half
         if relres <= cfg.tol:
             status = "converged"
             break
@@ -322,35 +349,48 @@ def _tau_model(op: VariableOrderOperator) -> Callable[..., LinearMap]:
     rows.  The order side (the nodes alpha_p, their weights and the powers
     Lam^(alpha_p/2), with Lam summed from one sine symbol per axis) is built
     here, once, from the operator's grouping of its orders: the weights and
-    h^alpha once per distinct order, gathered to the nodes through its
-    index.  Each (scale, shift) builds only the shift side.  At scale 0 the
-    model is diag(shift) itself, and M^-1 divides by it.
+    h^alpha once per distinct order.  Each (scale, shift) builds only the
+    shift side.  At scale 0 the model is diag(shift) itself, and M^-1
+    divides by it.
+
+    What it holds: the order side a (3, distinct) weight table and the
+    three grid-sized powers Lam^(alpha_p/2); each (scale, shift) the
+    grid-sized inverse eigenvalues, one per order node and shift node, and
+    the per-node shift weights of all shift nodes but the last (none for a
+    scalar shift).  Each M^-1 v gathers a row of the table through the
+    operator's index into a fresh array, multiplies it by v in place and
+    transforms it in place; the last shift node's product is formed in that
+    array too.  So beside its output it holds one accumulator per shift
+    node and that array, and it neither writes v nor returns it.
     """
     shape, h = op.grid.shape, op.grid.h
     thetas = [np.pi * np.arange(1, n + 1) / (n + 1) for n in shape]
     lam = sum(np.ix_(*[symbol(t[:, None], 1.0) for t in thetas]))
     orders = op._orders
     plan = build_plan(orders[0], orders[-1], TAU_ORDER_NODES)
-    order_weights = eval_lagrange(plan, orders).T  # row p: L_p(alpha) h^alpha
+    # row p: L_p(alpha) h^alpha at each distinct order alpha
+    order_weights = eval_lagrange(plan, orders).T
     order_weights *= h ** orders
-    order_weights = order_weights[:, op._order_index.ravel()]
+    index = op._order_index.ravel()
     lam_powers = [lam ** (a / 2.0) for a in plan.nodes]
     outside = None if op.mask is None else ~op.mask.inside
 
     def inverse_of(scale: float, shift: float | np.ndarray = 0.0) -> LinearMap:
-        sigma = np.broadcast_to(np.asarray(shift, dtype=float), (op.grid.size,))
+        sigma = np.asarray(shift, dtype=float)
         if scale == 0.0:
-            diag = sigma.copy()
+            diag = np.broadcast_to(sigma, (op.grid.size,)).copy()
             if outside is not None:
                 diag[outside] = 1.0
             return lambda v: v / diag
-        inside = sigma if op.mask is None else sigma[op.mask.inside]
+        inside = sigma if op.mask is None or sigma.ndim == 0 else sigma[op.mask.inside]
         lo, hi = inside.min(), inside.max()
         shift_plan = chebyshev_plan(lo, hi, TAU_SHIFT_NODES)
-        # rows L_s(sigma_j) but the last, which is one minus their sum; masked
-        # nodes may lie outside the range and are clipped (their rows are pinned)
-        shift_weights = np.ascontiguousarray(
-            eval_lagrange(shift_plan, np.clip(sigma, lo, hi)).T[:-1])
+        # rows L_s(sigma_j) but the last, which is one minus their sum, copied
+        # out of eval_lagrange's buffer; none for a scalar shift, whose plan
+        # has one node.  Masked nodes may lie outside the range and are
+        # clipped (their rows are pinned)
+        shift_weights = eval_lagrange(shift_plan,
+                                      np.clip(sigma, lo, hi)).T[:-1].copy()
         inv_lams = []  # row p: (sigma_s h^alpha_p + scale Lam^(alpha_p/2))^-1 over s
         for a, lam_power in zip(plan.nodes, lam_powers):
             scaled = scale * lam_power
@@ -358,11 +398,15 @@ def _tau_model(op: VariableOrderOperator) -> Callable[..., LinearMap]:
 
         def inverse(v: np.ndarray) -> np.ndarray:
             accs = [np.zeros(shape) for _ in shift_plan.nodes]
-            for c, invs in zip(order_weights, inv_lams):
-                v_hat = sfft.dstn((c * v).reshape(shape), type=1, norm="ortho",
+            for weights, invs in zip(order_weights, inv_lams):
+                c = np.take(weights, index, mode="clip")
+                c *= v
+                v_hat = sfft.dstn(c.reshape(shape), type=1, norm="ortho",
                                   overwrite_x=True)
-                for acc, inv in zip(accs, invs):
+                for acc, inv in zip(accs[:-1], invs):
                     acc += inv * v_hat
+                v_hat *= invs[-1]
+                accs[-1] += v_hat
             *outs, out = [sfft.dstn(acc, type=1, norm="ortho",
                                     overwrite_x=True).ravel() for acc in accs]
             # out + sum_s w_s (o_s - out), in place

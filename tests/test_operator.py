@@ -9,7 +9,7 @@ import scipy.fft as sfft
 import varlap as vl
 from varlap.errors import GridMismatch, InvalidRange, PlanMissing
 from varlap.operator import (ConstantOrderKernel, _fast_axis_len, _forward,
-                             _inverse, _rfft_shape, fit_loglog_slope)
+                             _rfft_shape, _row_blocks, fit_loglog_slope)
 from varlap.presets import order_field
 
 from conftest import gaussian_on, tanh_dec_field, tanh_inc_field
@@ -447,8 +447,27 @@ def _full_spectrum(kern):
     return full
 
 
+def _whole_forward(u_nd, pad_shape):
+    """The padded spectrum of ``u_nd``, each transform over the whole array."""
+    spec = np.zeros(_rfft_shape(pad_shape), dtype=complex)
+    spec[tuple(slice(0, n) for n in u_nd.shape[:-1])] = sfft.rfft(
+        u_nd, n=pad_shape[-1], axis=-1)
+    for ax in range(u_nd.ndim - 2, -1, -1):
+        spec = sfft.fft(spec, axis=ax)
+    return spec
+
+
+def _whole_inverse(spec, grid_shape, pad_shape):
+    """The leading ``grid_shape`` block of the inverse of ``spec``, each
+    transform over the whole array."""
+    for ax, n in enumerate(grid_shape[:-1]):
+        spec = sfft.ifft(spec, axis=ax)[(slice(None),) * ax + (slice(0, n),)]
+    return sfft.irfft(spec, n=pad_shape[-1], axis=-1)[..., :grid_shape[-1]]
+
+
 def _full_spectrum_apply(op, u, coefs=None):
-    """``op``'s fast apply, multiplying by each full mirrored spectrum.
+    """``op``'s fast apply, multiplying by each full mirrored spectrum, with
+    each transform over the whole array.
 
     ``coefs`` holds the per-node coefficients of each rank term; by default
     they are the operator's table expanded through its index.
@@ -459,11 +478,10 @@ def _full_spectrum_apply(op, u, coefs=None):
     if op.mask is not None:
         u[~op.mask.inside] = 0.0
     shape, pad_shape = op.grid.shape, op.kernels[0].pad_shape
-    spec = _forward(u.reshape(shape), pad_shape,
-                    np.empty(_rfft_shape(pad_shape), dtype=complex))
+    spec = _whole_forward(u.reshape(shape), pad_shape)
     out = np.zeros(shape)
     for coef, kern in zip(coefs, op.kernels):
-        term = _inverse(spec * _full_spectrum(kern), shape, pad_shape)
+        term = _whole_inverse(spec * _full_spectrum(kern), shape, pad_shape)
         term *= coef
         out += term
     out = out.ravel()
@@ -482,11 +500,70 @@ def test_fast_apply_bitwise_with_half_spectra(dim, n):
         op = vl.VariableOrderOperator(g, tanh_inc_field(), rank=5, mask=dmask)
         assert np.array_equal(op._apply_fast_flat(u), _full_spectrum_apply(op, u))
     kern = op.kernels[0]
-    ref = _inverse(_forward(u.reshape(g.shape), kern.pad_shape,
-                            np.empty(_rfft_shape(kern.pad_shape), dtype=complex))
-                   * _full_spectrum(kern), g.shape, kern.pad_shape)
+    ref = _whole_inverse(_whole_forward(u.reshape(g.shape), kern.pad_shape)
+                         * _full_spectrum(kern), g.shape, kern.pad_shape)
     ref = ref * kern.h ** (-kern.alpha)
     assert np.array_equal(constant_apply(g, kern.alpha, u), ref)
+
+
+@pytest.mark.parametrize("dim,n,blocks", [(1, 1023, 1), (2, 127, 1),
+                                          (2, 255, 3), (2, 511, 9),
+                                          (3, 31, 1), (3, 63, 8)])
+def test_fast_apply_bitwise_across_row_blocks(dim, n, blocks):
+    # the last-axis transforms run per block of axis-0 rows, the leading
+    # ones over the whole spectrum: the blocked apply equals the one with
+    # every transform over the whole array, masked and unmasked; 2D N = 127
+    # and 3D N = 31 are one block, 1D one block of one row
+    g = vl.build_grid(dim, -1.0, 1.0, n)
+    field = vl.sample_order(order_field("case2_linear"), g)
+    mask = vl.make_mask(g, lambda p: np.sum(p**2, axis=-1) < 0.64)
+    u = np.random.default_rng(n + dim).standard_normal(g.size)
+    for disc in (None, mask):
+        op = vl.VariableOrderOperator(g, field, rank=7, mask=disc)
+        assert len(_row_blocks(g.shape, op.kernels[0].pad_shape[-1])) == blocks
+        assert np.array_equal(op._apply_flat(u), _full_spectrum_apply(op, u))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 255), (3, 31)])
+def test_forward_allocates_under_a_quarter_of_the_spectrum(dim, n):
+    # the last axis is transformed per block of rows, each block padded in
+    # the spectrum's own memory, and the leading axes in place: no copy of
+    # the padded input or of the whole spectrum is made
+    g = vl.build_grid(dim, -1.0, 1.0, n)
+    op = vl.VariableOrderOperator(g, vl.sample_order(order_field("case2_linear"), g),
+                                  rank=7)
+    spec = op._workspace()[0]
+    u = np.random.default_rng(n).standard_normal(g.shape)
+    pad_shape = op.kernels[0].pad_shape
+    _forward(u, pad_shape, spec)
+    tracemalloc.start()
+    try:
+        _forward(u, pad_shape, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(spec, _whole_forward(u, pad_shape))
+    assert peak < spec.nbytes / 4, (peak, spec.nbytes)
+
+
+def test_apply_with_workspace_allocates_its_output_and_row_blocks():
+    # 2D N = 511: beside a caller-owned workspace an apply allocates its
+    # 2 MiB output, a block-sized coefficient buffer and one block of
+    # transform output at a time (12 MiB when the last-axis transforms
+    # ran over the whole array)
+    g = vl.build_grid(2, -4.0, 4.0, 511)
+    op = vl.VariableOrderOperator(g, vl.sample_order(order_field("alpha2"), g),
+                                  rank=7)
+    work = op._workspace()
+    u = np.random.default_rng(5).standard_normal(g.size)
+    op._apply_flat(u, work)
+    tracemalloc.start()
+    try:
+        op._apply_flat(u, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= u.nbytes + 2 * 2**20, peak
 
 
 def test_half_spectra_bytes_3d():

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,8 +9,10 @@ import scipy.fft as sfft
 import varlap as vl
 from varlap.presets import initial_condition, order_field
 import varlap.solver as solver
+from varlap.lowrank import chebyshev_plan
 from varlap.solver import (
     TAU_ORDER_NODES,
+    TAU_SHIFT_NODES,
     _bootstrap_system,
     _implicit_step,
     _masked_rhs,
@@ -112,6 +115,148 @@ def test_bicgstab_reports_true_residual_unless_converged(precondition,
     true = np.linalg.norm(b - op._apply_flat(res.x)) / np.linalg.norm(b)
     assert abs(res.relres - true) <= 0.01 * true, (res.relres, true)
     assert min(res.residuals) < 1e-3 * true
+
+
+def _bicgstab_out_of_place(apply_a, rhs, config):
+    """The out-of-place BiCGSTAB recurrence, a fresh array for every vector
+    of every sweep: the reference the in-place :func:`bicgstab` must equal."""
+    cfg = config
+    b = np.asarray(rhs, dtype=float).ravel()
+    n = b.size
+    b_norm = float(np.linalg.norm(b))
+    x, r = np.zeros(n), b.copy()
+    m_inv = cfg.preconditioner if cfg.preconditioner is not None else (lambda v: v)
+    r_hat = r.copy()
+    rho_old = alpha = omega = 1.0
+    v = np.zeros(n)
+    p = np.zeros(n)
+    relres = float(np.linalg.norm(r)) / b_norm if b_norm else 0.0
+    residuals = [relres]
+    best_x, best_res, best_half = x.copy(), relres, 0
+    status = "converged" if relres <= cfg.tol else "max_iter"
+    half = it = 0
+    while status == "max_iter" and it < cfg.max_iter:
+        it += 1
+        rho = float(r_hat @ r)
+        if abs(rho) < 1e-300:
+            status = "breakdown"
+            break
+        beta = (rho / rho_old) * (alpha / omega)
+        p = r + beta * (p - omega * v)
+        p_hat = m_inv(p)
+        v = apply_a(p_hat)
+        denom = float(r_hat @ v)
+        if abs(denom) < 1e-300:
+            status = "breakdown"
+            break
+        alpha = rho / denom
+        s = x + alpha * p_hat
+        res_half = r - alpha * v
+        half = 2 * it - 1
+        half_norm = float(np.linalg.norm(res_half)) / b_norm
+        residuals.append(half_norm)
+        if half_norm < best_res:
+            best_x, best_res, best_half = s.copy(), half_norm, half
+        if half_norm <= cfg.tol:
+            x, relres = s, half_norm
+            status = "converged"
+            break
+        s_hat = m_inv(res_half)
+        t = apply_a(s_hat)
+        tt = float(t @ t)
+        if tt == 0.0:
+            status = "breakdown"
+            break
+        omega = float(t @ res_half) / tt
+        if omega == 0.0:
+            status = "breakdown"
+            break
+        x = s + omega * s_hat
+        r = res_half - omega * t
+        rho_old = rho
+        half = 2 * it
+        relres = float(np.linalg.norm(r)) / b_norm
+        residuals.append(relres)
+        if relres < best_res:
+            best_x, best_res, best_half = x.copy(), relres, half
+        if relres <= cfg.tol:
+            status = "converged"
+            break
+        leash = 2 * solver.STAGNATION_SWEEPS
+        if best_res >= 0.999 * residuals[0]:
+            leash *= 8
+        if half - best_half >= leash:
+            status = "stagnated"
+            break
+    if status != "converged":
+        x, half = best_x, best_half
+        relres = float(np.linalg.norm(b - apply_a(x))) / b_norm
+    return x, half, relres, status, residuals
+
+
+def _bicgstab_cases():
+    """(name, matrix, rhs, config) covering every exit of BiCGSTAB."""
+    rng = np.random.default_rng(0)
+    n = 30
+    a, stiff = (np.diag(d) + 0.3 * np.sqrt(np.outer(d, d))
+                * rng.uniform(-1, 1, (n, n)) / n
+                for d in (np.logspace(0.0, 2.0, n), np.logspace(0.0, 6.0, n)))
+    b = rng.standard_normal(n)
+    # omega = 0 after the first half-step, which is no better than the start
+    omega_zero = np.array([[1.0, 1.0], [1.0, 0.0]])
+    return [
+        ("converged", a, b, vl.KrylovConfig(tol=1e-10)),
+        ("diagonal", np.diag(np.diag(a)), b, vl.KrylovConfig(tol=1e-10)),
+        # the recursive residual of the stiff system floors above 1e-300
+        ("stagnated", stiff, b, vl.KrylovConfig(tol=1e-300)),
+        ("max_iter", a, b, vl.KrylovConfig(tol=1e-300, max_iter=4)),
+        ("rotation", np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([1.0, 0.0]),
+         vl.KrylovConfig()),
+        ("omega_zero", omega_zero, np.array([1.0, 0.0]), vl.KrylovConfig()),
+    ]
+
+
+def _reused_buffer_jacobi(d):
+    """The Jacobi inverse, returning one internal buffer on every call."""
+    buf = np.empty(d.size)
+
+    def m_inv(v):
+        np.divide(v, d, out=buf)
+        return buf
+
+    return m_inv
+
+
+def test_in_place_bicgstab_equals_out_of_place_recurrence():
+    # x, r and p are updated in place, the half-step iterate and residual
+    # overwrite x and r: every exit returns the out-of-place recurrence's x,
+    # count, residuals, status and relres bitwise, plain, Jacobi
+    # preconditioned, with an identity preconditioner that returns its
+    # input, with one that returns a reused buffer, and with the identity
+    # operator
+    exits = set()
+    for name, a, b, cfg in _bicgstab_cases():
+        d = np.diag(a).copy()
+        d[d == 0.0] = 1.0
+        preconditioners = {"plain": None, "jacobi": lambda v: v / d,
+                           "identity": lambda v: v,
+                           "reused": _reused_buffer_jacobi(d)}
+        for operator in (lambda u: a @ u, lambda u: u):
+            for pre_name, pre in preconditioners.items():
+                run = replace(cfg, preconditioner=pre)
+                x, half, relres, status, residuals = _bicgstab_out_of_place(
+                    operator, b, run)
+                if pre_name == "reused":  # a buffer of its own
+                    run = replace(run, preconditioner=_reused_buffer_jacobi(d))
+                got = vl.bicgstab(operator, b, run)
+                assert np.array_equal(got.x, x), (name, pre_name)
+                assert (got.iterations, got.relres, got.status,
+                        got.residuals) == (half, relres, status, residuals), (
+                    name, pre_name)
+                # the exit and whether it came right after a half-step
+                exits.add((status, (len(residuals) - 1) % 2))
+    assert exits >= {("converged", 1), ("converged", 0), ("stagnated", 0),
+                     ("max_iter", 0), ("breakdown", 0), ("breakdown", 1)}, exits
 
 
 def _elliptic_case(kind):
@@ -302,6 +447,57 @@ def test_unshifted_tau_inverse_is_order_interpolated_formula(kind):
                    for a, c in zip(plan.nodes, weights)), g.shape)
     out = _tau_model(op)(scale, 0.0)(v)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_shifted_tau_inverse_is_the_per_node_formula_under_a_mask():
+    # two shift nodes over the unmasked shifts and three order nodes:
+    # M^-1 v = sum_s L_s(sigma_j) S sum_p (sigma_s h^alpha_p
+    #          + scale Lam^(alpha_p/2))^-1 S (L_p(alpha_j) h^alpha_j v_j),
+    # with every weight evaluated per node and the identity on masked rows
+    g = vl.build_grid(2, -1.0, 1.0, 31)
+    mask = vl.make_mask(g, lambda p: np.sum(p ** 2, axis=-1) < 0.7)
+    op = vl.VariableOrderOperator(g, vl.sample_order(order_field("case2_linear"), g),
+                                  mode="fast", mask=mask)
+    rng = np.random.default_rng(9)
+    sigma = rng.uniform(1.0, 3.0, g.size)
+    v = rng.standard_normal(g.size)
+    scale, inside = 0.3, mask.inside
+    alphas = op.field.sampled
+    plan = vl.build_plan(alphas.min(), alphas.max(), TAU_ORDER_NODES)
+    order_w = vl.eval_lagrange(plan, alphas).T * g.h ** alphas
+    lo, hi = sigma[inside].min(), sigma[inside].max()
+    shift_plan = chebyshev_plan(lo, hi, TAU_SHIFT_NODES)
+    assert shift_plan.rank == 2
+    shift_w = vl.eval_lagrange(shift_plan, np.clip(sigma, lo, hi)).T
+    lam = _sine_symbol(g.shape)
+    ref = sum(w_s * _dst(sum(_dst(c * v, g.shape).reshape(g.shape)
+                             / (s * g.h ** a + scale * lam ** (a / 2.0))
+                             for a, c in zip(plan.nodes, order_w)), g.shape)
+              for s, w_s in zip(shift_plan.nodes, shift_w))
+    ref[~inside] = v[~inside]
+    out = _tau_model(op)(scale, sigma)(v)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_tau_preconditioned_3d_solve_memory_peak():
+    # 3D N = 31, case2_linear, f = 1: the solve, its tau model included,
+    # peaks at 11.5 MiB in tracemalloc with out-of-place BiCGSTAB updates,
+    # tau order weights spread to every node and whole-array last-axis
+    # transforms, and at 9.0 MiB without them
+    g = vl.build_grid(3, -1.0, 1.0, 31)
+    op = vl.VariableOrderOperator(g, vl.sample_order(order_field("case2_linear"), g),
+                                  rank=7)
+    problem = vl.EllipticProblem(operator=op, f=vl.GridFunction(g, np.ones(g.size)))
+    cfg = vl.KrylovConfig(tol=1e-10)
+    vl.solve_elliptic(problem, cfg)
+    tracemalloc.start()
+    try:
+        out = vl.solve_elliptic(problem, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.krylov.status == "converged"
+    assert peak <= 10.25 * 2**20, peak / 2**20
 
 
 def test_tau_inverse_at_zero_scale_divides_by_shift():
