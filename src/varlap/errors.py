@@ -1,4 +1,11 @@
-"""Exception hierarchy for the varlap package."""
+"""Exception hierarchy for the varlap package, and the one rule for each
+kind of argument: :func:`check_integer` for counts, dimensions and sizes,
+:func:`is_real` for real numbers.  Neither takes a bool nor truncates, so
+True is not read as 1 nor 7.9 as 7; each entry point passes the error
+class it documents.
+"""
+
+import numbers
 
 
 class VarlapError(Exception):
@@ -67,3 +74,20 @@ class NotNested(VarlapError):
 
 class ConfigError(VarlapError):
     """Invalid experiment configuration."""
+
+
+def is_real(value) -> bool:
+    """True for a real number that is not a bool (numpy scalars included)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_integer(value, name: str, lo: int, hi: int | None = None,
+                  error: type[VarlapError] = InvalidRange) -> int:
+    """``value`` as an int if it is a non-bool integer (numpy's included)
+    in lo..hi, hi None for no bound; else ``error`` naming ``name``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        n = int(value)
+        if lo <= n and (hi is None or n <= hi):
+            return n
+    span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    raise error(f"{name} must be an integer {span}, got {value!r}")

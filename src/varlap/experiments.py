@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidRange, NotNested
+from .errors import ConfigError, NotNested
 from .grid import GridFunction, UniformGrid, build_grid, make_mask
 from .lowrank import DEFAULT_RANK
 from .operator import VariableOrderOperator, fit_loglog_slope, operator_timing
@@ -314,17 +314,14 @@ def run_elliptic(cfg: dict, out_dir) -> list[ConvergenceRow]:
 # -- time-dependent runs --------------------------------------------------------
 
 def _stepper_from_cfg(cfg: dict, dt: float) -> TimeStepper:
-    try:
-        return TimeStepper(
-            scheme=_get(cfg, "scheme", "crank_nicolson"),
-            dt=dt,
-            t_final=_number(cfg, "t_final", 0.5),
-            kappa=_number(cfg, "kappa", 0.01),
-            diffusion=_number(cfg, "diffusion", 1.0),
-            krylov=_krylov(cfg),
-        )
-    except InvalidRange as exc:
-        raise ConfigError(str(exc)) from exc
+    return TimeStepper(
+        scheme=_get(cfg, "scheme", "crank_nicolson"),
+        dt=dt,
+        t_final=_number(cfg, "t_final", 0.5),
+        kappa=_number(cfg, "kappa", 0.01),
+        diffusion=_number(cfg, "diffusion", 1.0),
+        krylov=_krylov(cfg),
+    )
 
 
 def run_evolve(cfg: dict, out_dir):

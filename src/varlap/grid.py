@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyDomain, InvalidBox, InvalidDim, OrderOutOfRange
+from .errors import EmptyDomain, InvalidBox, InvalidDim, OrderOutOfRange, check_integer
 
 __all__ = [
     "UniformGrid",
@@ -171,16 +171,15 @@ def build_grid(dim: int,
     quadrature assumes an isotropic step).
 
     Raises:
-        InvalidDim: dim not in {1, 2, 3} or a node count not an integer >= 1.
+        InvalidDim: dim not an integer in 1..3 or a node count not an
+            integer >= 1 (a bool, 2.0 and 7.9 are not integers).
         InvalidBox: lower >= upper, non-finite bounds, or unequal steps.
     """
-    if dim not in (1, 2, 3):
-        raise InvalidDim(f"dim must be 1, 2 or 3, got {dim}")
+    dim = check_integer(dim, "dim", 1, 3, InvalidDim)
     lo = tuple(float(v) for v in np.broadcast_to(lower, (dim,)))
     hi = tuple(float(v) for v in np.broadcast_to(upper, (dim,)))
-    ns = tuple(np.broadcast_to(n_per_dim, (dim,)).tolist())
-    if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in ns):
-        raise InvalidDim(f"node counts must be integers >= 1, got {ns}")
+    counts = np.broadcast_to(np.asarray(n_per_dim, dtype=object), (dim,))
+    ns = tuple(check_integer(n, "n_per_dim", 1, error=InvalidDim) for n in counts)
     if not all(np.isfinite(lo)) or not all(np.isfinite(hi)):
         raise InvalidBox("box bounds must be finite")
     if any(a >= b for a, b in zip(lo, hi)):

@@ -13,12 +13,12 @@ numerically stable, and exactly cardinal at the nodes.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRange, OutOfRange, RankCapExceeded
+from .errors import (InvalidDim, InvalidRange, OutOfRange, RankCapExceeded,
+                     check_integer, is_real)
 
 __all__ = [
     "ChebyshevPlan",
@@ -43,42 +43,32 @@ class ChebyshevPlan:
     alpha_max: float
 
 
-def check_rank(rank: int | None) -> None:
-    """Raise InvalidRange unless rank is None (the default) or an integer
-    in 1..RANK_CAP."""
-    if rank is not None and (isinstance(rank, bool)
-                             or not isinstance(rank, numbers.Integral)
-                             or not 1 <= rank <= RANK_CAP):
-        raise InvalidRange(f"rank must be an integer in 1..{RANK_CAP}, got {rank!r}")
-
-
 def build_plan(alpha_min: float, alpha_max: float, r: int = DEFAULT_RANK) -> ChebyshevPlan:
     """Chebyshev first-kind nodes of the order interval [alpha_min, alpha_max]
     with weights, by :func:`chebyshev_plan`.
 
     Raises:
-        InvalidRange: bounds outside (0, 2], inverted interval, or r
-            outside 1..RANK_CAP.
+        InvalidRange: bounds outside (0, 2], inverted interval, or r not
+            an integer in 1..RANK_CAP.
     """
     alpha_min, alpha_max = float(alpha_min), float(alpha_max)
     if not (0.0 < alpha_min <= alpha_max <= 2.0):
         raise InvalidRange(f"interval [{alpha_min}, {alpha_max}] outside (0, 2]")
-    check_rank(r)
-    return chebyshev_plan(alpha_min, alpha_max, r)
+    return chebyshev_plan(alpha_min, alpha_max,
+                          check_integer(r, "rank", 1, RANK_CAP))
 
 
 def chebyshev_plan(lo: float, hi: float, r: int) -> ChebyshevPlan:
     """Chebyshev first-kind nodes of any interval lo <= hi with weights.
 
     A degenerate interval (lo == hi) collapses to the single node with L_1
-    identically one.
+    identically one.  ``r`` is a positive int, as :func:`build_plan` checks.
     """
     lo, hi = float(lo), float(hi)
     if lo == hi:
         return ChebyshevPlan(rank=1, nodes=np.array([lo]),
                              bary_weights=np.array([1.0]),
                              alpha_min=lo, alpha_max=hi)
-    r = int(r)
     k = np.arange(1, r + 1)
     theta = (2.0 * k - 1.0) * np.pi / (2.0 * r)
     # cos(theta) is decreasing; flip for ascending nodes
@@ -199,15 +189,15 @@ def _sample_symbol_values(h: float, dim: int) -> np.ndarray:
     return np.unique(np.concatenate([lin[1:], logs]))
 
 
-def interpolation_error(plan: ChebyshevPlan, h: float, dim: int = 1,
-                        nt: int = 240) -> float:
-    """Measured sup error of the plan over a dense (t, a) sample grid.
+def interpolation_error(plan: ChebyshevPlan, h: float, dim: int = 1) -> float:
+    """Measured sup error of the plan over a dense (t, a) sample grid of
+    240 orders.
 
     The error is relative to the largest sampled symbol power
     ``a_max**(alpha_max/2)`` so the certificate is h-aware.
     """
     a = _sample_symbol_values(h, dim)
-    t = np.linspace(plan.alpha_min, plan.alpha_max, nt)
+    t = np.linspace(plan.alpha_min, plan.alpha_max, 240)
     la = np.log(a)
     exact = np.exp(np.outer(t / 2.0, la))
     basis = np.exp(np.outer(plan.nodes / 2.0, la))
@@ -224,10 +214,13 @@ def estimate_rank(alpha_min: float, alpha_max: float, h: float,
     samples as in :func:`interpolation_error`.  Returns (r, measured_error).
 
     Raises:
+        InvalidRange: epsilon not a positive real number (NaN included).
+        InvalidDim: dim not an integer in 1..3.
         RankCapExceeded: no r <= 32 meets the tolerance.
     """
-    if not epsilon > 0.0:                 # NaN included
-        raise InvalidRange(f"epsilon must be positive, got {epsilon}")
+    if not (is_real(epsilon) and epsilon > 0.0):      # NaN fails too
+        raise InvalidRange(f"epsilon must be a positive real number, got {epsilon!r}")
+    dim = check_integer(dim, "dim", 1, 3, InvalidDim)
     if alpha_min == alpha_max:
         return 1, 0.0
     for r in range(1, RANK_CAP + 1):

@@ -62,13 +62,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import GridMismatch, InvalidRange, PlanMissing, SizeMismatch
+from .errors import GridMismatch, InvalidRange, PlanMissing, SizeMismatch, check_integer
 from .grid import DomainMask, GridFunction, OrderField, UniformGrid, sample_order
 from .lowrank import (
     DEFAULT_RANK,
+    RANK_CAP,
     ChebyshevPlan,
     build_plan,
-    check_rank,
     distinct_values,
     rank_coefficients,
 )
@@ -248,6 +248,10 @@ class VariableOrderOperator:
     Both modes apply the same weights, :func:`~varlap.weights.operator_block`
     of each order, which depend only on the order, the dimension and the
     grid size.
+
+    Raises:
+        InvalidRange: an unknown mode, or a rank not an integer in 1..32.
+        GridMismatch: a mask on another grid.
     """
 
     def __init__(self, grid: UniformGrid, field: OrderField,
@@ -258,10 +262,10 @@ class VariableOrderOperator:
             raise InvalidRange(f"mode must be fast or direct, got {mode!r}")
         if field.sampled is None or field.grid is not grid:
             field = sample_order(field, grid)
-        if mask is not None and mask.grid.shape != grid.shape:
-            raise GridMismatch("mask grid does not match operator grid")
-        check_rank(rank)     # direct mode ignores it, but checks it
         self.grid = grid
+        self._check_grid(mask=mask)
+        # direct mode ignores the rank, but checks it
+        rank = DEFAULT_RANK if rank is None else check_integer(rank, "rank", 1, RANK_CAP)
         self.field = field
         self.mode = mode
         self.mask = mask
@@ -271,8 +275,7 @@ class VariableOrderOperator:
         self.kernels: list[ConstantOrderKernel] = []
         if mode == "fast":
             if plan is None:
-                plan = build_plan(field.alpha_min, field.alpha_max,
-                                  rank if rank is not None else DEFAULT_RANK)
+                plan = build_plan(field.alpha_min, field.alpha_max, rank)
             self.plan = plan
             # kernels first: their transients are freed before the grouping
             self.kernels = [self.constant_order_kernel(a) for a in plan.nodes]
@@ -290,14 +293,20 @@ class VariableOrderOperator:
         return ConstantOrderKernel.from_block(block, self.grid.shape,
                                               self.grid.h, alpha)
 
+    def _check_grid(self, **named) -> None:
+        """The one grid check: GridMismatch naming the first grid function
+        or mask in ``named`` on another grid than this operator's."""
+        for name, value in named.items():
+            if value is not None and value.grid.shape != self.grid.shape:
+                raise GridMismatch(f"{name} grid {value.grid.shape} does not "
+                                   f"match operator grid {self.grid.shape}")
+
     # -- applies -----------------------------------------------------------
 
     def apply(self, u: GridFunction) -> GridFunction:
-        """Apply along the configured mode."""
-        if u.grid.shape != self.grid.shape:
-            raise GridMismatch(
-                f"input grid {u.grid.shape} != operator grid {self.grid.shape}"
-            )
+        """Apply along the configured mode; GridMismatch if ``u`` is on
+        another grid."""
+        self._check_grid(u=u)
         return GridFunction(self.grid, self._apply_flat(u.values))
 
     def _workspace(self) -> tuple | None:
@@ -330,6 +339,8 @@ class VariableOrderOperator:
         return self._apply_direct_flat(values)
 
     def _masked_input(self, values: np.ndarray) -> np.ndarray:
+        """``values`` with masked nodes zeroed, in a copy; ``values`` itself
+        if unmasked."""
         if self.mask is None:
             return values
         out = values.copy()
@@ -414,12 +425,11 @@ def operator_timing(op: VariableOrderOperator, n_reps: int = 5) -> dict:
 
     Raises:
         PlanMissing: ``op`` is not a fast operator.
-        InvalidRange: ``n_reps`` < 1.
+        InvalidRange: ``n_reps`` not an integer >= 1.
     """
     if op.mode != "fast":
         raise PlanMissing("timing is defined for the fast path")
-    if n_reps < 1:
-        raise InvalidRange(f"reps must be >= 1, got {n_reps}")
+    n_reps = check_integer(n_reps, "reps", 1)
     u = np.random.default_rng(0).standard_normal(op.grid.size)
     # one workspace for every apply, as a solve holds one
     work = op._workspace()

@@ -31,6 +31,7 @@ from .errors import (
     OrderOutOfRange,
     QuadratureNonConvergent,
     TailTooLarge,
+    check_integer,
 )
 from .grid import GridFunction
 from .lowrank import distinct_values
@@ -61,13 +62,12 @@ def gaussian_frac_lap(x, alpha, d: int):
     the result is bitwise that of evaluating every point.
 
     Raises:
-        InvalidDim: d not in 1..3, or points with other than d components.
+        InvalidDim: d not an integer in 1..3, or points with other than d
+            components.
         InvalidRange: a non-finite point, or one whose |x|^2 overflows.
         OrderOutOfRange: an order outside (0, 2], or non-finite.
     """
-    d = int(d)
-    if d not in (1, 2, 3):
-        raise InvalidDim(f"dimension must be 1, 2 or 3, got {d}")
+    d = check_integer(d, "d", 1, 3, InvalidDim)
     pts = np.asarray(x, dtype=float)
     if pts.ndim <= 1 and d == 1:
         pts = pts[..., None]
@@ -142,35 +142,33 @@ _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
 def integral_frac_lap(u, x, alpha: float, d: int,
-                      cutoff_r: float | None = None, tol: float = 1e-8,
-                      u_inf: float | None = None,
-                      n_angle: int = 96) -> float:
+                      cutoff_r: float | None = None, tol: float = 1e-8) -> float:
     """Fractional Laplacian of a smooth function by direct quadrature.
 
     ``u`` maps points of shape (n, d) to values (n,).  The symmetrized
     integrand is integrated adaptively over |y| <= R in polar/spherical
     coordinates (a power substitution regularizes the residual |y|^(1-alpha)
-    endpoint behavior); beyond R the function is replaced by its far-field
-    constant ``u_inf`` (estimated from probe spheres when not given), turning
-    the tail into the analytic term ``c * (u(x)-u_inf) * S_d * R^-alpha / alpha``.
+    endpoint behavior) over 96 azimuths and, in 3D, 24 polar nodes; beyond R
+    the function is replaced by its far-field constant u_inf, its median on
+    probe spheres, turning the tail into the analytic term
+    ``c * (u(x)-u_inf) * S_d * R^-alpha / alpha``.
 
     Raises:
+        InvalidDim: d not an integer in 1..3.
         TailTooLarge: far-field deviation from u_inf too big for ``tol``.
         QuadratureNonConvergent: adaptive quadrature error above ``tol``.
         OrderOutOfRange: alpha outside (0, 2) (the constant is singular at 2).
     """
     from scipy.integrate import quad
 
-    d = int(d)
-    if d not in (1, 2, 3):
-        raise InvalidDim(f"dimension must be 1, 2 or 3, got {d}")
+    d = check_integer(d, "d", 1, 3, InvalidDim)
     alpha = float(alpha)
     c = normalization_constant(d, alpha)
     x0 = np.atleast_1d(np.asarray(x, dtype=float)).reshape(d)
     ux = float(np.asarray(u(x0[None, :])).ravel()[0])
     radius = float(cutoff_r) if cutoff_r is not None else float(np.linalg.norm(x0)) + 8.0
 
-    dirs, wts = _sphere_directions(d, n_angle, max(8, n_angle // 4))
+    dirs, wts = _sphere_directions(d, 96, 24)
 
     def angular(rho: float) -> float:
         plus = np.asarray(u(x0[None, :] + rho * dirs)).ravel()
@@ -183,8 +181,7 @@ def integral_frac_lap(u, x, alpha: float, d: int,
         probe.append(np.asarray(u(x0[None, :] + fac * radius * dirs)).ravel())
         probe.append(np.asarray(u(x0[None, :] - fac * radius * dirs)).ravel())
     probe = np.concatenate(probe)
-    if u_inf is None:
-        u_inf = float(np.median(probe))
+    u_inf = float(np.median(probe))
     far_dev = float(np.abs(probe - u_inf).max())
     area = _SPHERE_AREA[d]
     tail_bound = c * area * far_dev * radius ** (-alpha) / alpha

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -46,7 +45,7 @@ import numpy as np
 import scipy.fft as sfft
 from scipy import ndimage
 
-from .errors import GridMismatch, InvalidRange, SolverFailure
+from .errors import InvalidRange, SolverFailure, check_integer, is_real
 from .grid import DomainMask, GridFunction
 from .lowrank import build_plan, chebyshev_plan, eval_lagrange
 from .operator import VariableOrderOperator
@@ -82,11 +81,6 @@ STAGNATION_SWEEPS = 25
 MAX_STEPS = 2**20
 
 
-def _is_real(value) -> bool:
-    """True for a real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class KrylovConfig:
     """BiCGSTAB controls; defaults reproduce iterate-to-stagnation behavior.
@@ -103,15 +97,11 @@ class KrylovConfig:
     preconditioner: LinearMap | None = None
 
     def __post_init__(self):
-        if not (_is_real(self.tol) and 0.0 < self.tol < math.inf):
+        if not (is_real(self.tol) and 0.0 < self.tol < math.inf):
             raise InvalidRange(f"tolerance must be positive and finite, "
                                f"got {self.tol!r}")
-        if (isinstance(self.max_iter, bool)
-                or not isinstance(self.max_iter, numbers.Integral)
-                or self.max_iter < 1):
-            raise InvalidRange(f"max_iter must be an integer >= 1, "
-                               f"got {self.max_iter!r}")
-        if not (_is_real(self.accept_relres) and self.accept_relres >= 0.0):
+        check_integer(self.max_iter, "max_iter", 1)
+        if not (is_real(self.accept_relres) and self.accept_relres >= 0.0):
             raise InvalidRange(f"accept_relres must be >= 0, "
                                f"got {self.accept_relres!r}")
 
@@ -270,13 +260,9 @@ class EllipticProblem:
     b: GridFunction | None = None
 
     def __post_init__(self):
-        if self.f.grid.shape != self.operator.grid.shape:
-            raise GridMismatch("rhs grid does not match operator grid")
-        if self.b is not None:
-            if self.b.grid.shape != self.operator.grid.shape:
-                raise GridMismatch("reaction grid does not match operator grid")
-            if np.any(self.b.values < 0.0):
-                raise InvalidRange("reaction coefficient must be nonnegative")
+        self.operator._check_grid(f=self.f, b=self.b)
+        if self.b is not None and np.any(self.b.values < 0.0):
+            raise InvalidRange("reaction coefficient must be nonnegative")
 
 
 @dataclass
@@ -314,14 +300,6 @@ def _pinned_map(op: VariableOrderOperator, scale: float,
         return _pinned(a_u, u, scale, sigma, op.mask, out=a_u)
 
     return apply_a
-
-
-def _masked_rhs(rhs: np.ndarray, mask: DomainMask | None) -> np.ndarray:
-    if mask is None:
-        return rhs
-    out = rhs.copy()
-    out[~mask.inside] = 0.0
-    return out
 
 
 def _tau_model(op: VariableOrderOperator) -> Callable[..., LinearMap]:
@@ -470,7 +448,7 @@ class TimeStepper:
             raise InvalidRange(f"unknown scheme {self.scheme!r}")
         for name in ("dt", "t_final", "kappa", "diffusion"):
             value = getattr(self, name)
-            if not _is_real(value):
+            if not is_real(value):
                 raise InvalidRange(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.dt) and math.isfinite(self.t_final)):
             raise InvalidRange(f"dt and t_final must be finite, got "
@@ -519,7 +497,7 @@ def _implicit_step(what: str, op: VariableOrderOperator, w_old: GridFunction,
     """
     rhs = (_pinned_map(op, -c, 2.0 - sigma)(w_old.values) if aw_old is None
            else _pinned(aw_old, w_old.values, -c, 2.0 - sigma, op.mask)) + g
-    b = _masked_rhs(rhs, op.mask)
+    b = op._masked_input(rhs)
     apply_a = _pinned_map(op, c, sigma)
     cfg = replace(krylov, preconditioner=inverse)
     b_norm = float(np.linalg.norm(b))
@@ -545,14 +523,6 @@ def _implicit_step(what: str, op: VariableOrderOperator, w_old: GridFunction,
     return GridFunction(op.grid, result.x), result, aw_next
 
 
-def _check_grid(op: VariableOrderOperator, **states: GridFunction) -> None:
-    """Raise GridMismatch for a state on another grid than the operator's."""
-    for name, u in states.items():
-        if u.grid.shape != op.grid.shape:
-            raise GridMismatch(f"{name} grid {u.grid.shape} does not match "
-                               f"operator grid {op.grid.shape}")
-
-
 def step_crank_nicolson(u_prev: GridFunction, stepper: TimeStepper,
                         operator: VariableOrderOperator,
                         t: float = 0.0) -> tuple[GridFunction, KrylovResult]:
@@ -562,7 +532,7 @@ def step_crank_nicolson(u_prev: GridFunction, stepper: TimeStepper,
     if stepper.scheme != "crank_nicolson":
         raise InvalidRange(f"a Crank-Nicolson step takes a crank_nicolson "
                            f"stepper, got {stepper.scheme!r}")
-    _check_grid(operator, u_prev=u_prev)
+    operator._check_grid(u_prev=u_prev)
     return _implicit_step("Crank-Nicolson step", operator, u_prev,
                           *_crank_nicolson_system(stepper, operator, t),
                           stepper.krylov, None)[:2]
@@ -619,7 +589,7 @@ def step_allen_cahn_three_level(u_nm1: GridFunction, u_n: GridFunction,
     if stepper.scheme != "allen_cahn":
         raise InvalidRange(f"a three-level step takes an allen_cahn stepper, "
                            f"got {stepper.scheme!r}")
-    _check_grid(operator, u_nm1=u_nm1, u_n=u_n)
+    operator._check_grid(u_nm1=u_nm1, u_n=u_n)
     c, sigma, g = _three_level_system(u_n, stepper)
     return _implicit_step("three-level step", operator, u_nm1, c, sigma, g,
                           stepper.krylov, _tau_model(operator)(c, sigma))[:2]
@@ -687,7 +657,7 @@ def evolve(stepper: TimeStepper, operator: VariableOrderOperator,
     and -1 for the phase-field scheme.  Frames, when requested, are written
     as flat row-major text arrays, one file per step.
     """
-    _check_grid(operator, u0=u0)
+    operator._check_grid(u0=u0)
     shift = 1.0 if stepper.scheme == "allen_cahn" else 0.0
     if operator.mask is not None:  # w = 0 outside; 0.0 - shift is never -0.0
         u0 = GridFunction(operator.grid,

@@ -47,12 +47,12 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
-from operator import index
 
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import InvalidDim, OrderOutOfRange, QuadratureTooCoarse, SizeMismatch
+from .errors import (InvalidDim, OrderOutOfRange, QuadratureTooCoarse, SizeMismatch,
+                     check_integer, is_real)
 from .lowrank import chebyshev_plan, eval_lagrange
 from .oracle import normalization_constant
 
@@ -84,23 +84,10 @@ def symbol(xi, h: float):
 
 
 def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (0.0 < alpha <= 2.0) or not math.isfinite(alpha):
-        raise OrderOutOfRange(f"order {alpha} outside (0, 2]")
-    return alpha
-
-
-def _check_offset(value, name: str) -> int:
-    not_integer = InvalidDim(f"{name} must be an integer, got {value!r}")
-    if isinstance(value, bool):
-        raise not_integer
-    try:
-        n = index(value)
-    except TypeError:
-        raise not_integer from None
-    if n < 0:
-        raise InvalidDim(f"{name} must be >= 0, got {n}")
-    return n
+    # NaN and infinities fail the comparison
+    if not (is_real(alpha) and 0.0 < alpha <= 2.0):
+        raise OrderOutOfRange(f"order {alpha!r} outside (0, 2]")
+    return float(alpha)
 
 
 @dataclass(frozen=True)
@@ -139,7 +126,7 @@ def signed_block(block: np.ndarray, kmax: int | None = None) -> np.ndarray:
     QuadratureTooCoarse.
     """
     k = block.shape[0] - 1
-    kmax = k if kmax is None else _check_offset(kmax, "kmax")
+    kmax = k if kmax is None else check_integer(kmax, "kmax", 0, error=InvalidDim)
     if kmax > k:
         raise QuadratureTooCoarse(f"offset {kmax} exceeds block range {k}")
     idx = np.abs(np.arange(-kmax, kmax + 1))
@@ -147,7 +134,7 @@ def signed_block(block: np.ndarray, kmax: int | None = None) -> np.ndarray:
 
 
 def _next_pow2(n: int) -> int:
-    return 1 << max(0, int(n - 1).bit_length())
+    return 1 << max(0, (n - 1).bit_length())
 
 
 def default_quadrature_size(dim: int, n_target: int) -> int:
@@ -162,8 +149,12 @@ def default_quadrature_size(dim: int, n_target: int) -> int:
     table aliases with error O(m^(-3-alpha)) and keeps a lean multiple,
     floored at 64 and capped at 512, but never below 2N + 2.  The 1D
     weights are the closed form and need no quadrature.
+
+    Raises:
+        InvalidDim: dim not 2 or 3, or n_target not an integer >= 1.
     """
-    n_target = int(n_target)
+    dim = check_integer(dim, "dim", 2, 3, InvalidDim)
+    n_target = check_integer(n_target, "n_target", 1, error=InvalidDim)
     if dim == 2:
         return max(_next_pow2(4 * n_target), 128)
     return max(min(max(_next_pow2(4 * n_target), 64), 512),
@@ -202,19 +193,20 @@ def weights_nd_fft(alpha: float, dim: int, m: int,
             integer; enforces m >= 2*N and keeps offsets 0..N per axis.
 
     Raises:
-        OrderOutOfRange: alpha outside (0, 2].
-        InvalidDim: dim not 1, 2 or 3, or target_n negative or not an integer.
-        QuadratureTooCoarse: m not a power of two >= 4, or m < 2*target_n.
+        OrderOutOfRange: alpha outside (0, 2], or not a real number.
+        InvalidDim: dim not an integer in 1..3, or target_n not an integer
+            >= 0.
+        QuadratureTooCoarse: m not an integer power of two >= 4, or
+            m < 2*target_n.
     """
     alpha = _check_alpha(alpha)
-    if dim not in (1, 2, 3):
-        raise InvalidDim(f"dim must be 1, 2 or 3, got {dim}")
-    m = int(m)
-    if m < 4 or (m & (m - 1)) != 0:
+    dim = check_integer(dim, "dim", 1, 3, InvalidDim)
+    m = check_integer(m, "quadrature size m", 4, error=QuadratureTooCoarse)
+    if m & (m - 1):
         raise QuadratureTooCoarse(f"quadrature size must be a power of two >= 4, got {m}")
     half = keep = m // 2 + 1
     if target_n is not None:
-        target_n = _check_offset(target_n, "target_n")
+        target_n = check_integer(target_n, "target_n", 0, error=InvalidDim)
         if m < 2 * target_n:
             raise QuadratureTooCoarse(f"quadrature size {m} < 2*N = {2 * target_n}")
         keep = target_n + 1
@@ -321,15 +313,18 @@ def alias_corrected_block(alpha: float, m: int, n_max: int) -> np.ndarray:
     constant vanishes and the block is the plain five-point one.
 
     Raises:
-        OrderOutOfRange: alpha outside (0, 2].
-        QuadratureTooCoarse: m not a power of two >= 4, or m < 2*n_max.
+        OrderOutOfRange: alpha outside (0, 2], or not a real number.
+        InvalidDim: n_max not an integer >= 0.
+        QuadratureTooCoarse: m not an integer power of two >= 4, or
+            m < 2*n_max.
     """
     table = weights_nd_fft(alpha, 2, m, target_n=n_max)
     block = table.values
     alpha = table.alpha
     if alpha == 2.0:
         return block
-    interp, log_r2, half_angle, log_ratio = _alias_geometry(int(n_max), table.m)
+    interp, log_r2, half_angle, log_ratio = _alias_geometry(block.shape[0] - 1,
+                                                            table.m)
     s = 2.0 + alpha
     near = np.exp(-0.5 * s * log_r2).sum(axis=-1)
     far = half_angle * ((np.exp(alpha * log_ratio) / alpha
@@ -348,14 +343,12 @@ def operator_block(alpha: float, dim: int, n_max: int) -> np.ndarray:
     :func:`default_quadrature_size`.
 
     Raises:
-        InvalidDim: dim not 1, 2 or 3, or n_max not an integer >= 1.
-        OrderOutOfRange: alpha outside (0, 2].
+        InvalidDim: dim not an integer in 1..3, or n_max not an integer
+            >= 1.
+        OrderOutOfRange: alpha outside (0, 2], or not a real number.
     """
-    if dim not in (1, 2, 3):
-        raise InvalidDim(f"dim must be 1, 2 or 3, got {dim}")
-    n_max = _check_offset(n_max, "n_max")
-    if n_max < 1:
-        raise InvalidDim(f"n_max must be >= 1, got {n_max}")
+    dim = check_integer(dim, "dim", 1, 3, InvalidDim)
+    n_max = check_integer(n_max, "n_max", 1, error=InvalidDim)
     if dim == 1:
         # The closed form a_n = (-1)^n Gamma(alpha+1) / (Gamma(alpha/2+n+1)
         # Gamma(alpha/2-n+1)) hits Gamma poles for n >= 2.  The recurrence
@@ -396,12 +389,16 @@ def check_decay(alpha: float, n_max: int) -> DecayReport:
     Returns min and max of |a_n| n^(alpha+1) over 4 <= n <= n_max/2; for
     well-behaved weights both are finite, positive, and within a factor ~10
     of each other.  At alpha = 2 the tail vanishes identically and the report
-    is flagged degenerate instead.  Refuses n_max < 16 with InvalidDim.
+    is flagged degenerate instead.
+
+    Raises:
+        OrderOutOfRange: alpha outside (0, 2], or not a real number.
+        InvalidDim: n_max not an integer >= 16, the shortest block with a
+            decay range.
     """
     alpha = _check_alpha(alpha)
-    n_hi = int(n_max) // 2
-    if n_hi < 8:
-        raise InvalidDim("weights too short for a decay check (need n_max >= 16)")
+    n_max = check_integer(n_max, "n_max", 16, error=InvalidDim)
+    n_hi = n_max // 2
     block = operator_block(alpha, 1, n_max)
     n = np.arange(4, n_hi + 1)
     scaled = np.abs(block[4: n_hi + 1]) * n.astype(float) ** (alpha + 1.0)
